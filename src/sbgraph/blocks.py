@@ -9,8 +9,24 @@ blocks of that helper graph off as the answer.  A maximal-clique
 enumeration over the same relation serves as the independent oracle.
 
 2-strong-biconnected blocks (single-vertex deletions, overlaps of up to
-two vertices) and the coarser 2-edge / 2-strong blocks are computed
-definitionally from per-deletion decompositions.
+two vertices) and the coarser 2-edge / 2-strong blocks intersect the same
+kind of relation over vertex or arc deletions.
+
+Each family probes only the deletions that can change its answer:
+
+- 2-edge-biconnected blocks probe the b-bridges and 2-strong-biconnected
+  blocks the b-articulation points: any other deletion leaves G strongly
+  biconnected, so what remains is one strongly biconnected component and
+  relates every pair.
+- 2-edge and 2-strong blocks probe the same sets when G is strongly
+  biconnected and the caller already has them.  Otherwise they build a
+  BFS out- and in-arborescence rooted at vertex 0 and probe the arcs of
+  the two trees, or the vertices with a child in either (the root among
+  them): any other deletion leaves both trees spanning, so G stays
+  strongly connected and relates every pair.
+
+The 2-edge and 2-strong probes mask the deleted element out of the
+adjacency instead of copying the graph.
 """
 
 from __future__ import annotations
@@ -23,25 +39,18 @@ from . import _kernels
 from ._util import par_map
 from .connectivity import (
     canonical_family,
-    is_strongly_biconnected,
     is_strongly_connected,
     undirected_blocks,
 )
-from .errors import (
-    GuardError,
-    NotStronglyBiconnectedError,
-    NotStronglyConnectedError,
-)
+from .errors import GuardError, NotStronglyConnectedError
 from .graph import UndirectedGraph, remove_edge, remove_vertex
-from .resilience import b_bridges
+from .resilience import (
+    _require_sb,
+    _spanning_arborescences,
+    b_articulation_points,
+    b_bridges,
+)
 from .sbc import strongly_biconnected_components
-
-
-def _require_sb(g, op):
-    if not is_strongly_biconnected(g):
-        raise NotStronglyBiconnectedError(
-            f"{op} requires a strongly biconnected input graph"
-        )
 
 
 def _require_sc(g, op):
@@ -77,12 +86,13 @@ def _co_membership(n, components, force=None):
     return m
 
 
-def edge_relation(g, parallel=False, _bridges=None):
+def edge_relation(g, parallel=False, *, _bridges=None):
     """Pair relation under single-arc deletions.
 
     L[x, y] is cleared iff some b-bridge deletion puts x and y into
     different strongly biconnected components; arcs that are not b-bridges
-    cannot separate anything and are skipped.
+    cannot separate anything and are skipped.  `_bridges`, when given, is
+    b_bridges(g) computed by the caller.
     """
     _require_sb(g, "edge_relation")
     n = g.n
@@ -105,17 +115,18 @@ def helper_graph(relation):
     return UndirectedGraph(relation.n, [(int(a), int(b)) for a, b in pairs])
 
 
-def two_edge_biconnected_blocks(g, parallel=False):
+def two_edge_biconnected_blocks(g, parallel=False, *, _bridges=None):
     """All 2-edge-biconnected blocks, canonically ordered.
 
     No b-bridges means every pair stays related, so the whole vertex set
     is the single block; otherwise the blocks of the helper graph built
-    from the edge relation are the answer.
+    from the edge relation are the answer.  `_bridges`, when given, is
+    b_bridges(g) computed by the caller.
     """
     _require_sb(g, "two_edge_biconnected_blocks")
     if g.n < 2:
         return []
-    bridges = b_bridges(g, parallel=parallel)
+    bridges = b_bridges(g, parallel=parallel) if _bridges is None else _bridges
     if not bridges:
         return [tuple(range(g.n))]
     relation = edge_relation(g, parallel=parallel, _bridges=bridges)
@@ -131,21 +142,41 @@ def _neighbour_sets(cells):
 
 
 def _max_cliques(neighbours):
-    """Maximal cliques of size >= 2, Bron-Kerbosch with pivoting."""
-    out = []
+    """Maximal cliques of size >= 2, Bron-Kerbosch with pivoting.
 
-    def expand(r, p, x):
+    Depth-first with an explicit stack of (r, p, x, branches) frames, so
+    a clique of any size cannot overflow the interpreter stack.  The pivot
+    is the smallest vertex of p | x with the most neighbours in p; a
+    vertex whose degree bound cannot beat the best so far is not
+    intersected.
+    """
+    out = []
+    frames = []
+
+    def enter(r, p, x):
         if not p and not x:
             if len(r) >= 2:
                 out.append(tuple(sorted(r)))
             return
-        pivot = max(sorted(p | x), key=lambda u: len(p & neighbours[u]))
-        for v in sorted(p - neighbours[pivot]):
-            expand(r | {v}, p & neighbours[v], x & neighbours[v])
-            p.remove(v)
-            x.add(v)
+        best, pivot = -1, None
+        for u in sorted(p | x):
+            if min(len(neighbours[u]), len(p) - (u in p)) <= best:
+                continue
+            size = len(p & neighbours[u])
+            if size > best:
+                best, pivot = size, u
+        frames.append((r, p, x, iter(sorted(p - neighbours[pivot]))))
 
-    expand(set(), set(range(len(neighbours))), set())
+    enter(set(), set(range(len(neighbours))), set())
+    while frames:
+        r, p, x, branches = frames[-1]
+        v = next(branches, None)
+        if v is None:
+            frames.pop()
+            continue
+        enter(r | {v}, p & neighbours[v], x & neighbours[v])
+        p.remove(v)
+        x.add(v)
     return out
 
 
@@ -162,12 +193,20 @@ def oracle_two_edge_biconnected_blocks(g, guard=24, parallel=False):
     return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
 
 
-def vertex_relation(g, parallel=False):
+def vertex_relation(g, parallel=False, *, _articulation_points=None):
     """Pair relation under single-vertex deletions: related pairs stay in
-    one strongly biconnected component of G minus z for every other z."""
+    one strongly biconnected component of G minus z for every other z.
+
+    Only b-articulation points z are probed.  `_articulation_points`,
+    when given, is b_articulation_points(g) computed by the caller.
+    """
     _require_sb(g, "vertex_relation")
     n = g.n
     cells = np.ones((n, n), dtype=bool)
+    if _articulation_points is None:
+        probes = b_articulation_points(g, parallel=parallel)
+    else:
+        probes = _articulation_points
 
     def mask(z):
         h, _ = remove_vertex(g, z)
@@ -178,34 +217,50 @@ def vertex_relation(g, parallel=False):
         ]
         return _co_membership(n, components, force=z)
 
-    for m in par_map(mask, range(n), parallel):
+    for m in par_map(mask, probes, parallel):
         cells &= m
     np.fill_diagonal(cells, True)
     return RelationMatrix(n=n, cells=cells)
 
 
-def two_strong_biconnected_blocks(g, parallel=False):
+def two_strong_biconnected_blocks(g, parallel=False, *,
+                                  _articulation_points=None):
     """All 2-strong-biconnected blocks: maximal cliques of size >= 2 of
     the vertex relation.  Distinct blocks may share up to two vertices,
-    which rules out both partitioning and helper-graph blocking."""
+    which rules out both partitioning and helper-graph blocking.
+    `_articulation_points`, when given, is b_articulation_points(g)
+    computed by the caller."""
     _require_sb(g, "two_strong_biconnected_blocks")
-    relation = vertex_relation(g, parallel=parallel)
+    relation = vertex_relation(
+        g, parallel=parallel, _articulation_points=_articulation_points
+    )
     return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
 
 
-def two_edge_blocks(g, parallel=False):
+def two_edge_blocks(g, parallel=False, *, _bridges=None):
     """Maximal sets with two edge-disjoint paths both ways between every
     pair: equivalence classes of "same SCC under every single-arc
-    deletion", filtered to size >= 2."""
+    deletion", filtered to size >= 2.
+
+    Probes the arcs of the BFS arborescences, or `_bridges` when given:
+    b_bridges(g) of a strongly biconnected g, computed by the caller.
+    """
     _require_sc(g, "two_edge_blocks")
     n = g.n
+    if _bridges is None:
+        tree_arcs, _ = _spanning_arborescences(g)
+        probes = sorted(tree_arcs)
+    else:
+        probes = _bridges
     labels = [0] * n
 
     def scc_of(edge):
-        h = remove_edge(g, edge)
-        return _kernels.scc_ids(h.n, h.out_adj)
+        u, v = edge
+        out_adj = list(g.out_adj)
+        out_adj[u] = tuple(w for w in out_adj[u] if w != v)
+        return _kernels.scc_ids(n, out_adj)
 
-    for count, ids in par_map(scc_of, g.edges, parallel):
+    for count, ids in par_map(scc_of, probes, parallel):
         if count <= 1:
             continue
         relabel = {}
@@ -218,23 +273,33 @@ def two_edge_blocks(g, parallel=False):
     return canonical_family(c for c in groups.values() if len(c) >= 2)
 
 
-def two_strong_blocks(g, parallel=False):
+def two_strong_blocks(g, parallel=False, *, _articulation_points=None):
     """Maximal sets whose pairs share an SCC of G minus w for every other
-    vertex w: maximal cliques of size >= 2 of that relation."""
+    vertex w: maximal cliques of size >= 2 of that relation.
+
+    Probes the vertices with a child in either BFS arborescence, or
+    `_articulation_points` when given:
+    b_articulation_points(g) of a strongly biconnected g, computed by the
+    caller.
+    """
     _require_sc(g, "two_strong_blocks")
     n = g.n
     cells = np.ones((n, n), dtype=bool)
+    if _articulation_points is None:
+        _, inner = _spanning_arborescences(g)
+        probes = sorted(inner)
+    else:
+        probes = _articulation_points
 
     def mask(z):
-        h, _ = remove_vertex(g, z)
         survivors = [v for v in range(n) if v != z]
-        _, ids = _kernels.scc_ids(h.n, h.out_adj)
+        _, ids = _kernels.scc_ids(n, g.out_adj, survivors)
         groups = {}
-        for v in range(h.n):
-            groups.setdefault(ids[v], []).append(survivors[v])
+        for v in survivors:
+            groups.setdefault(ids[v], []).append(v)
         return _co_membership(n, groups.values(), force=z)
 
-    for m in par_map(mask, range(n), parallel):
+    for m in par_map(mask, probes, parallel):
         cells &= m
     np.fill_diagonal(cells, True)
     return canonical_family(_max_cliques(_neighbour_sets(cells)))

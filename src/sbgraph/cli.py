@@ -182,10 +182,10 @@ def cmd_gen(args):
 
 
 def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
     backends = None if args.backends == "all" else [args.backends]
     result = run_bench(
-        sizes=sizes, seed=args.seed, backends=backends, repeat=args.repeat
+        sizes=args.sizes, seed=args.seed, backends=backends,
+        repeat=args.repeat,
     )
     if args.format == "json":
         print(json.dumps(result, indent=2, separators=(",", ": ")))
@@ -205,6 +205,20 @@ def cmd_export_dot(args):
         highlight = strongly_biconnected_components(g).components
     print(export_dot(g, highlight=highlight), end="")
     return EXIT_OK
+
+
+def _bench_sizes(text):
+    """--sizes: comma-separated vertex counts, each at least 3 (the
+    generator's minimum)."""
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if min(sizes) < 3:
+        raise argparse.ArgumentTypeError(f"every size must be >= 3, got {text!r}")
+    return sizes
 
 
 def _add_common(parser, guard_default=12):
@@ -266,7 +280,7 @@ def build_parser():
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="time the block pipeline per backend")
-    p.add_argument("--sizes", default="50,100,200")
+    p.add_argument("--sizes", type=_bench_sizes, default="50,100,200")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--backends", default="all",
                    choices=("all", "c", "pure"))
@@ -284,7 +298,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "oracle" and args.count and args.nmax < args.nmin:
+        parser.error(
+            f"oracle --nmax ({args.nmax}) must be >= --nmin ({args.nmin})"
+        )
     if args.kernels:
         _kernels.set_backend(args.kernels)
     try:

@@ -89,7 +89,7 @@ class Digraph:
 class UndirectedGraph:
     """A simple undirected graph; edges are stored as (min, max) pairs."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "_edge_set")
 
     def __init__(self, n, pairs):
         if n < 0:
@@ -103,6 +103,7 @@ class UndirectedGraph:
             norm.add((a, b) if a < b else (b, a))
         self.n = n
         self.edges = tuple(sorted(norm))
+        self._edge_set = norm
         adj = [[] for _ in range(n)]
         for a, b in self.edges:
             adj[a].append(b)
@@ -114,7 +115,7 @@ class UndirectedGraph:
         return len(self.edges)
 
     def has_edge(self, a, b):
-        return ((a, b) if a < b else (b, a)) in set(self.edges)
+        return ((a, b) if a < b else (b, a)) in self._edge_set
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):

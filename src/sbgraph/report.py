@@ -67,16 +67,29 @@ def analyze(g, parallel=False):
     """Run every applicable decomposition on g."""
     sb = is_strongly_biconnected(g)
     sc = is_strongly_connected(g)
+    # The b-bridges and b-articulation points are computed once and handed
+    # to every family that probes them.
+    arcs = points = None
     if sb:
-        bridges = [list(e) for e in b_bridges(g, parallel=parallel)]
-        baps = list(b_articulation_points(g, parallel=parallel))
-        eb = _family(two_edge_biconnected_blocks(g, parallel=parallel))
-        sbb = _family(two_strong_biconnected_blocks(g, parallel=parallel))
+        arcs = b_bridges(g, parallel=parallel)
+        points = b_articulation_points(g, parallel=parallel)
+        bridges = [list(e) for e in arcs]
+        baps = list(points)
+        eb = _family(
+            two_edge_biconnected_blocks(g, parallel=parallel, _bridges=arcs)
+        )
+        sbb = _family(
+            two_strong_biconnected_blocks(
+                g, parallel=parallel, _articulation_points=points
+            )
+        )
     else:
         bridges = baps = eb = sbb = SKIP_NOT_SB
     if sc:
-        e2 = _family(two_edge_blocks(g, parallel=parallel))
-        s2 = _family(two_strong_blocks(g, parallel=parallel))
+        e2 = _family(two_edge_blocks(g, parallel=parallel, _bridges=arcs))
+        s2 = _family(
+            two_strong_blocks(g, parallel=parallel, _articulation_points=points)
+        )
     else:
         e2 = s2 = SKIP_NOT_SC
     return AnalysisReport(

@@ -1,9 +1,20 @@
 """Single-failure resilience analysis.
 
 b-bridges are arcs whose deletion destroys strong biconnectivity;
-b-articulation points are vertices that do the same.  Both are computed by
-the definitional per-element recheck.  The 2-edge / 2-vertex strongly
-biconnected predicates and their maximal components build on top.
+b-articulation points are vertices that do the same.  Both are found by
+rechecking strong biconnectivity after each deletion, with the deleted
+element masked out of the adjacency instead of copying the graph.
+
+b_articulation_points rechecks every vertex.  b_bridges rechecks only
+the arcs of a BFS out- and in-arborescence rooted at vertex 0 and the
+twinless arcs whose underlying edge lies in the scan-first sparse
+certificate F1 + F2 of Cheriyan, Kao and Thurimella (SIAM J. Comput.
+1993): any other arc's deletion keeps both trees, so G stays strongly
+connected, and keeps the underlying graph's biconnected spanning
+certificate, so G stays strongly biconnected.
+
+The 2-edge / 2-vertex strongly biconnected predicates and their maximal
+components build on top.
 """
 
 from __future__ import annotations
@@ -30,22 +41,100 @@ def _require_sb(g, op):
         )
 
 
+def _bfs_parents(n, adj):
+    """BFS parent of every vertex reachable from vertex 0 (the root is its
+    own parent), -1 for the others."""
+    parent = [-1] * n
+    if n:
+        parent[0] = 0
+        queue = [0]
+        for v in queue:
+            for w in adj[v]:
+                if parent[w] == -1:
+                    parent[w] = v
+                    queue.append(w)
+    return parent
+
+
+def _spanning_arborescences(g):
+    """Arcs of a BFS out-arborescence and a BFS in-arborescence of g, both
+    rooted at vertex 0, and the set of vertices with a child in either.
+
+    g must be strongly connected.  Deleting an arc outside both trees, or
+    a vertex that is a leaf of both, leaves both trees spanning what
+    remains, so the result stays strongly connected.  With two or more
+    vertices the root has a child, so it is never a leaf.
+    """
+    out_parent = _bfs_parents(g.n, g.out_adj)
+    in_parent = _bfs_parents(g.n, g.in_adj)
+    arcs = set()
+    for v in range(1, g.n):
+        arcs.add((out_parent[v], v))
+        arcs.add((v, in_parent[v]))
+    inner = set(out_parent[1:]) | set(in_parent[1:])
+    return arcs, inner
+
+
+def _scan_first_forest(u, skip):
+    """Edges (min, max) of a breadth-first spanning forest of the
+    undirected graph u minus the edges in `skip`."""
+    seen = bytearray(u.n)
+    forest = set()
+    for root in range(u.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        queue = [root]
+        for v in queue:
+            for w in u.adj[v]:
+                if seen[w]:
+                    continue
+                e = (v, w) if v < w else (w, v)
+                if e in skip:
+                    continue
+                seen[w] = 1
+                forest.add(e)
+                queue.append(w)
+    return forest
+
+
+def _sparse_certificate(u):
+    """F1 + F2: a scan-first forest F1 of u and one F2 of u - F1.  When u
+    is biconnected, so is this spanning subgraph (Cheriyan, Kao and
+    Thurimella 1993)."""
+    f1 = _scan_first_forest(u, frozenset())
+    return f1 | _scan_first_forest(u, f1)
+
+
+def _b_bridge_candidates(g, und):
+    """Arcs of strongly biconnected g, in canonical order, whose deletion
+    can break strong biconnectivity; `und` must be underlying(g)."""
+    tree_arcs, _ = _spanning_arborescences(g)
+    certificate = _sparse_certificate(und)
+    return [
+        (a, b)
+        for a, b in sorted(g.edges)
+        if (a, b) in tree_arcs
+        or (not g.has_edge(b, a) and (min(a, b), max(a, b)) in certificate)
+    ]
+
+
 def b_bridges(g, parallel=False):
     """Arcs whose deletion leaves a graph that is not strongly biconnected,
     in canonical (tail, head) order.
 
-    Per-arc recheck of the definition; the arc is masked out of the
-    adjacency instead of copying the graph m times.
+    Only the arcs `_b_bridge_candidates` keeps are rechecked; the arc is
+    masked out of the adjacency instead of copying the graph.
     """
     _require_sb(g, "b_bridges")
     und = underlying(g)
-    edges = sorted(g.edges)
+    candidates = _b_bridge_candidates(g, und)
 
     def breaks(e):
         return not _strongly_biconnected_minus_arc(g, und, e)
 
-    flags = par_map(breaks, edges, parallel)
-    return [e for e, broken in zip(edges, flags) if broken]
+    flags = par_map(breaks, candidates, parallel)
+    return [e for e, broken in zip(candidates, flags) if broken]
 
 
 def b_articulation_points(g, parallel=False):
@@ -82,7 +171,10 @@ def is_2_edge_strongly_biconnected(g):
     if g.n <= 2 or not is_strongly_biconnected(g):
         return False
     und = underlying(g)
-    return all(_strongly_biconnected_minus_arc(g, und, e) for e in g.edges)
+    return all(
+        _strongly_biconnected_minus_arc(g, und, e)
+        for e in _b_bridge_candidates(g, und)
+    )
 
 
 def is_2_vertex_strongly_biconnected(g):

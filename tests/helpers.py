@@ -3,8 +3,11 @@
 import itertools
 
 import hypothesis.strategies as st
+import numpy as np
 
 import sbgraph as sg
+from sbgraph.blocks import _co_membership, _max_cliques, _neighbour_sets
+from sbgraph.connectivity import canonical_family
 
 
 def c3():
@@ -115,3 +118,81 @@ def overlaps_at_most(family, k):
         if len(set(a) & set(b)) > k:
             return False
     return True
+
+
+def glued(a, b):
+    """Disjoint union of a and b with a's last vertex identified with b's
+    vertex 0: strongly connected but not strongly biconnected when both
+    are strongly connected with at least two vertices."""
+    shift = a.n - 1
+    edges = list(a.edges) + [(t + shift, h + shift) for t, h in b.edges]
+    return sg.build_digraph(a.n + b.n - 1, edges)
+
+
+@st.composite
+def strongly_connected_digraphs(draw, min_n=1, max_n=8):
+    """A drawn digraph restricted to its largest strongly connected
+    component (the first such by smallest member)."""
+    g = draw(digraphs(min_n=min_n, max_n=max_n))
+    classes = sg.strongly_connected_components(g)
+    largest = max(classes, key=len) if classes else ()
+    return sg.induced_subgraph(g, largest)[0]
+
+
+# Definitional references for the probe filters of resilience and blocks:
+# each probes every single deletion and copies the graph for it.
+
+
+def reference_b_bridges(g):
+    """Arcs whose deletion leaves g not strongly biconnected."""
+    return [
+        e for e in sorted(g.edges)
+        if not sg.is_strongly_biconnected(sg.remove_edge(g, e))
+    ]
+
+
+def reference_vertex_relation(g):
+    """Pairs in one strongly biconnected component of G - z for every z."""
+    n = g.n
+    cells = np.ones((n, n), dtype=bool)
+    for z in range(n):
+        h, _ = sg.remove_vertex(g, z)
+        survivors = [v for v in range(n) if v != z]
+        components = [
+            [survivors[v] for v in comp]
+            for comp in sg.strongly_biconnected_components(h).components
+        ]
+        cells &= _co_membership(n, components, force=z)
+    np.fill_diagonal(cells, True)
+    return cells
+
+
+def reference_two_edge_blocks(g):
+    """Classes of "same SCC under every single-arc deletion", size >= 2."""
+    n = g.n
+    labels = [0] * n
+    for e in g.edges:
+        classes = sg.strongly_connected_components(sg.remove_edge(g, e))
+        ids = {v: i for i, c in enumerate(classes) for v in c}
+        relabel = {}
+        for v in range(n):
+            labels[v] = relabel.setdefault((labels[v], ids[v]), len(relabel))
+    groups = {}
+    for v in range(n):
+        groups.setdefault(labels[v], []).append(v)
+    return canonical_family(c for c in groups.values() if len(c) >= 2)
+
+
+def reference_two_strong_blocks(g):
+    """Maximal cliques of "same SCC of G - w for every other w"."""
+    n = g.n
+    cells = np.ones((n, n), dtype=bool)
+    for z in range(n):
+        h, _ = sg.remove_vertex(g, z)
+        survivors = [v for v in range(n) if v != z]
+        components = [
+            [survivors[v] for v in c] for c in sg.strongly_connected_components(h)
+        ]
+        cells &= _co_membership(n, components, force=z)
+    np.fill_diagonal(cells, True)
+    return canonical_family(_max_cliques(_neighbour_sets(cells)))

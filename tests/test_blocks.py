@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sbgraph as sg
+from sbgraph.blocks import _max_cliques
 from helpers import (
     bidirected_complete,
     bidirected_cycle,
@@ -205,3 +206,10 @@ def test_helper_graph_edges_match_relation(fig1):
     heb = sg.helper_graph(rel)
     for x, y in itertools.combinations(range(fig1.n), 2):
         assert heb.has_edge(x, y) == bool(rel.co(x, y) and rel.co(y, x))
+
+
+def test_max_cliques_of_a_large_clique_does_not_recurse():
+    n = 1100
+    everyone = frozenset(range(n))
+    neighbours = [everyone - {v} for v in range(n)]
+    assert _max_cliques(neighbours) == [tuple(range(n))]

@@ -230,3 +230,21 @@ def test_kernels_flag(capsys, fig1_path):
         assert json.loads(out)["blocks"][0] == [3, 14]
     finally:
         _kernels.set_backend(before)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--count", "3", "--nmin", "5", "--nmax", "4"],
+         "--nmax (4) must be >= --nmin (5)"),
+        (["bench", "--sizes", "1,2"], "every size must be >= 3"),
+        (["bench", "--sizes", "16,x"], "comma-separated integers"),
+    ],
+)
+def test_invalid_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -1,0 +1,73 @@
+"""The filtered probe sets of resilience and blocks give the same answers
+as probing every single deletion."""
+
+import numpy as np
+from hypothesis import given
+
+import sbgraph as sg
+from helpers import (
+    bidirected_complete,
+    c3,
+    glued,
+    random_sb_corpus,
+    reference_b_bridges,
+    reference_two_edge_blocks,
+    reference_two_strong_blocks,
+    reference_vertex_relation,
+    strongly_connected_digraphs,
+    two_triangles,
+)
+
+
+def _sc_not_sb_shapes():
+    corpus = random_sb_corpus(6, seed_base=700)
+    shapes = [two_triangles(), glued(bidirected_complete(4), c3())]
+    shapes += [glued(a, b) for a, b in zip(corpus, corpus[1:])]
+    shapes.append(glued(glued(corpus[0], c3()), corpus[5]))
+    return shapes
+
+
+def test_glued_shapes_are_sc_not_sb():
+    for g in _sc_not_sb_shapes():
+        assert sg.is_strongly_connected(g)
+        assert not sg.is_strongly_biconnected(g)
+
+
+def _assert_sc_families_match(g):
+    assert sg.two_edge_blocks(g) == reference_two_edge_blocks(g)
+    assert sg.two_strong_blocks(g) == reference_two_strong_blocks(g)
+
+
+def _assert_sb_families_match(g):
+    assert sg.b_bridges(g) == reference_b_bridges(g)
+    assert np.array_equal(
+        sg.vertex_relation(g).cells, reference_vertex_relation(g)
+    )
+    assert sg.is_2_edge_strongly_biconnected(g) == (
+        g.n > 2 and not reference_b_bridges(g)
+    )
+
+
+@given(strongly_connected_digraphs())
+def test_filters_match_references_on_random_draws(g):
+    _assert_sc_families_match(g)
+    if sg.is_strongly_biconnected(g):
+        _assert_sb_families_match(g)
+
+
+@given(
+    strongly_connected_digraphs(max_n=5), strongly_connected_digraphs(max_n=5)
+)
+def test_filters_match_references_on_random_glued_draws(a, b):
+    _assert_sc_families_match(glued(a, b))
+
+
+def test_filters_match_references_on_sc_not_sb_shapes():
+    for g in _sc_not_sb_shapes():
+        _assert_sc_families_match(g)
+
+
+def test_filters_match_references_on_sb_corpus(fig1, fig2):
+    for g in [fig1, fig2] + random_sb_corpus(12, seed_base=800, nmax=10):
+        _assert_sc_families_match(g)
+        _assert_sb_families_match(g)

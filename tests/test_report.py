@@ -3,7 +3,16 @@ import json
 import jsonschema
 
 import sbgraph as sg
-from helpers import bidirected_complete, c3, one_based, single_arc, two_triangles
+from helpers import (
+    bidirected_complete,
+    c3,
+    glued,
+    one_based,
+    random_sb_corpus,
+    single_arc,
+    two_triangles,
+)
+from sbgraph.report import SKIP_NOT_SB, SKIP_NOT_SC, render_report
 
 SCHEMA = sg.report_schema()
 
@@ -93,3 +102,34 @@ def test_analyze_returns_dataclass(fig1):
     assert isinstance(report, sg.AnalysisReport)
     assert report.n == 16
     assert report.as_dict()["m"] == 29
+
+
+def _report_from_families(g):
+    """The report analyze should give, with every family called alone."""
+    sb = sg.is_strongly_biconnected(g)
+    sc = sg.is_strongly_connected(g)
+
+    def family(fn, skip, ok):
+        return [list(b) for b in fn(g)] if ok else skip
+
+    return sg.AnalysisReport(
+        n=g.n,
+        m=g.m,
+        strongly_biconnected=sb,
+        b_bridges=family(sg.b_bridges, SKIP_NOT_SB, sb),
+        b_articulation_points=(
+            list(sg.b_articulation_points(g)) if sb else SKIP_NOT_SB
+        ),
+        sbc=[list(c) for c in sg.strongly_biconnected_components(g).components],
+        blocks_2eb=family(sg.two_edge_biconnected_blocks, SKIP_NOT_SB, sb),
+        blocks_2sb=family(sg.two_strong_biconnected_blocks, SKIP_NOT_SB, sb),
+        blocks_2e=family(sg.two_edge_blocks, SKIP_NOT_SC, sc),
+        blocks_2s=family(sg.two_strong_blocks, SKIP_NOT_SC, sc),
+    )
+
+
+def test_analyze_bytes_match_families_called_alone(fig1, fig2):
+    corpus = random_sb_corpus(8, seed_base=900, nmax=10)
+    graphs = [fig1, fig2, two_triangles(), single_arc(), glued(fig1, fig2)]
+    for g in graphs + corpus:
+        assert sg.emit_report(g) == render_report(_report_from_families(g))
