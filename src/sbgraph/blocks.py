@@ -10,7 +10,13 @@ enumeration over the same relation serves as the independent oracle.
 
 2-strong-biconnected blocks (single-vertex deletions, overlaps of up to
 two vertices) and the coarser 2-edge / 2-strong blocks intersect the same
-kind of relation over vertex or arc deletions.
+kind of relation over vertex or arc deletions.  One loop, `_intersect`,
+builds the edge, vertex and 2-strong relations: it ANDs in the
+co-membership matrix of the parts each probed deletion leaves (strongly
+biconnected components, or SCCs for 2-strong blocks).  A probe that
+leaves a single part relates every pair, so the loop skips it without
+building its n*n matrix.  The 2-edge blocks are a partition and refine
+vertex labels instead.
 
 Each family probes only the deletions that can change its answer:
 
@@ -36,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._util import par_map
 from .connectivity import (
     canonical_family,
     is_strongly_connected,
+    scc_classes,
     undirected_blocks,
 )
 from .errors import GuardError, NotStronglyConnectedError
@@ -86,7 +92,22 @@ def _co_membership(n, components, force=None):
     return m
 
 
-def edge_relation(g, parallel=False, *, _bridges=None):
+def _intersect(n, probes, parts):
+    """Pairs that share a part after every deletion in `probes`.
+
+    parts(p) returns the parts left by deletion p and the deleted vertex,
+    or None for an arc.  A probe that leaves a single part relates every
+    pair, so it is skipped without building its matrix.
+    """
+    cells = np.ones((n, n), dtype=bool)
+    for p in probes:
+        components, force = parts(p)
+        if len(components) > 1:
+            cells &= _co_membership(n, components, force)
+    return cells
+
+
+def edge_relation(g, *, _bridges=None):
     """Pair relation under single-arc deletions.
 
     L[x, y] is cleared iff some b-bridge deletion puts x and y into
@@ -95,17 +116,13 @@ def edge_relation(g, parallel=False, *, _bridges=None):
     b_bridges(g) computed by the caller.
     """
     _require_sb(g, "edge_relation")
-    n = g.n
-    bridges = b_bridges(g, parallel=parallel) if _bridges is None else _bridges
-    cells = np.ones((n, n), dtype=bool)
+    bridges = b_bridges(g) if _bridges is None else _bridges
 
-    def mask(bridge):
-        decomposition = strongly_biconnected_components(remove_edge(g, bridge))
-        return _co_membership(n, decomposition.components)
+    def parts(bridge):
+        h = remove_edge(g, bridge)
+        return strongly_biconnected_components(h).components, None
 
-    for m in par_map(mask, bridges, parallel):
-        cells &= m
-    return RelationMatrix(n=n, cells=cells)
+    return RelationMatrix(n=g.n, cells=_intersect(g.n, bridges, parts))
 
 
 def helper_graph(relation):
@@ -115,7 +132,7 @@ def helper_graph(relation):
     return UndirectedGraph(relation.n, [(int(a), int(b)) for a, b in pairs])
 
 
-def two_edge_biconnected_blocks(g, parallel=False, *, _bridges=None):
+def two_edge_biconnected_blocks(g, *, _bridges=None):
     """All 2-edge-biconnected blocks, canonically ordered.
 
     No b-bridges means every pair stays related, so the whole vertex set
@@ -126,10 +143,10 @@ def two_edge_biconnected_blocks(g, parallel=False, *, _bridges=None):
     _require_sb(g, "two_edge_biconnected_blocks")
     if g.n < 2:
         return []
-    bridges = b_bridges(g, parallel=parallel) if _bridges is None else _bridges
+    bridges = b_bridges(g) if _bridges is None else _bridges
     if not bridges:
         return [tuple(range(g.n))]
-    relation = edge_relation(g, parallel=parallel, _bridges=bridges)
+    relation = edge_relation(g, _bridges=bridges)
     decomposition = undirected_blocks(helper_graph(relation))
     return canonical_family(b for b in decomposition.blocks if len(b) >= 2)
 
@@ -180,7 +197,7 @@ def _max_cliques(neighbours):
     return out
 
 
-def oracle_two_edge_biconnected_blocks(g, guard=24, parallel=False):
+def oracle_two_edge_biconnected_blocks(g, guard=24):
     """Reference computation of the 2-edge-biconnected blocks: maximal
     cliques of the edge relation.  Exponential; guarded by n <= guard."""
     _require_sb(g, "oracle_two_edge_biconnected_blocks")
@@ -189,11 +206,11 @@ def oracle_two_edge_biconnected_blocks(g, guard=24, parallel=False):
             f"oracle_two_edge_biconnected_blocks requires n <= {guard}, got "
             f"n={g.n}; raise the guard explicitly to override"
         )
-    relation = edge_relation(g, parallel=parallel)
+    relation = edge_relation(g)
     return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
 
 
-def vertex_relation(g, parallel=False, *, _articulation_points=None):
+def vertex_relation(g, *, _articulation_points=None):
     """Pair relation under single-vertex deletions: related pairs stay in
     one strongly biconnected component of G minus z for every other z.
 
@@ -202,42 +219,32 @@ def vertex_relation(g, parallel=False, *, _articulation_points=None):
     """
     _require_sb(g, "vertex_relation")
     n = g.n
-    cells = np.ones((n, n), dtype=bool)
     if _articulation_points is None:
-        probes = b_articulation_points(g, parallel=parallel)
+        probes = b_articulation_points(g)
     else:
         probes = _articulation_points
 
-    def mask(z):
+    def parts(z):
         h, _ = remove_vertex(g, z)
         survivors = [v for v in range(n) if v != z]
-        decomposition = strongly_biconnected_components(h)
-        components = [
-            [survivors[v] for v in comp] for comp in decomposition.components
-        ]
-        return _co_membership(n, components, force=z)
+        components = strongly_biconnected_components(h).components
+        return [[survivors[v] for v in c] for c in components], z
 
-    for m in par_map(mask, probes, parallel):
-        cells &= m
-    np.fill_diagonal(cells, True)
-    return RelationMatrix(n=n, cells=cells)
+    return RelationMatrix(n=n, cells=_intersect(n, probes, parts))
 
 
-def two_strong_biconnected_blocks(g, parallel=False, *,
-                                  _articulation_points=None):
+def two_strong_biconnected_blocks(g, *, _articulation_points=None):
     """All 2-strong-biconnected blocks: maximal cliques of size >= 2 of
     the vertex relation.  Distinct blocks may share up to two vertices,
     which rules out both partitioning and helper-graph blocking.
     `_articulation_points`, when given, is b_articulation_points(g)
     computed by the caller."""
     _require_sb(g, "two_strong_biconnected_blocks")
-    relation = vertex_relation(
-        g, parallel=parallel, _articulation_points=_articulation_points
-    )
+    relation = vertex_relation(g, _articulation_points=_articulation_points)
     return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
 
 
-def two_edge_blocks(g, parallel=False, *, _bridges=None):
+def two_edge_blocks(g, *, _bridges=None):
     """Maximal sets with two edge-disjoint paths both ways between every
     pair: equivalence classes of "same SCC under every single-arc
     deletion", filtered to size >= 2.
@@ -253,14 +260,10 @@ def two_edge_blocks(g, parallel=False, *, _bridges=None):
     else:
         probes = _bridges
     labels = [0] * n
-
-    def scc_of(edge):
-        u, v = edge
+    for tail, head in probes:
         out_adj = list(g.out_adj)
-        out_adj[u] = tuple(w for w in out_adj[u] if w != v)
-        return _kernels.scc_ids(n, out_adj)
-
-    for count, ids in par_map(scc_of, probes, parallel):
+        out_adj[tail] = tuple(w for w in out_adj[tail] if w != head)
+        count, ids = _kernels.scc_ids(n, out_adj)
         if count <= 1:
             continue
         relabel = {}
@@ -273,7 +276,7 @@ def two_edge_blocks(g, parallel=False, *, _bridges=None):
     return canonical_family(c for c in groups.values() if len(c) >= 2)
 
 
-def two_strong_blocks(g, parallel=False, *, _articulation_points=None):
+def two_strong_blocks(g, *, _articulation_points=None):
     """Maximal sets whose pairs share an SCC of G minus w for every other
     vertex w: maximal cliques of size >= 2 of that relation.
 
@@ -284,22 +287,15 @@ def two_strong_blocks(g, parallel=False, *, _articulation_points=None):
     """
     _require_sc(g, "two_strong_blocks")
     n = g.n
-    cells = np.ones((n, n), dtype=bool)
     if _articulation_points is None:
         _, inner = _spanning_arborescences(g)
         probes = sorted(inner)
     else:
         probes = _articulation_points
 
-    def mask(z):
+    def parts(z):
         survivors = [v for v in range(n) if v != z]
-        _, ids = _kernels.scc_ids(n, g.out_adj, survivors)
-        groups = {}
-        for v in survivors:
-            groups.setdefault(ids[v], []).append(v)
-        return _co_membership(n, groups.values(), force=z)
+        return scc_classes(n, g.out_adj, survivors), z
 
-    for m in par_map(mask, probes, parallel):
-        cells &= m
-    np.fill_diagonal(cells, True)
+    cells = _intersect(n, probes, parts)
     return canonical_family(_max_cliques(_neighbour_sets(cells)))

@@ -91,7 +91,7 @@ def cmd_check(args):
 
 def cmd_analyze(args):
     g = _read_graph(args.file)
-    report = analyze(g, parallel=args.parallel == "on")
+    report = analyze(g)
     if args.format == "json":
         print(render_report(report), end="")
     else:
@@ -111,16 +111,15 @@ def cmd_analyze(args):
 
 def cmd_blocks(args):
     g = _read_graph(args.file)
-    parallel = args.parallel == "on"
     kind = args.kind
     if kind == "2eb":
-        family = two_edge_biconnected_blocks(g, parallel=parallel)
+        family = two_edge_biconnected_blocks(g)
     elif kind == "2sb":
-        family = two_strong_biconnected_blocks(g, parallel=parallel)
+        family = two_strong_biconnected_blocks(g)
     elif kind == "2e":
-        family = two_edge_blocks(g, parallel=parallel)
+        family = two_edge_blocks(g)
     elif kind == "2s":
-        family = two_strong_blocks(g, parallel=parallel)
+        family = two_strong_blocks(g)
     elif kind == "sbc":
         family = strongly_biconnected_components(g).components
     elif kind == "2esb":
@@ -128,9 +127,9 @@ def cmd_blocks(args):
     elif kind == "2vsb":
         family = components_2vsb(g, guard=args.guard)
     elif kind == "bbridges":
-        family = b_bridges(g, parallel=parallel)
+        family = b_bridges(g)
     elif kind == "bap":
-        vertices = b_articulation_points(g, parallel=parallel)
+        vertices = b_articulation_points(g)
         _emit(
             {"kind": kind, "vertices": list(vertices)},
             args.format,
@@ -221,14 +220,29 @@ def _bench_sizes(text):
     return sizes
 
 
+def _at_least(floor):
+    """argparse type: an integer no smaller than `floor`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(parser, guard_default=12):
     parser.add_argument("file", nargs="?", default="-",
                         help="edge-list file, or - for stdin")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--guard", type=int, default=guard_default,
                         help="size guard for enumeration-based operations")
-    parser.add_argument("--parallel", choices=("on", "off"), default="off",
-                        help="run per-deletion analyses in a thread pool")
 
 
 def build_parser():
@@ -263,16 +277,16 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="cross-check fast paths vs oracles")
     _add_common(p)
-    p.add_argument("--count", type=int, default=0,
+    p.add_argument("--count", type=_at_least(0), default=0,
                    help="check this many generated graphs instead of a file")
-    p.add_argument("--nmin", type=int, default=3)
+    p.add_argument("--nmin", type=_at_least(3), default=3)
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--p", type=float, default=0.6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a strongly biconnected graph")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(3), required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-tries", type=int, default=20000)
@@ -284,7 +298,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--backends", default="all",
                    choices=("all", "c", "pure"))
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--repeat", type=_at_least(1), default=3)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_bench)
 

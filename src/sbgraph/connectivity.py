@@ -22,15 +22,20 @@ def canonical_family(sets):
     return fam
 
 
+def scc_classes(n, adj, sub):
+    """Strongly connected classes of the subgraph induced on `sub`, as
+    lists in `sub` order, ordered by first member."""
+    _, ids = _kernels.scc_ids(n, adj, sub)
+    groups = {}
+    for v in sub:
+        groups.setdefault(ids[v], []).append(v)
+    return sorted(groups.values(), key=lambda c: c[0])
+
+
 def strongly_connected_components(g):
     """Partition of V into maximal strongly connected classes,
     ordered by smallest member."""
-    ncomp, ids = _kernels.scc_ids(g.n, g.out_adj)
-    classes = [[] for _ in range(ncomp)]
-    for v in range(g.n):
-        classes[ids[v]].append(v)
-    classes.sort(key=lambda c: c[0])
-    return [tuple(c) for c in classes]
+    return [tuple(c) for c in scc_classes(g.n, g.out_adj, range(g.n))]
 
 
 def is_strongly_connected(g):

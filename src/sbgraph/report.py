@@ -63,7 +63,7 @@ def _family(blocks):
     return [list(b) for b in blocks]
 
 
-def analyze(g, parallel=False):
+def analyze(g):
     """Run every applicable decomposition on g."""
     sb = is_strongly_biconnected(g)
     sc = is_strongly_connected(g)
@@ -71,25 +71,19 @@ def analyze(g, parallel=False):
     # to every family that probes them.
     arcs = points = None
     if sb:
-        arcs = b_bridges(g, parallel=parallel)
-        points = b_articulation_points(g, parallel=parallel)
+        arcs = b_bridges(g)
+        points = b_articulation_points(g)
         bridges = [list(e) for e in arcs]
         baps = list(points)
-        eb = _family(
-            two_edge_biconnected_blocks(g, parallel=parallel, _bridges=arcs)
-        )
+        eb = _family(two_edge_biconnected_blocks(g, _bridges=arcs))
         sbb = _family(
-            two_strong_biconnected_blocks(
-                g, parallel=parallel, _articulation_points=points
-            )
+            two_strong_biconnected_blocks(g, _articulation_points=points)
         )
     else:
         bridges = baps = eb = sbb = SKIP_NOT_SB
     if sc:
-        e2 = _family(two_edge_blocks(g, parallel=parallel, _bridges=arcs))
-        s2 = _family(
-            two_strong_blocks(g, parallel=parallel, _articulation_points=points)
-        )
+        e2 = _family(two_edge_blocks(g, _bridges=arcs))
+        s2 = _family(two_strong_blocks(g, _articulation_points=points))
     else:
         e2 = s2 = SKIP_NOT_SC
     return AnalysisReport(
@@ -106,9 +100,9 @@ def analyze(g, parallel=False):
     )
 
 
-def emit_report(g, parallel=False):
+def emit_report(g):
     """Serialize analyze(g) as deterministic JSON text."""
-    return render_report(analyze(g, parallel=parallel))
+    return render_report(analyze(g))
 
 
 def render_report(report):

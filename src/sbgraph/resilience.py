@@ -22,13 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import _kernels
-from ._util import par_map
 from .connectivity import (
     _strongly_biconnected_minus_arc,
     _strongly_biconnected_subset,
     canonical_family,
     is_strongly_biconnected,
+    scc_classes,
 )
 from .errors import GuardError, NotStronglyBiconnectedError
 from .graph import induced_subgraph, underlying
@@ -119,7 +118,7 @@ def _b_bridge_candidates(g, und):
     ]
 
 
-def b_bridges(g, parallel=False):
+def b_bridges(g):
     """Arcs whose deletion leaves a graph that is not strongly biconnected,
     in canonical (tail, head) order.
 
@@ -128,27 +127,25 @@ def b_bridges(g, parallel=False):
     """
     _require_sb(g, "b_bridges")
     und = underlying(g)
-    candidates = _b_bridge_candidates(g, und)
-
-    def breaks(e):
-        return not _strongly_biconnected_minus_arc(g, und, e)
-
-    flags = par_map(breaks, candidates, parallel)
-    return [e for e, broken in zip(candidates, flags) if broken]
+    return [
+        e
+        for e in _b_bridge_candidates(g, und)
+        if not _strongly_biconnected_minus_arc(g, und, e)
+    ]
 
 
-def b_articulation_points(g, parallel=False):
+def b_articulation_points(g):
     """Vertices whose deletion leaves a graph that is not strongly
     biconnected."""
     _require_sb(g, "b_articulation_points")
     und = underlying(g)
-
-    def breaks(w):
-        rest = [v for v in range(g.n) if v != w]
-        return not _strongly_biconnected_subset(g, und, rest)
-
-    flags = par_map(breaks, range(g.n), parallel)
-    return tuple(w for w, broken in zip(range(g.n), flags) if broken)
+    return tuple(
+        w
+        for w in range(g.n)
+        if not _strongly_biconnected_subset(
+            g, und, [v for v in range(g.n) if v != w]
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -159,10 +156,10 @@ class CutReport:
     b_articulation_points: tuple
 
 
-def cut_report(g, parallel=False):
+def cut_report(g):
     return CutReport(
-        b_bridges=tuple(b_bridges(g, parallel=parallel)),
-        b_articulation_points=b_articulation_points(g, parallel=parallel),
+        b_bridges=tuple(b_bridges(g)),
+        b_articulation_points=b_articulation_points(g),
     )
 
 
@@ -218,11 +215,7 @@ def _candidate_regions(g):
         if len(members) < 3:
             continue
         core = sorted(members)
-        _, ids = _kernels.scc_ids(g.n, g.out_adj, core)
-        groups = {}
-        for v in core:
-            groups.setdefault(ids[v], []).append(v)
-        classes = sorted(groups.values(), key=lambda c: c[0])
+        classes = scc_classes(g.n, g.out_adj, core)
         if len(classes) == 1 and len(core) == len(sub):
             regions.append(core)
             continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .connectivity import _strongly_biconnected_subset
+from .connectivity import _strongly_biconnected_subset, scc_classes
 from .errors import GuardError
 from .graph import underlying
 
@@ -52,15 +52,6 @@ def _finish(raw_sets):
     return SbcDecomposition(components=tuple(kept), membership=membership)
 
 
-def _scc_classes(n, adj, sub):
-    _, ids = _kernels.scc_ids(n, adj, sub)
-    groups = {}
-    for v in sub:
-        groups.setdefault(ids[v], []).append(v)
-    classes = sorted(groups.values(), key=lambda c: c[0])
-    return classes
-
-
 def strongly_biconnected_components(g):
     """Decompose a digraph into its strongly biconnected components.
 
@@ -71,7 +62,7 @@ def strongly_biconnected_components(g):
     if n == 0:
         return _finish([])
     und = underlying(g)
-    worklist = _scc_classes(n, g.out_adj, list(range(n)))
+    worklist = scc_classes(n, g.out_adj, range(n))
     worklist.reverse()
     emitted = []
     while worklist:
@@ -93,7 +84,7 @@ def strongly_biconnected_components(g):
             if len(b) == 1:
                 parts.append(b)
             else:
-                parts.extend(_scc_classes(n, g.out_adj, b))
+                parts.extend(scc_classes(n, g.out_adj, b))
         parts.sort(key=lambda c: c[0])
         worklist.extend(reversed(parts))
     return _finish(emitted)

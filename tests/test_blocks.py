@@ -188,19 +188,6 @@ def test_families_are_edge_order_invariant(fig1):
         assert sg.two_edge_biconnected_blocks(g) == base
 
 
-def test_parallel_matches_serial(fig1, fig2):
-    assert sg.two_edge_biconnected_blocks(fig1, parallel=True) == (
-        sg.two_edge_biconnected_blocks(fig1)
-    )
-    assert sg.two_strong_biconnected_blocks(fig2, parallel=True) == (
-        sg.two_strong_biconnected_blocks(fig2)
-    )
-    assert sg.two_edge_blocks(fig1, parallel=True) == sg.two_edge_blocks(fig1)
-    assert sg.two_strong_blocks(fig2, parallel=True) == (
-        sg.two_strong_blocks(fig2)
-    )
-
-
 def test_helper_graph_edges_match_relation(fig1):
     rel = sg.edge_relation(fig1)
     heb = sg.helper_graph(rel)

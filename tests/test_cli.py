@@ -41,14 +41,6 @@ def test_analyze_deterministic_bytes(capsys, fig1_path):
     ]
 
 
-def test_analyze_parallel_identical_bytes(capsys, fig2_path):
-    code, serial, _ = run_cli(capsys, "analyze", fig2_path, "--parallel", "off")
-    assert code == 0
-    code, parallel, _ = run_cli(capsys, "analyze", fig2_path, "--parallel", "on")
-    assert code == 0
-    assert serial == parallel
-
-
 def test_analyze_text(capsys, fig1_path):
     code, out, _ = run_cli(capsys, "analyze", fig1_path, "--format", "text")
     assert code == 0
@@ -154,9 +146,13 @@ def test_gen_budget_exit_code(capsys):
 
 
 def test_gen_bad_parameters_exit_code(capsys):
-    code, _, err = run_cli(capsys, "gen", "--n", "2", "--p", "0.5", "--seed", "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "2", "--p", "0.5", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "argument --n: must be >= 3" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "gen", "--n", "5", "--p", "1.5", "--seed", "1")
     assert code == 2
-    assert "n must be >= 3" in err
+    assert "p must be in (0, 1]" in err
 
 
 def test_oracle_file_mode(capsys, fig1_path):
@@ -239,6 +235,15 @@ def test_kernels_flag(capsys, fig1_path):
          "--nmax (4) must be >= --nmin (5)"),
         (["bench", "--sizes", "1,2"], "every size must be >= 3"),
         (["bench", "--sizes", "16,x"], "comma-separated integers"),
+        (["oracle", "--count", "3", "--nmin", "1", "--nmax", "2"],
+         "argument --nmin: must be >= 3, got 1"),
+        (["oracle", "--count", "-5"], "argument --count: must be >= 0, got -5"),
+        (["gen", "--n", "2", "--p", "0.5", "--seed", "1"],
+         "argument --n: must be >= 3, got 2"),
+        (["bench", "--repeat", "0", "--sizes", "3", "--backends", "pure"],
+         "argument --repeat: must be >= 1, got 0"),
+        (["analyze", "fig2.edges", "--parallel", "on"],
+         "unrecognized arguments: --parallel on"),
     ],
 )
 def test_invalid_arguments_exit_2(capsys, argv, message):

@@ -7,6 +7,7 @@ from hypothesis import given
 import sbgraph as sg
 from helpers import (
     bidirected_complete,
+    bidirected_cycle,
     c3,
     glued,
     random_sb_corpus,
@@ -68,6 +69,9 @@ def test_filters_match_references_on_sc_not_sb_shapes():
 
 
 def test_filters_match_references_on_sb_corpus(fig1, fig2):
-    for g in [fig1, fig2] + random_sb_corpus(12, seed_base=800, nmax=10):
+    # Every vertex probe of a bidirected cycle leaves one SCC, so
+    # two_strong_blocks skips all of them.
+    cycles = [bidirected_cycle(k) for k in (5, 7, 9)]
+    for g in [fig1, fig2] + cycles + random_sb_corpus(12, seed_base=800, nmax=10):
         _assert_sc_families_match(g)
         _assert_sb_families_match(g)

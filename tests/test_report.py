@@ -93,10 +93,6 @@ def test_report_bytes_stable(fig1):
     assert sg.emit_report(fig1) == sg.emit_report(fig1)
 
 
-def test_report_parallel_identical(fig2):
-    assert sg.emit_report(fig2, parallel=True) == sg.emit_report(fig2)
-
-
 def test_analyze_returns_dataclass(fig1):
     report = sg.analyze(fig1)
     assert isinstance(report, sg.AnalysisReport)

@@ -80,13 +80,6 @@ def test_b_articulation_points_fig2(fig2):
     assert 4 - 1 in sg.b_articulation_points(fig2)
 
 
-def test_parallel_matches_serial(fig1):
-    assert sg.b_bridges(fig1, parallel=True) == sg.b_bridges(fig1)
-    assert sg.b_articulation_points(fig1, parallel=True) == (
-        sg.b_articulation_points(fig1)
-    )
-
-
 def test_cut_report(fig1):
     report = sg.cut_report(fig1)
     assert report.b_bridges == tuple(FIG1_B_BRIDGES)
