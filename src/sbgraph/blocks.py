@@ -18,18 +18,23 @@ leaves a single part relates every pair, so the loop skips it without
 building its n*n matrix.  The 2-edge blocks are a partition and refine
 vertex labels instead.
 
-Each family probes only the deletions that can change its answer:
+Each family probes only the deletions that can change its answer, and
+each probe set is exact:
 
 - 2-edge-biconnected blocks probe the b-bridges and 2-strong-biconnected
   blocks the b-articulation points: any other deletion leaves G strongly
   biconnected, so what remains is one strongly biconnected component and
   relates every pair.
-- 2-edge and 2-strong blocks probe the same sets when G is strongly
-  biconnected and the caller already has them.  Otherwise they build a
-  BFS out- and in-arborescence rooted at vertex 0 and probe the arcs of
-  the two trees, or the vertices with a child in either (the root among
-  them): any other deletion leaves both trees spanning, so G stays
-  strongly connected and relates every pair.
+- 2-edge blocks probe the strong bridges and 2-strong blocks the strong
+  articulation points, whether or not G is strongly biconnected: any
+  other deletion leaves G strongly connected, one SCC, which relates
+  every pair.
+
+`resilience` finds all four sets without rechecking deletions: the strong
+ones from the dominator trees of G and its reverse, the b-sets from one
+biconnected-components sweep over H - x (see its docstring for the
+characterizations).  `analyze` computes them once and hands each family
+its set.
 
 The 2-edge and 2-strong probes mask the deleted element out of the
 adjacency instead of copying the graph.
@@ -52,7 +57,7 @@ from .errors import GuardError, NotStronglyConnectedError
 from .graph import UndirectedGraph, remove_edge, remove_vertex
 from .resilience import (
     _require_sb,
-    _spanning_arborescences,
+    _strong_cuts,
     b_articulation_points,
     b_bridges,
 )
@@ -249,16 +254,12 @@ def two_edge_blocks(g, *, _bridges=None):
     pair: equivalence classes of "same SCC under every single-arc
     deletion", filtered to size >= 2.
 
-    Probes the arcs of the BFS arborescences, or `_bridges` when given:
-    b_bridges(g) of a strongly biconnected g, computed by the caller.
+    Probes the strong bridges of g, or `_bridges` when given: the strong
+    bridges computed by the caller.
     """
     _require_sc(g, "two_edge_blocks")
     n = g.n
-    if _bridges is None:
-        tree_arcs, _ = _spanning_arborescences(g)
-        probes = sorted(tree_arcs)
-    else:
-        probes = _bridges
+    probes = _strong_cuts(g)[0] if _bridges is None else _bridges
     labels = [0] * n
     for tail, head in probes:
         out_adj = list(g.out_adj)
@@ -280,16 +281,13 @@ def two_strong_blocks(g, *, _articulation_points=None):
     """Maximal sets whose pairs share an SCC of G minus w for every other
     vertex w: maximal cliques of size >= 2 of that relation.
 
-    Probes the vertices with a child in either BFS arborescence, or
-    `_articulation_points` when given:
-    b_articulation_points(g) of a strongly biconnected g, computed by the
-    caller.
+    Probes the strong articulation points of g, or `_articulation_points`
+    when given: the strong articulation points computed by the caller.
     """
     _require_sc(g, "two_strong_blocks")
     n = g.n
     if _articulation_points is None:
-        _, inner = _spanning_arborescences(g)
-        probes = sorted(inner)
+        probes = _strong_cuts(g)[1]
     else:
         probes = _articulation_points
 

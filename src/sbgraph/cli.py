@@ -237,6 +237,19 @@ def _at_least(floor):
     return parse
 
 
+def _probability(text):
+    """argparse type: a float in (0, 1]; NaN is rejected by the range test."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _add_common(parser, guard_default=12):
     parser.add_argument("file", nargs="?", default="-",
                         help="edge-list file, or - for stdin")
@@ -281,15 +294,15 @@ def build_parser():
                    help="check this many generated graphs instead of a file")
     p.add_argument("--nmin", type=_at_least(3), default=3)
     p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--p", type=float, default=0.6)
+    p.add_argument("--p", type=_probability, default=0.6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a strongly biconnected graph")
     p.add_argument("--n", type=_at_least(3), required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_probability, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-tries", type=int, default=20000)
+    p.add_argument("--max-tries", type=_at_least(1), default=20000)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_gen)
 

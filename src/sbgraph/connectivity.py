@@ -97,21 +97,3 @@ def _strongly_biconnected_subset(g, und, sub):
     count, _ = _kernels.scc_ids(g.n, g.out_adj, sub)
     return count == 1
 
-
-def _strongly_biconnected_minus_arc(g, und, edge):
-    """is_strongly_biconnected of g with one arc masked out, without
-    building the graph.  `und` must be underlying(g)."""
-    u, v = edge
-    out_adj = list(g.out_adj)
-    out_adj[u] = tuple(w for w in out_adj[u] if w != v)
-    count, _ = _kernels.scc_ids(g.n, out_adj)
-    if count != 1:
-        return False
-    if g.has_edge(v, u):
-        und_adj = und.adj  # antiparallel twin keeps the undirected edge
-    else:
-        und_adj = list(und.adj)
-        und_adj[u] = tuple(w for w in und_adj[u] if w != v)
-        und_adj[v] = tuple(w for w in und_adj[v] if w != u)
-    blocks, _aps, connected = _kernels.bcc(g.n, und_adj)
-    return connected and len(blocks) <= 1

@@ -19,7 +19,7 @@ from .blocks import (
     two_strong_blocks,
 )
 from .connectivity import is_strongly_biconnected, is_strongly_connected
-from .resilience import b_articulation_points, b_bridges
+from .resilience import _strong_cuts, cut_report
 from .sbc import strongly_biconnected_components
 
 SKIP_NOT_SB = {"skipped": "input not strongly biconnected"}
@@ -67,23 +67,25 @@ def analyze(g):
     """Run every applicable decomposition on g."""
     sb = is_strongly_biconnected(g)
     sc = is_strongly_connected(g)
-    # The b-bridges and b-articulation points are computed once and handed
-    # to every family that probes them.
-    arcs = points = None
+    # One sweep finds every single-failure cut; each family is handed the
+    # set it probes.
     if sb:
-        arcs = b_bridges(g)
-        points = b_articulation_points(g)
-        bridges = [list(e) for e in arcs]
-        baps = list(points)
-        eb = _family(two_edge_biconnected_blocks(g, _bridges=arcs))
+        cuts = cut_report(g)
+        strong = cuts.strong_bridges, cuts.strong_articulation_points
+        bridges = [list(e) for e in cuts.b_bridges]
+        baps = list(cuts.b_articulation_points)
+        eb = _family(two_edge_biconnected_blocks(g, _bridges=cuts.b_bridges))
         sbb = _family(
-            two_strong_biconnected_blocks(g, _articulation_points=points)
+            two_strong_biconnected_blocks(
+                g, _articulation_points=cuts.b_articulation_points
+            )
         )
     else:
+        strong = _strong_cuts(g) if sc else None
         bridges = baps = eb = sbb = SKIP_NOT_SB
     if sc:
-        e2 = _family(two_edge_blocks(g, _bridges=arcs))
-        s2 = _family(two_strong_blocks(g, _articulation_points=points))
+        e2 = _family(two_edge_blocks(g, _bridges=strong[0]))
+        s2 = _family(two_strong_blocks(g, _articulation_points=strong[1]))
     else:
         e2 = s2 = SKIP_NOT_SC
     return AnalysisReport(

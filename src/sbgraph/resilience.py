@@ -1,20 +1,40 @@
 """Single-failure resilience analysis.
 
 b-bridges are arcs whose deletion destroys strong biconnectivity;
-b-articulation points are vertices that do the same.  Both are found by
-rechecking strong biconnectivity after each deletion, with the deleted
-element masked out of the adjacency instead of copying the graph.
+b-articulation points are vertices that do the same.  Strong bridges and
+strong articulation points are the arcs and vertices whose deletion
+destroys strong connectivity.  `cut_report` finds all four sets of a
+strongly biconnected G without rechecking any single deletion.
 
-b_articulation_points rechecks every vertex.  b_bridges rechecks only
-the arcs of a BFS out- and in-arborescence rooted at vertex 0 and the
-twinless arcs whose underlying edge lies in the scan-first sparse
-certificate F1 + F2 of Cheriyan, Kao and Thurimella (SIAM J. Comput.
-1993): any other arc's deletion keeps both trees, so G stays strongly
-connected, and keeps the underlying graph's biconnected spanning
-certificate, so G stays strongly biconnected.
+Strong cuts come from dominators (Italiano, Laura and Santaroni, TCS
+2012).  Root G and its reverse at vertex 0 and compute both dominator
+trees with the simple Lengauer-Tarjan algorithm (TOPLAS 1979):
 
-The 2-edge / 2-vertex strongly biconnected predicates and their maximal
-components build on top.
+- an arc is a strong bridge exactly when it is a bridge of the flow graph
+  G(0) or, read backwards, of the reverse flow graph; (idom(v), v) is a
+  flow-graph bridge exactly when v dominates every other in-neighbour;
+- a vertex other than 0 is a strong articulation point exactly when it
+  dominates some other vertex in either tree; vertex 0 is one when G - 0
+  has more than one SCC.
+
+The rest of each cut set comes from one sweep that runs the biconnected
+components of H - x for every vertex x, where H is the underlying graph:
+
+- x is a b-articulation point when it is a strong articulation point or
+  H - x is not biconnected;
+- an arc (u, v) is a b-bridge when it is a strong bridge, or when it has
+  no antiparallel twin (otherwise H keeps the edge uv) and uv is a bridge
+  of some H - x.  For biconnected H with n >= 3, H - uv stays connected,
+  so it fails to be biconnected exactly when it has a cut vertex x, and
+  x is one exactly when x is not u or v and uv is a bridge of H - x.
+
+Cost: O(m log n) for the two dominator trees plus one SCC call, and n
+biconnected-components calls of O(n + m) each, so O(nm) overall.  A
+linear-time sweep would need the separation pairs of H (SPQR trees),
+which this module does not build.
+
+The 2-edge / 2-vertex strongly biconnected predicates read the same
+sweep; their maximal components build on top.
 """
 
 from __future__ import annotations
@@ -22,9 +42,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import _kernels
 from .connectivity import (
-    _strongly_biconnected_minus_arc,
-    _strongly_biconnected_subset,
     canonical_family,
     is_strongly_biconnected,
     scc_classes,
@@ -40,138 +59,217 @@ def _require_sb(g, op):
         )
 
 
-def _bfs_parents(n, adj):
-    """BFS parent of every vertex reachable from vertex 0 (the root is its
-    own parent), -1 for the others."""
-    parent = [-1] * n
-    if n:
-        parent[0] = 0
-        queue = [0]
-        for v in queue:
-            for w in adj[v]:
-                if parent[w] == -1:
-                    parent[w] = v
-                    queue.append(w)
-    return parent
+def _immediate_dominators(n, succ, pred):
+    """Immediate dominator of every vertex of the flow graph with arcs
+    `succ` (and their reversal `pred`) rooted at vertex 0, which must
+    reach every vertex.  The root is its own immediate dominator.
 
-
-def _spanning_arborescences(g):
-    """Arcs of a BFS out-arborescence and a BFS in-arborescence of g, both
-    rooted at vertex 0, and the set of vertices with a child in either.
-
-    g must be strongly connected.  Deleting an arc outside both trees, or
-    a vertex that is a leaf of both, leaves both trees spanning what
-    remains, so the result stays strongly connected.  With two or more
-    vertices the root has a child, so it is never a leaf.
+    Simple Lengauer-Tarjan (TOPLAS 1979): semidominators over a
+    depth-first spanning tree, evaluated on a forest linked in reverse
+    preorder with path compression, O(m log n).  The depth-first search
+    and the compression both run on explicit stacks, so a long path
+    cannot overflow the interpreter stack.
     """
-    out_parent = _bfs_parents(g.n, g.out_adj)
-    in_parent = _bfs_parents(g.n, g.in_adj)
-    arcs = set()
-    for v in range(1, g.n):
-        arcs.add((out_parent[v], v))
-        arcs.add((v, in_parent[v]))
-    inner = set(out_parent[1:]) | set(in_parent[1:])
-    return arcs, inner
-
-
-def _scan_first_forest(u, skip):
-    """Edges (min, max) of a breadth-first spanning forest of the
-    undirected graph u minus the edges in `skip`."""
-    seen = bytearray(u.n)
-    forest = set()
-    for root in range(u.n):
-        if seen[root]:
+    parent = [0] * n
+    number = [-1] * n  # preorder number
+    order = [0]  # vertex by preorder number
+    number[0] = 0
+    dfs_v, dfs_i = [0], [0]
+    while dfs_v:
+        v = dfs_v[-1]
+        neigh = succ[v]
+        i = dfs_i[-1]
+        while i < len(neigh) and number[neigh[i]] != -1:
+            i += 1
+        if i == len(neigh):
+            dfs_v.pop()
+            dfs_i.pop()
             continue
-        seen[root] = 1
-        queue = [root]
-        for v in queue:
-            for w in u.adj[v]:
-                if seen[w]:
-                    continue
-                e = (v, w) if v < w else (w, v)
-                if e in skip:
-                    continue
-                seen[w] = 1
-                forest.add(e)
-                queue.append(w)
-    return forest
+        dfs_i[-1] = i + 1
+        w = neigh[i]
+        parent[w] = v
+        number[w] = len(order)
+        order.append(w)
+        dfs_v.append(w)
+        dfs_i.append(0)
+
+    semi = number[:]  # preorder number of the semidominator
+    label = list(range(n))
+    ancestor = [-1] * n
+    idom = [0] * n
+    bucket = [[] for _ in range(n)]
+
+    def evaluate(v):
+        # Compress the forest path above v, top-most vertex first, then
+        # read off the vertex of least semidominator on it.
+        if ancestor[v] == -1:
+            return v
+        path = []
+        u = v
+        while ancestor[ancestor[u]] != -1:
+            path.append(u)
+            u = ancestor[u]
+        for u in reversed(path):
+            a = ancestor[u]
+            if semi[label[a]] < semi[label[u]]:
+                label[u] = label[a]
+            ancestor[u] = ancestor[a]
+        return label[v]
+
+    for w in reversed(order[1:]):
+        for v in pred[w]:
+            s = semi[evaluate(v)]
+            if s < semi[w]:
+                semi[w] = s
+        bucket[order[semi[w]]].append(w)
+        p = parent[w]
+        ancestor[w] = p
+        for v in bucket[p]:
+            u = evaluate(v)
+            idom[v] = u if semi[u] < semi[v] else p
+        bucket[p] = []
+    for w in order[1:]:
+        if idom[w] != order[semi[w]]:
+            idom[w] = idom[idom[w]]
+    return idom
 
 
-def _sparse_certificate(u):
-    """F1 + F2: a scan-first forest F1 of u and one F2 of u - F1.  When u
-    is biconnected, so is this spanning subgraph (Cheriyan, Kao and
-    Thurimella 1993)."""
-    f1 = _scan_first_forest(u, frozenset())
-    return f1 | _scan_first_forest(u, f1)
+def _flow_bridge_heads(idom, pred):
+    """Vertices v != 0 whose arc from idom(v) is a bridge of the flow graph
+    rooted at 0: every path from the root to v ends with that arc.
 
-
-def _b_bridge_candidates(g, und):
-    """Arcs of strongly biconnected g, in canonical order, whose deletion
-    can break strong biconnectivity; `und` must be underlying(g)."""
-    tree_arcs, _ = _spanning_arborescences(g)
-    certificate = _sparse_certificate(und)
+    That holds exactly when v dominates every other in-neighbour
+    (Italiano, Laura and Santaroni, TCS 2012).  Some in-neighbour ends a
+    v-free path from the root, so the condition also makes idom(v) an
+    in-neighbour.  Dominance is read from preorder intervals of the
+    dominator tree.
+    """
+    n = len(idom)
+    children = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[idom[v]].append(v)
+    first = [0] * n
+    size = [1] * n
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        first[v] = len(order)
+        order.append(v)
+        stack.extend(children[v])
+    for v in reversed(order[1:]):
+        size[idom[v]] += size[v]
     return [
+        v
+        for v in range(1, n)
+        if all(
+            w == idom[v] or first[v] <= first[w] < first[v] + size[v]
+            for w in pred[v]
+        )
+    ]
+
+
+def _strong_cuts(g):
+    """Strong bridges and strong articulation points of strongly connected
+    g: the arcs and the vertices whose deletion leaves it not strongly
+    connected, each as a sorted tuple.
+
+    Both come from the dominators of g and of its reverse, rooted at 0
+    (Italiano, Laura and Santaroni, TCS 2012).  The strong bridges are
+    the flow-graph bridges of either side, the reverse side's read
+    backwards.  A vertex other than the root is a strong articulation
+    point exactly when it dominates some other vertex on either side; the
+    root is one when g - 0 has more than one SCC.
+    """
+    n = g.n
+    if n < 2:
+        return (), ()
+    forward = _immediate_dominators(n, g.out_adj, g.in_adj)
+    reverse = _immediate_dominators(n, g.in_adj, g.out_adj)
+    arcs = {(forward[v], v) for v in _flow_bridge_heads(forward, g.in_adj)}
+    arcs.update(
+        (v, reverse[v]) for v in _flow_bridge_heads(reverse, g.out_adj)
+    )
+    points = set(forward[1:]) | set(reverse[1:])
+    points.discard(0)
+    count, _ = _kernels.scc_ids(n, g.out_adj, range(1, n))
+    if count > 1:
+        points.add(0)
+    return tuple(sorted(arcs)), tuple(sorted(points))
+
+
+@dataclass(frozen=True)
+class CutReport:
+    """All single-failure weak points of one strongly biconnected graph:
+    the deletions that break strong biconnectivity (b-bridges and
+    b-articulation points) and, among them, those that break strong
+    connectivity."""
+
+    b_bridges: tuple
+    b_articulation_points: tuple
+    strong_bridges: tuple
+    strong_articulation_points: tuple
+
+
+def _cut_report(g):
+    """cut_report of g, which must be strongly biconnected."""
+    n = g.n
+    strong_arcs, strong_points = _strong_cuts(g)
+    und = underlying(g)
+    vertices = list(range(n))
+    points = set(strong_points)
+    split = set()  # edges (a, b), a < b, that are a bridge of H - x
+    for x in vertices:
+        blocks, _aps, connected = _kernels.bcc(
+            n, und.adj, vertices[:x] + vertices[x + 1:]
+        )
+        if not connected or len(blocks) > 1:
+            points.add(x)
+        # H - x may be a lone edge (n = 3), which is a bridge but leaves
+        # H - x biconnected; collect 2-vertex blocks either way.
+        split.update(tuple(b) for b in blocks if len(b) == 2)
+    strong = set(strong_arcs)
+    bridges = tuple(
         (a, b)
         for a, b in sorted(g.edges)
-        if (a, b) in tree_arcs
-        or (not g.has_edge(b, a) and (min(a, b), max(a, b)) in certificate)
-    ]
+        if (a, b) in strong
+        or (not g.has_edge(b, a) and (min(a, b), max(a, b)) in split)
+    )
+    return CutReport(
+        b_bridges=bridges,
+        b_articulation_points=tuple(sorted(points)),
+        strong_bridges=strong_arcs,
+        strong_articulation_points=strong_points,
+    )
+
+
+def cut_report(g):
+    """b-bridges, b-articulation points, strong bridges and strong
+    articulation points of strongly biconnected g, each in canonical
+    order, from one sweep."""
+    _require_sb(g, "cut_report")
+    return _cut_report(g)
 
 
 def b_bridges(g):
     """Arcs whose deletion leaves a graph that is not strongly biconnected,
-    in canonical (tail, head) order.
-
-    Only the arcs `_b_bridge_candidates` keeps are rechecked; the arc is
-    masked out of the adjacency instead of copying the graph.
-    """
+    in canonical (tail, head) order."""
     _require_sb(g, "b_bridges")
-    und = underlying(g)
-    return [
-        e
-        for e in _b_bridge_candidates(g, und)
-        if not _strongly_biconnected_minus_arc(g, und, e)
-    ]
+    return list(_cut_report(g).b_bridges)
 
 
 def b_articulation_points(g):
     """Vertices whose deletion leaves a graph that is not strongly
     biconnected."""
     _require_sb(g, "b_articulation_points")
-    und = underlying(g)
-    return tuple(
-        w
-        for w in range(g.n)
-        if not _strongly_biconnected_subset(
-            g, und, [v for v in range(g.n) if v != w]
-        )
-    )
-
-
-@dataclass(frozen=True)
-class CutReport:
-    """All single-failure weak points of one graph."""
-
-    b_bridges: tuple
-    b_articulation_points: tuple
-
-
-def cut_report(g):
-    return CutReport(
-        b_bridges=tuple(b_bridges(g)),
-        b_articulation_points=b_articulation_points(g),
-    )
+    return _cut_report(g).b_articulation_points
 
 
 def is_2_edge_strongly_biconnected(g):
     """More than two vertices, strongly biconnected, and no b-bridges."""
     if g.n <= 2 or not is_strongly_biconnected(g):
         return False
-    und = underlying(g)
-    return all(
-        _strongly_biconnected_minus_arc(g, und, e)
-        for e in _b_bridge_candidates(g, und)
-    )
+    return not _cut_report(g).b_bridges
 
 
 def is_2_vertex_strongly_biconnected(g):
@@ -179,13 +277,7 @@ def is_2_vertex_strongly_biconnected(g):
     points."""
     if g.n <= 2 or not is_strongly_biconnected(g):
         return False
-    und = underlying(g)
-    return all(
-        _strongly_biconnected_subset(
-            g, und, [v for v in range(g.n) if v != w]
-        )
-        for w in range(g.n)
-    )
+    return not _cut_report(g).b_articulation_points
 
 
 def _candidate_regions(g):

@@ -151,6 +151,30 @@ def reference_b_bridges(g):
     ]
 
 
+def reference_b_articulation_points(g):
+    """Vertices whose deletion leaves g not strongly biconnected."""
+    return tuple(
+        v for v in range(g.n)
+        if not sg.is_strongly_biconnected(sg.remove_vertex(g, v)[0])
+    )
+
+
+def reference_strong_bridges(g):
+    """Arcs whose deletion leaves g not strongly connected."""
+    return tuple(
+        e for e in sorted(g.edges)
+        if not sg.is_strongly_connected(sg.remove_edge(g, e))
+    )
+
+
+def reference_strong_articulation_points(g):
+    """Vertices whose deletion leaves g not strongly connected."""
+    return tuple(
+        v for v in range(g.n)
+        if not sg.is_strongly_connected(sg.remove_vertex(g, v)[0])
+    )
+
+
 def reference_vertex_relation(g):
     """Pairs in one strongly biconnected component of G - z for every z."""
     n = g.n

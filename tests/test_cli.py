@@ -150,9 +150,10 @@ def test_gen_bad_parameters_exit_code(capsys):
         main(["gen", "--n", "2", "--p", "0.5", "--seed", "1"])
     assert exc.value.code == 2
     assert "argument --n: must be >= 3" in capsys.readouterr().err
-    code, _, err = run_cli(capsys, "gen", "--n", "5", "--p", "1.5", "--seed", "1")
-    assert code == 2
-    assert "p must be in (0, 1]" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "5", "--p", "1.5", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "argument --p: must be in (0, 1], got 1.5" in capsys.readouterr().err
 
 
 def test_oracle_file_mode(capsys, fig1_path):
@@ -244,6 +245,18 @@ def test_kernels_flag(capsys, fig1_path):
          "argument --repeat: must be >= 1, got 0"),
         (["analyze", "fig2.edges", "--parallel", "on"],
          "unrecognized arguments: --parallel on"),
+        (["gen", "--n", "5", "--p", "0", "--seed", "1"],
+         "argument --p: must be in (0, 1], got 0"),
+        (["gen", "--n", "5", "--p", "nan", "--seed", "1"],
+         "argument --p: must be in (0, 1], got nan"),
+        (["gen", "--n", "5", "--p", "x", "--seed", "1"],
+         "argument --p: invalid float value: 'x'"),
+        (["oracle", "--count", "3", "--p", "1.01"],
+         "argument --p: must be in (0, 1], got 1.01"),
+        (["oracle", "--count", "3", "--p", "-0.5"],
+         "argument --p: must be in (0, 1], got -0.5"),
+        (["gen", "--n", "5", "--p", "0.5", "--seed", "1", "--max-tries", "-3"],
+         "argument --max-tries: must be >= 1, got -3"),
     ],
 )
 def test_invalid_arguments_exit_2(capsys, argv, message):

@@ -1,17 +1,23 @@
-"""The filtered probe sets of resilience and blocks give the same answers
-as probing every single deletion."""
+"""The cut sets of resilience match their definitions, and the probe sets
+of resilience and blocks give the same answers as probing every single
+deletion."""
 
 import numpy as np
 from hypothesis import given
 
 import sbgraph as sg
+from sbgraph.resilience import _strong_cuts
 from helpers import (
     bidirected_complete,
     bidirected_cycle,
     c3,
+    directed_cycle,
     glued,
     random_sb_corpus,
+    reference_b_articulation_points,
     reference_b_bridges,
+    reference_strong_articulation_points,
+    reference_strong_bridges,
     reference_two_edge_blocks,
     reference_two_strong_blocks,
     reference_vertex_relation,
@@ -35,18 +41,30 @@ def test_glued_shapes_are_sc_not_sb():
 
 
 def _assert_sc_families_match(g):
+    assert _strong_cuts(g) == (
+        reference_strong_bridges(g),
+        reference_strong_articulation_points(g),
+    )
     assert sg.two_edge_blocks(g) == reference_two_edge_blocks(g)
     assert sg.two_strong_blocks(g) == reference_two_strong_blocks(g)
 
 
 def _assert_sb_families_match(g):
-    assert sg.b_bridges(g) == reference_b_bridges(g)
+    bridges = reference_b_bridges(g)
+    points = reference_b_articulation_points(g)
+    assert sg.b_bridges(g) == bridges
+    assert sg.b_articulation_points(g) == points
+    assert sg.cut_report(g) == sg.CutReport(
+        b_bridges=tuple(bridges),
+        b_articulation_points=points,
+        strong_bridges=reference_strong_bridges(g),
+        strong_articulation_points=reference_strong_articulation_points(g),
+    )
     assert np.array_equal(
         sg.vertex_relation(g).cells, reference_vertex_relation(g)
     )
-    assert sg.is_2_edge_strongly_biconnected(g) == (
-        g.n > 2 and not reference_b_bridges(g)
-    )
+    assert sg.is_2_edge_strongly_biconnected(g) == (g.n > 2 and not bridges)
+    assert sg.is_2_vertex_strongly_biconnected(g) == (g.n > 2 and not points)
 
 
 @given(strongly_connected_digraphs())
@@ -72,6 +90,23 @@ def test_filters_match_references_on_sb_corpus(fig1, fig2):
     # Every vertex probe of a bidirected cycle leaves one SCC, so
     # two_strong_blocks skips all of them.
     cycles = [bidirected_cycle(k) for k in (5, 7, 9)]
-    for g in [fig1, fig2] + cycles + random_sb_corpus(12, seed_base=800, nmax=10):
+    small = [
+        sg.build_digraph(1, []),
+        sg.build_digraph(2, [(0, 1), (1, 0)]),
+        c3(),
+        directed_cycle(5),
+    ]
+    corpus = random_sb_corpus(12, seed_base=800, nmax=10)
+    for g in [fig1, fig2] + small + cycles + corpus:
         _assert_sc_families_match(g)
         _assert_sb_families_match(g)
+
+
+def test_long_paths_do_not_recurse():
+    # Depth-first numbering and path compression run on explicit stacks:
+    # a directed cycle's dominator trees are paths of length n.
+    n = 3000
+    arcs, points = _strong_cuts(directed_cycle(n))
+    assert arcs == tuple(sorted(directed_cycle(n).edges))
+    assert points == tuple(range(n))
+    assert sg.two_edge_blocks(bidirected_cycle(n)) == [tuple(range(n))]
