@@ -94,6 +94,13 @@ def bcc(n, adj, sub=None):
       articulation_points - sorted list of cut vertices;
       connected - whether the active vertices form one connected component
                   (vacuously True for <= 1 active vertex).
+
+    The search keeps a stack of vertices, not of edges: every vertex but
+    a tree's root is pushed when discovered, and when a child v of p
+    closes a block (low[v] >= disc[p]) the block is p plus the stack from
+    v up.  low[v] takes the least discovery number among v's neighbours,
+    its parent p included: that can lower low[v] only to disc[p], which
+    still passes the test at p and cannot lower low[p].
     """
     if sub is None:
         active = None
@@ -105,10 +112,10 @@ def bcc(n, adj, sub=None):
             active[v] = 1
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
+    pos = [0] * n  # index of a vertex on the vertex stack
     is_ap = bytearray(n)
     counter = 0
-    estack = []
+    vstack = []
     blocks = []
     trees = 0
     for root in order:
@@ -116,7 +123,6 @@ def bcc(n, adj, sub=None):
             continue
         trees += 1
         root_children = 0
-        tree_size = 1
         disc[root] = low[root] = counter
         counter += 1
         dfs_v = [root]
@@ -125,53 +131,47 @@ def bcc(n, adj, sub=None):
             v = dfs_v[-1]
             i = dfs_i[-1]
             neigh = adj[v]
-            descended = False
-            while i < len(neigh):
+            end = len(neigh)
+            while i < end:
                 w = neigh[i]
                 i += 1
                 if active is not None and not active[w]:
                     continue
-                if disc[w] == -1:
-                    parent[w] = v
+                d = disc[w]
+                if d == -1:
                     if v == root:
                         root_children += 1
-                    estack.append((v, w))
                     disc[w] = low[w] = counter
                     counter += 1
-                    tree_size += 1
+                    pos[w] = len(vstack)
+                    vstack.append(w)
                     dfs_i[-1] = i
                     dfs_v.append(w)
                     dfs_i.append(0)
-                    descended = True
                     break
-                if w != parent[v] and disc[w] < disc[v]:
-                    # Back edge, recorded once in the upward direction.
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if descended:
-                continue
-            dfs_v.pop()
-            dfs_i.pop()
-            if dfs_v:
-                p = dfs_v[-1]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    # Component boundary: pop everything back to edge (p, v).
-                    members = set()
-                    while True:
-                        a, b = estack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if a == p and b == v:
-                            break
-                    blocks.append(sorted(members))
-                    if p != root:
-                        is_ap[p] = 1
+                if d < low[v]:
+                    low[v] = d
+            else:
+                dfs_v.pop()
+                dfs_i.pop()
+                if dfs_v:
+                    p = dfs_v[-1]
+                    lv = low[v]
+                    if lv < low[p]:
+                        low[p] = lv
+                    if lv >= disc[p]:
+                        # Component boundary: v's part of the stack plus p.
+                        k = pos[v]
+                        members = vstack[k:]
+                        del vstack[k:]
+                        members.append(p)
+                        members.sort()
+                        blocks.append(members)
+                        if p != root:
+                            is_ap[p] = 1
         if root_children >= 2:
             is_ap[root] = 1
-        if tree_size == 1:
+        if disc[root] == counter - 1:
             blocks.append([root])
     aps = [v for v in order if is_ap[v]]
     aps.sort()

@@ -36,8 +36,11 @@ biconnected-components sweep over H - x (see its docstring for the
 characterizations).  `analyze` computes them once and hands each family
 its set.
 
-The 2-edge and 2-strong probes mask the deleted element out of the
-adjacency instead of copying the graph.
+Every probe masks the deleted element out of the graph's adjacency
+instead of copying the graph: a vertex probe passes V - z as the active
+subset, and an arc probe drops one entry from one out-adjacency row (and
+the edge from the two rows of the underlying graph when the arc has no
+antiparallel twin).  The underlying graph is built once per graph.
 """
 
 from __future__ import annotations
@@ -51,17 +54,19 @@ from .connectivity import (
     canonical_family,
     is_strongly_connected,
     scc_classes,
-    undirected_blocks,
 )
 from .errors import GuardError, NotStronglyConnectedError
-from .graph import UndirectedGraph, remove_edge, remove_vertex
+from .graph import UndirectedGraph, underlying
+# Unused here; bound because the benchmark's tracer test
+# (perfbench/test_perfbench.py) reads blocks.remove_edge.
+from .graph import remove_edge  # noqa: F401
 from .resilience import (
     _require_sb,
     _strong_cuts,
     b_articulation_points,
     b_bridges,
 )
-from .sbc import strongly_biconnected_components
+from .sbc import masked_sbc
 
 
 def _require_sc(g, op):
@@ -112,6 +117,13 @@ def _intersect(n, probes, parts):
     return cells
 
 
+def _without_arc(adj, tail, head):
+    """adj with head dropped from row tail; the other rows are shared."""
+    rows = list(adj)
+    rows[tail] = tuple(w for w in adj[tail] if w != head)
+    return rows
+
+
 def edge_relation(g, *, _bridges=None):
     """Pair relation under single-arc deletions.
 
@@ -122,19 +134,27 @@ def edge_relation(g, *, _bridges=None):
     """
     _require_sb(g, "edge_relation")
     bridges = b_bridges(g) if _bridges is None else _bridges
+    n = g.n
+    und_adj = underlying(g).adj
 
     def parts(bridge):
-        h = remove_edge(g, bridge)
-        return strongly_biconnected_components(h).components, None
+        tail, head = bridge
+        out_adj = _without_arc(g.out_adj, tail, head)
+        h_adj = und_adj
+        if not g.has_edge(head, tail):
+            # Without a twin arc the underlying edge goes too.
+            h_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
+        return masked_sbc(n, out_adj, h_adj, range(n)).components, None
 
-    return RelationMatrix(n=g.n, cells=_intersect(g.n, bridges, parts))
+    return RelationMatrix(n=n, cells=_intersect(n, bridges, parts))
 
 
 def helper_graph(relation):
     """Undirected graph joining the pairs related in both directions."""
-    sym = relation.cells & relation.cells.T
-    pairs = np.argwhere(np.triu(sym, k=1))
-    return UndirectedGraph(relation.n, [(int(a), int(b)) for a, b in pairs])
+    rows = _neighbours(relation.cells)
+    return UndirectedGraph(
+        relation.n, [(a, b) for a, row in enumerate(rows) for b in row if a < b]
+    )
 
 
 def two_edge_biconnected_blocks(g, *, _bridges=None):
@@ -152,15 +172,21 @@ def two_edge_biconnected_blocks(g, *, _bridges=None):
     if not bridges:
         return [tuple(range(g.n))]
     relation = edge_relation(g, _bridges=bridges)
-    decomposition = undirected_blocks(helper_graph(relation))
-    return canonical_family(b for b in decomposition.blocks if len(b) >= 2)
+    # The blocks of helper_graph(relation), read off its adjacency.
+    blocks, _aps, _connected = _kernels.bcc(g.n, _neighbours(relation.cells))
+    return canonical_family(b for b in blocks if len(b) >= 2)
+
+
+def _neighbours(cells):
+    """Per vertex, the other vertices related to it in both directions,
+    as an ascending tuple (the row type the compiled kernels read)."""
+    sym = cells & cells.T
+    np.fill_diagonal(sym, False)
+    return [tuple(np.flatnonzero(row).tolist()) for row in sym]
 
 
 def _neighbour_sets(cells):
-    n = cells.shape[0]
-    sym = cells & cells.T
-    np.fill_diagonal(sym, False)
-    return [frozenset(int(w) for w in np.nonzero(sym[v])[0]) for v in range(n)]
+    return [frozenset(row) for row in _neighbours(cells)]
 
 
 def _max_cliques(neighbours):
@@ -228,12 +254,11 @@ def vertex_relation(g, *, _articulation_points=None):
         probes = b_articulation_points(g)
     else:
         probes = _articulation_points
+    und_adj = underlying(g).adj
 
     def parts(z):
-        h, _ = remove_vertex(g, z)
         survivors = [v for v in range(n) if v != z]
-        components = strongly_biconnected_components(h).components
-        return [[survivors[v] for v in c] for c in components], z
+        return masked_sbc(n, g.out_adj, und_adj, survivors).components, z
 
     return RelationMatrix(n=n, cells=_intersect(n, probes, parts))
 
@@ -262,9 +287,7 @@ def two_edge_blocks(g, *, _bridges=None):
     probes = _strong_cuts(g)[0] if _bridges is None else _bridges
     labels = [0] * n
     for tail, head in probes:
-        out_adj = list(g.out_adj)
-        out_adj[tail] = tuple(w for w in out_adj[tail] if w != head)
-        count, ids = _kernels.scc_ids(n, out_adj)
+        count, ids = _kernels.scc_ids(n, _without_arc(g.out_adj, tail, head))
         if count <= 1:
             continue
         relabel = {}

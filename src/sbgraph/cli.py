@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 analysis precondition failure or failed check,
-2 parse error, 3 guard or resource error.
+2 parse error or a file that cannot be opened, 3 guard or resource error.
 """
 
 from __future__ import annotations
@@ -50,10 +50,21 @@ EXIT_PARSE = 2
 EXIT_GUARD = 3
 
 
+class _PathError(Exception):
+    """A file named on the command line could not be opened."""
+
+
+def _open(path, mode, **kwargs):
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise _PathError(f"cannot open {path!r}: {exc.strerror}") from None
+
+
 def _read_graph(path):
     if path == "-":
         return parse_edge_list(sys.stdin.read())
-    with open(path, "rb") as handle:
+    with _open(path, "rb") as handle:
         return parse_edge_list(handle)
 
 
@@ -173,7 +184,7 @@ def cmd_gen(args):
         g, comment=f"gen n={args.n} p={args.p} seed={args.seed}"
     )
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with _open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         print(text, end="")
@@ -344,8 +355,11 @@ def main(argv=None):
     except (GuardError, GenerationBudgetError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except _PathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -81,8 +81,14 @@ def is_biconnected(u):
 
 
 def is_strongly_biconnected(g):
-    """Strongly connected with a biconnected underlying graph."""
-    return is_strongly_connected(g) and is_biconnected(underlying(g))
+    """Strongly connected with a biconnected underlying graph.
+
+    The verdict is computed once per graph and kept on it.
+    """
+    sb = g._sb
+    if sb is None:
+        sb = g._sb = is_strongly_connected(g) and is_biconnected(underlying(g))
+    return sb
 
 
 def _strongly_biconnected_subset(g, und, sub):

@@ -2,9 +2,12 @@
 
 Vertices are dense 0-based integers.  Edges are ordered (tail, head) pairs;
 self-loops and duplicate ordered pairs are rejected, antiparallel pairs are
-allowed.  Derived views (edge/vertex deletion, induced subgraphs, the
-underlying undirected graph) always allocate fresh graphs, so instances can
-be shared freely between concurrent computations.
+allowed.  Derived views (edge/vertex deletion, induced subgraphs) allocate
+fresh graphs.  Because a graph never changes, the underlying undirected
+graph and the strongly-biconnected verdict are computed once, on first
+use, and kept on the graph.  Both are immutable values, and two threads
+that fill a slot at once store equal ones, so instances can be shared
+freely between concurrent computations.
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ from .errors import (
 class Digraph:
     """A simple directed graph with a fixed vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "_edge_set")
+    # _underlying and _sb cache underlying(g) and is_strongly_biconnected(g):
+    # None until first asked for.
+    __slots__ = (
+        "n", "edges", "out_adj", "in_adj", "_edge_set", "_underlying", "_sb"
+    )
 
     def __init__(self, n, edges):
         if n < 0:
@@ -38,34 +45,31 @@ class Digraph:
                 raise DuplicateEdgeError(f"duplicate edge ({tail}, {head})")
             seen.add((tail, head))
             edge_list.append((tail, head))
+        self._fill(n, tuple(edge_list), seen)
+
+    @classmethod
+    def _from_valid(cls, n, edges):
+        """Construct without validation; callers guarantee simple edges in range."""
+        g = object.__new__(cls)
+        edges = tuple(edges)
+        g._fill(n, edges, set(edges))
+        return g
+
+    def _fill(self, n, edges, edge_set):
         self.n = n
-        self.edges = tuple(edge_list)
-        self._edge_set = seen
+        self.edges = edges
+        self._edge_set = edge_set
         out = [[] for _ in range(n)]
         inc = [[] for _ in range(n)]
-        for tail, head in edge_list:
+        for tail, head in edges:
             out[tail].append(head)
             inc[head].append(tail)
         # Sorted neighbour lists make every traversal independent of the
         # order edges were supplied in.
         self.out_adj = tuple(tuple(sorted(a)) for a in out)
         self.in_adj = tuple(tuple(sorted(a)) for a in inc)
-
-    @classmethod
-    def _from_valid(cls, n, edges):
-        """Construct without validation; callers guarantee simple edges in range."""
-        g = object.__new__(cls)
-        g.n = n
-        g.edges = tuple(edges)
-        g._edge_set = set(g.edges)
-        out = [[] for _ in range(n)]
-        inc = [[] for _ in range(n)]
-        for tail, head in g.edges:
-            out[tail].append(head)
-            inc[head].append(tail)
-        g.out_adj = tuple(tuple(sorted(a)) for a in out)
-        g.in_adj = tuple(tuple(sorted(a)) for a in inc)
-        return g
+        self._underlying = None
+        self._sb = None
 
     @property
     def m(self):
@@ -180,5 +184,12 @@ def induced_subgraph(g, vertices):
 
 
 def underlying(g):
-    """Forget arc directions; antiparallel arc pairs collapse to one edge."""
-    return UndirectedGraph(g.n, g.edges)
+    """Forget arc directions; antiparallel arc pairs collapse to one edge.
+
+    Built on the first call and kept on g, so later calls return the same
+    graph.
+    """
+    und = g._underlying
+    if und is None:
+        und = g._underlying = UndirectedGraph(g.n, g.edges)
+    return und

@@ -66,7 +66,7 @@ def _family(blocks):
 def analyze(g):
     """Run every applicable decomposition on g."""
     sb = is_strongly_biconnected(g)
-    sc = is_strongly_connected(g)
+    sc = sb or is_strongly_connected(g)
     # One sweep finds every single-failure cut; each family is handed the
     # set it probes.
     if sb:

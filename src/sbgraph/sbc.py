@@ -5,11 +5,16 @@ subgraph is strongly connected with a biconnected underlying graph.
 Components may overlap (observed overlap is at most one vertex) and cover
 all of V, so singletons appear for vertices in no larger component.
 
-`strongly_biconnected_components` computes the decomposition by alternating
-refinement: worklist sets are emitted when strongly biconnected, otherwise
-split along undirected blocks and re-split along strongly connected
-components.  `sbc_oracle` recomputes the same decomposition by exhaustive
-subset enumeration and exists purely to validate the refinement.
+`masked_sbc(n, out_adj, und_adj, sub)` computes the decomposition of the
+subgraph induced on `sub` by alternating refinement: worklist sets are
+emitted when strongly biconnected, otherwise split along undirected blocks
+and re-split along strongly connected components.  It reads the arcs and
+the underlying edges as given, so a caller probes a deletion by masking:
+pass V - z as `sub` to delete vertex z, or adjacency rows with one entry
+dropped to delete an arc.  `strongly_biconnected_components(g)` is the
+same loop on all of g.  `sbc_oracle` recomputes the same decomposition by
+exhaustive subset enumeration and exists purely to validate the
+refinement.
 """
 
 from __future__ import annotations
@@ -58,11 +63,17 @@ def strongly_biconnected_components(g):
     The input need not be strongly connected; the worklist starts from the
     SCC classes, so the decomposition applies per SCC.
     """
-    n = g.n
-    if n == 0:
-        return _finish([])
-    und = underlying(g)
-    worklist = scc_classes(n, g.out_adj, range(n))
+    return masked_sbc(g.n, g.out_adj, underlying(g).adj, range(g.n))
+
+
+def masked_sbc(n, out_adj, und_adj, sub):
+    """Strongly biconnected components of the subgraph induced on `sub`.
+
+    out_adj: out-neighbours per vertex; und_adj: neighbours per vertex in
+    the underlying graph of the same arcs.  Vertex ids stay those of the
+    full graph.
+    """
+    worklist = scc_classes(n, out_adj, sub)
     worklist.reverse()
     emitted = []
     while worklist:
@@ -70,9 +81,9 @@ def strongly_biconnected_components(g):
         if len(s) == 1:
             emitted.append((s[0],))
             continue
-        blocks, _aps, connected = _kernels.bcc(n, und.adj, s)
+        blocks, _aps, connected = _kernels.bcc(n, und_adj, s)
         if connected and len(blocks) == 1:
-            count, _ = _kernels.scc_ids(n, g.out_adj, s)
+            count, _ = _kernels.scc_ids(n, out_adj, s)
             if count == 1:
                 emitted.append(tuple(s))
                 continue
@@ -84,7 +95,7 @@ def strongly_biconnected_components(g):
             if len(b) == 1:
                 parts.append(b)
             else:
-                parts.extend(scc_classes(n, g.out_adj, b))
+                parts.extend(scc_classes(n, out_adj, b))
         parts.sort(key=lambda c: c[0])
         worklist.extend(reversed(parts))
     return _finish(emitted)

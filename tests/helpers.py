@@ -175,6 +175,24 @@ def reference_strong_articulation_points(g):
     )
 
 
+def reference_edge_relation(g):
+    """Pairs in one strongly biconnected component of G - e for every arc e."""
+    n = g.n
+    cells = np.ones((n, n), dtype=bool)
+    for e in g.edges:
+        h = sg.remove_edge(g, e)
+        cells &= _co_membership(n, sg.strongly_biconnected_components(h).components)
+    return cells
+
+
+def twin_bridge_graph():
+    """Strongly biconnected, with b-bridges both with an antiparallel twin,
+    (2, 4) and (3, 2), and without one, (0, 1), (1, 3), (2, 0), (4, 1)."""
+    return sg.build_digraph(
+        5, [(0, 1), (1, 3), (2, 0), (2, 3), (2, 4), (3, 2), (4, 1), (4, 2)]
+    )
+
+
 def reference_vertex_relation(g):
     """Pairs in one strongly biconnected component of G - z for every z."""
     n = g.n

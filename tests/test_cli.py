@@ -266,3 +266,21 @@ def test_invalid_arguments_exit_2(capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{dir}"],
+        ["gen", "--n", "5", "--p", "0.5", "--seed", "1", "-o", "{dir}"],
+    ],
+)
+def test_unopenable_path_exit_2(capsys, tmp_path, argv):
+    # Like a missing file, a path that cannot be opened (here a directory)
+    # returns 2 from main with a message naming it, not a traceback.
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"cannot open {str(tmp_path)!r}" in err
+    assert "Traceback" not in err
+    assert out == ""

@@ -1,5 +1,9 @@
 """Backend parity and brute-force validation of the traversal kernels."""
 
+import itertools
+import pathlib
+import re
+
 import pytest
 
 import sbgraph as sg
@@ -96,6 +100,65 @@ def test_bcc_connectivity_matches_bruteforce(backend):
             assert connected == (brute_connected_components(u.n, u.edges) <= 1)
 
 
+def _count_parts(adj, vertices):
+    """Connected components of the graph induced on the set `vertices`."""
+    count, left = 0, set(vertices)
+    while left:
+        part = {min(left)}
+        frontier = list(part)
+        while frontier:
+            for w in adj[frontier.pop()]:
+                if w in left and w not in part:
+                    part.add(w)
+                    frontier.append(w)
+        left -= part
+        count += 1
+    return count
+
+
+def _brute_bcc(adj, active):
+    """Blocks, cut vertices and connectivity of the graph induced on the
+    set `active`, straight from the definitions: blocks are the maximal
+    sets of >= 2 vertices inducing a connected graph with no cut vertex,
+    plus isolated vertices as singletons."""
+
+    def biconnected(vs):
+        return _count_parts(adj, vs) == 1 and (
+            len(vs) == 2 or all(_count_parts(adj, vs - {x}) == 1 for x in vs)
+        )
+
+    members = sorted(active)
+    found = [
+        set(c)
+        for size in range(len(members), 1, -1)
+        for c in itertools.combinations(members, size)
+        if biconnected(set(c))
+    ]
+    blocks = [c for c in found if not any(c < d for d in found)]
+    blocks += [{v} for v in members if not any(w in active for w in adj[v])]
+    whole = _count_parts(adj, active)
+    cut = [v for v in members if _count_parts(adj, active - {v}) > whole]
+    return sorted(tuple(sorted(b)) for b in blocks), cut, whole <= 1
+
+
+@pytest.mark.parametrize("backend", ["pure", "c"])
+def test_bcc_blocks_match_bruteforce(backend):
+    if backend not in _kernels.available_backends():
+        pytest.skip("backend unavailable")
+    rng = sg.SplitMix64(36)
+    with _kernels.use_backend(backend):
+        for g in _random_digraphs(150, seed=36):
+            u = sg.underlying(g)
+            # A random subset, passed in a random order.
+            sub = [v for v in range(g.n) if rng.below(4)]
+            rng.shuffle(sub)
+            for active in (None, sub):
+                vertices = set(range(g.n)) if active is None else set(active)
+                blocks, aps, connected = _kernels.bcc(u.n, u.adj, active)
+                got = sorted(tuple(b) for b in blocks)
+                assert (got, aps, connected) == _brute_bcc(u.adj, vertices)
+
+
 def test_subset_restriction_equals_induced_subgraph():
     rng = sg.SplitMix64(5150)
     for g in _random_digraphs(60, seed=35):
@@ -108,3 +171,37 @@ def test_subset_restriction_equals_induced_subgraph():
         pairs = {(ids_sub[v], ids_ind[old_to_new[v]]) for v in sub}
         assert len({a for a, _ in pairs}) == len(pairs)
         assert len({b for _, b in pairs}) == len(pairs)
+
+
+KERNEL_SOURCES = (
+    pathlib.Path(__file__).resolve().parent.parent / "src" / "sbgraph" / "_kernels"
+)
+MARKER = "# <<<<<<<<<<<<<<"
+
+
+def test_generated_c_matches_pyx():
+    # Cython quotes the .pyx lines it compiles in comment blocks: a header
+    # naming line N, a few lines around it, N itself marked.  A .pyx
+    # edited without regenerating the committed .c no longer matches.
+    pyx = (KERNEL_SOURCES / "_ckern.pyx").read_text().split("\n")
+    c = (KERNEL_SOURCES / "_ckern.c").read_text().split("\n")
+    header = re.compile(r'\s*/\* "sbgraph/_kernels/_ckern\.pyx":(\d+)$')
+    blocks = 0
+    for i, line in enumerate(c):
+        match = header.match(line)
+        if match is None:
+            continue
+        body = c[i + 1:c.index("*/", i)]
+        marked = [k for k, quote in enumerate(body) if quote.endswith(MARKER)]
+        assert len(marked) == 1, f"_ckern.c:{i + 1}: no single marked line"
+        for k, quote in enumerate(body):
+            text = quote[len(" * "):]
+            if k == marked[0]:
+                text = text[:-len(MARKER)]
+            lineno = int(match.group(1)) + k - marked[0]
+            assert text.rstrip() == pyx[lineno - 1].rstrip(), (
+                f"_ckern.c:{i + 2 + k} quotes _ckern.pyx:{lineno} as "
+                f"{text.strip()!r}; regenerate _ckern.c from _ckern.pyx"
+            )
+        blocks += 1
+    assert blocks, "_ckern.c quotes no line of _ckern.pyx"

@@ -16,12 +16,14 @@ from helpers import (
     random_sb_corpus,
     reference_b_articulation_points,
     reference_b_bridges,
+    reference_edge_relation,
     reference_strong_articulation_points,
     reference_strong_bridges,
     reference_two_edge_blocks,
     reference_two_strong_blocks,
     reference_vertex_relation,
     strongly_connected_digraphs,
+    twin_bridge_graph,
     two_triangles,
 )
 
@@ -60,6 +62,14 @@ def _assert_sb_families_match(g):
         strong_bridges=reference_strong_bridges(g),
         strong_articulation_points=reference_strong_articulation_points(g),
     )
+    edge_cells = reference_edge_relation(g)
+    assert np.array_equal(sg.edge_relation(g).cells, edge_cells)
+    # Probing every arc, not only the b-bridges, also runs the masked probe
+    # on deletions that keep g strongly biconnected; there an arc with an
+    # antiparallel twin must leave its underlying edge in place.
+    assert np.array_equal(
+        sg.edge_relation(g, _bridges=sorted(g.edges)).cells, edge_cells
+    )
     assert np.array_equal(
         sg.vertex_relation(g).cells, reference_vertex_relation(g)
     )
@@ -97,9 +107,18 @@ def test_filters_match_references_on_sb_corpus(fig1, fig2):
         directed_cycle(5),
     ]
     corpus = random_sb_corpus(12, seed_base=800, nmax=10)
-    for g in [fig1, fig2] + small + cycles + corpus:
+    for g in [fig1, fig2, twin_bridge_graph()] + small + cycles + corpus:
         _assert_sc_families_match(g)
         _assert_sb_families_match(g)
+
+
+def test_twin_bridge_graph_has_both_kinds_of_b_bridge():
+    g = twin_bridge_graph()
+    bridges = sg.b_bridges(g)
+    assert [e for e in bridges if g.has_edge(e[1], e[0])] == [(2, 4), (3, 2)]
+    assert [e for e in bridges if not g.has_edge(e[1], e[0])] == [
+        (0, 1), (1, 3), (2, 0), (4, 1)
+    ]
 
 
 def test_long_paths_do_not_recurse():

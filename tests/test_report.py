@@ -1,10 +1,15 @@
 import json
+import sys
+from collections import Counter
 
 import jsonschema
+import pytest
 
 import sbgraph as sg
+from sbgraph.graph import Digraph, UndirectedGraph
 from helpers import (
     bidirected_complete,
+    bidirected_cycle,
     c3,
     glued,
     one_based,
@@ -129,3 +134,45 @@ def test_analyze_bytes_match_families_called_alone(fig1, fig2):
     graphs = [fig1, fig2, two_triangles(), single_arc(), glued(fig1, fig2)]
     for g in graphs + corpus:
         assert sg.emit_report(g) == render_report(_report_from_families(g))
+
+
+def _cycle_plus_chord():
+    cycle = bidirected_cycle(8)
+    return sg.build_digraph(8, list(cycle.edges) + [(0, 4)])
+
+
+@pytest.mark.parametrize("shape", ["fig1", "cycle_plus_chord"])
+def test_analyze_copies_no_graph(monkeypatch, fig1, shape):
+    g = fig1 if shape == "fig1" else _cycle_plus_chord()
+    # A fresh graph, so nothing is cached on it yet.
+    g = sg.build_digraph(g.n, g.edges)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Rebind every sbgraph name for the two graph-copying views.
+    for name in ("remove_edge", "remove_vertex"):
+        fn = getattr(sg.graph, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname == "sbgraph" or modname.startswith("sbgraph."):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, counting(name, fn))
+    from_valid = Digraph._from_valid.__func__
+    monkeypatch.setattr(
+        Digraph, "_from_valid",
+        classmethod(counting("_from_valid", from_valid)),
+    )
+    monkeypatch.setattr(
+        UndirectedGraph, "__init__",
+        counting("UndirectedGraph", UndirectedGraph.__init__),
+    )
+    report = sg.analyze(g)
+    assert report.strongly_biconnected
+    assert calls["remove_edge"] == calls["remove_vertex"] == 0
+    assert calls["_from_valid"] == 0
+    assert calls["UndirectedGraph"] <= 1
