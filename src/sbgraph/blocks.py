@@ -33,14 +33,17 @@ each probe set is exact:
 `resilience` finds all four sets without rechecking deletions: the strong
 ones from the dominator trees of G and its reverse, the b-sets from one
 biconnected-components sweep over H - x (see its docstring for the
-characterizations).  `analyze` computes them once and hands each family
-its set.
+characterizations).  Each family reads its set from there.  The graph
+keeps every derived fact it is asked for once (the strongly-connected
+and strongly-biconnected verdicts, the underlying graph, the strong cuts
+and the cut report), so the families of one graph share one sweep and
+one verdict of each kind, whoever calls them.
 
 Every probe masks the deleted element out of the graph's adjacency
 instead of copying the graph: a vertex probe passes V - z as the active
-subset, and an arc probe drops one entry from one out-adjacency row (and
-the edge from the two rows of the underlying graph when the arc has no
-antiparallel twin).  The underlying graph is built once per graph.
+subset, and an arc probe (`_sbc_without_arc`) drops one entry from one
+out-adjacency row (and the edge from the two rows of the underlying
+graph when the arc has no antiparallel twin).
 """
 
 from __future__ import annotations
@@ -60,12 +63,7 @@ from .graph import UndirectedGraph, underlying
 # Unused here; bound because the benchmark's tracer test
 # (perfbench/test_perfbench.py) reads blocks.remove_edge.
 from .graph import remove_edge  # noqa: F401
-from .resilience import (
-    _require_sb,
-    _strong_cuts,
-    b_articulation_points,
-    b_bridges,
-)
+from .resilience import _require_sb, _strong_cuts, cut_report
 from .sbc import masked_sbc
 
 
@@ -124,29 +122,34 @@ def _without_arc(adj, tail, head):
     return rows
 
 
-def edge_relation(g, *, _bridges=None):
+def _sbc_without_arc(g, arc):
+    """Strongly biconnected components of g minus `arc`, with g's vertex
+    ids, probed by masking the arc out of g's adjacency."""
+    tail, head = arc
+    n = g.n
+    und_adj = underlying(g).adj
+    if not g.has_edge(head, tail):
+        # Without a twin arc the underlying edge goes too.
+        und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
+    out_adj = _without_arc(g.out_adj, tail, head)
+    return masked_sbc(n, out_adj, und_adj, range(n)).components
+
+
+def edge_relation(g):
     """Pair relation under single-arc deletions.
 
     L[x, y] is cleared iff some b-bridge deletion puts x and y into
     different strongly biconnected components; arcs that are not b-bridges
-    cannot separate anything and are skipped.  `_bridges`, when given, is
-    b_bridges(g) computed by the caller.
+    cannot separate anything and are skipped.
     """
     _require_sb(g, "edge_relation")
-    bridges = b_bridges(g) if _bridges is None else _bridges
     n = g.n
-    und_adj = underlying(g).adj
 
     def parts(bridge):
-        tail, head = bridge
-        out_adj = _without_arc(g.out_adj, tail, head)
-        h_adj = und_adj
-        if not g.has_edge(head, tail):
-            # Without a twin arc the underlying edge goes too.
-            h_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
-        return masked_sbc(n, out_adj, h_adj, range(n)).components, None
+        return _sbc_without_arc(g, bridge), None
 
-    return RelationMatrix(n=n, cells=_intersect(n, bridges, parts))
+    cells = _intersect(n, cut_report(g).b_bridges, parts)
+    return RelationMatrix(n=n, cells=cells)
 
 
 def helper_graph(relation):
@@ -157,21 +160,19 @@ def helper_graph(relation):
     )
 
 
-def two_edge_biconnected_blocks(g, *, _bridges=None):
+def two_edge_biconnected_blocks(g):
     """All 2-edge-biconnected blocks, canonically ordered.
 
     No b-bridges means every pair stays related, so the whole vertex set
     is the single block; otherwise the blocks of the helper graph built
-    from the edge relation are the answer.  `_bridges`, when given, is
-    b_bridges(g) computed by the caller.
+    from the edge relation are the answer.
     """
     _require_sb(g, "two_edge_biconnected_blocks")
     if g.n < 2:
         return []
-    bridges = b_bridges(g) if _bridges is None else _bridges
-    if not bridges:
+    if not cut_report(g).b_bridges:
         return [tuple(range(g.n))]
-    relation = edge_relation(g, _bridges=bridges)
+    relation = edge_relation(g)
     # The blocks of helper_graph(relation), read off its adjacency.
     blocks, _aps, _connected = _kernels.bcc(g.n, _neighbours(relation.cells))
     return canonical_family(b for b in blocks if len(b) >= 2)
@@ -241,52 +242,43 @@ def oracle_two_edge_biconnected_blocks(g, guard=24):
     return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
 
 
-def vertex_relation(g, *, _articulation_points=None):
+def vertex_relation(g):
     """Pair relation under single-vertex deletions: related pairs stay in
     one strongly biconnected component of G minus z for every other z.
 
-    Only b-articulation points z are probed.  `_articulation_points`,
-    when given, is b_articulation_points(g) computed by the caller.
+    Only b-articulation points z are probed.
     """
     _require_sb(g, "vertex_relation")
     n = g.n
-    if _articulation_points is None:
-        probes = b_articulation_points(g)
-    else:
-        probes = _articulation_points
     und_adj = underlying(g).adj
 
     def parts(z):
         survivors = [v for v in range(n) if v != z]
         return masked_sbc(n, g.out_adj, und_adj, survivors).components, z
 
-    return RelationMatrix(n=n, cells=_intersect(n, probes, parts))
+    cells = _intersect(n, cut_report(g).b_articulation_points, parts)
+    return RelationMatrix(n=n, cells=cells)
 
 
-def two_strong_biconnected_blocks(g, *, _articulation_points=None):
+def two_strong_biconnected_blocks(g):
     """All 2-strong-biconnected blocks: maximal cliques of size >= 2 of
     the vertex relation.  Distinct blocks may share up to two vertices,
-    which rules out both partitioning and helper-graph blocking.
-    `_articulation_points`, when given, is b_articulation_points(g)
-    computed by the caller."""
+    which rules out both partitioning and helper-graph blocking."""
     _require_sb(g, "two_strong_biconnected_blocks")
-    relation = vertex_relation(g, _articulation_points=_articulation_points)
+    relation = vertex_relation(g)
     return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
 
 
-def two_edge_blocks(g, *, _bridges=None):
+def two_edge_blocks(g):
     """Maximal sets with two edge-disjoint paths both ways between every
     pair: equivalence classes of "same SCC under every single-arc
-    deletion", filtered to size >= 2.
-
-    Probes the strong bridges of g, or `_bridges` when given: the strong
-    bridges computed by the caller.
+    deletion", filtered to size >= 2.  Only the strong bridges are
+    probed.
     """
     _require_sc(g, "two_edge_blocks")
     n = g.n
-    probes = _strong_cuts(g)[0] if _bridges is None else _bridges
     labels = [0] * n
-    for tail, head in probes:
+    for tail, head in _strong_cuts(g)[0]:
         count, ids = _kernels.scc_ids(n, _without_arc(g.out_adj, tail, head))
         if count <= 1:
             continue
@@ -300,23 +292,17 @@ def two_edge_blocks(g, *, _bridges=None):
     return canonical_family(c for c in groups.values() if len(c) >= 2)
 
 
-def two_strong_blocks(g, *, _articulation_points=None):
+def two_strong_blocks(g):
     """Maximal sets whose pairs share an SCC of G minus w for every other
-    vertex w: maximal cliques of size >= 2 of that relation.
-
-    Probes the strong articulation points of g, or `_articulation_points`
-    when given: the strong articulation points computed by the caller.
+    vertex w: maximal cliques of size >= 2 of that relation.  Only the
+    strong articulation points are probed.
     """
     _require_sc(g, "two_strong_blocks")
     n = g.n
-    if _articulation_points is None:
-        probes = _strong_cuts(g)[1]
-    else:
-        probes = _articulation_points
 
     def parts(z):
         survivors = [v for v in range(n) if v != z]
         return scc_classes(n, g.out_adj, survivors), z
 
-    cells = _intersect(n, probes, parts)
+    cells = _intersect(n, _strong_cuts(g)[1], parts)
     return canonical_family(_max_cliques(_neighbour_sets(cells)))

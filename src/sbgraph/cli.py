@@ -12,12 +12,6 @@ import sys
 
 from . import _kernels
 from .bench import format_bench, run_bench
-from .blocks import (
-    two_edge_biconnected_blocks,
-    two_edge_blocks,
-    two_strong_biconnected_blocks,
-    two_strong_blocks,
-)
 from .checks import oracle_check
 from .connectivity import (
     is_biconnected,
@@ -35,19 +29,17 @@ from .errors import (
 )
 from .generate import gen_random_sb
 from .graph import underlying
-from .report import analyze, render_report
-from .resilience import (
-    b_articulation_points,
-    b_bridges,
-    components_2esb,
-    components_2vsb,
-)
-from .sbc import strongly_biconnected_components
+from .report import FAMILIES, _family, analyze, render_report
+from .resilience import components_2esb, components_2vsb
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
+
+_BY_KIND = {f.kind: f for f in FAMILIES}
+# The enumeration-based kinds: guarded, and not part of the report.
+_GUARDED = {"2esb": components_2esb, "2vsb": components_2vsb}
 
 
 class _PathError(Exception):
@@ -76,10 +68,14 @@ def _emit(data, fmt, text_renderer):
 
 
 def _family_text(family):
+    """One line per block; a skipped value prints its reason, and a flat
+    vertex list (b_articulation_points) prints as one line."""
     if isinstance(family, dict):
         return f"skipped: {family['skipped']}\n"
     if not family:
         return "(empty)\n"
+    if isinstance(family[0], int):
+        family = [family]
     return "".join(" ".join(str(v) for v in block) + "\n" for block in family)
 
 
@@ -109,49 +105,22 @@ def cmd_analyze(args):
         d = report.as_dict()
         print(f"n: {d['n']}\nm: {d['m']}")
         print(f"strongly_biconnected: {d['strongly_biconnected']}")
-        for key in ("b_bridges", "b_articulation_points", "sbc",
-                    "blocks_2eb", "blocks_2sb", "blocks_2e", "blocks_2s"):
-            value = d[key]
-            print(f"[{key}]")
-            if key == "b_articulation_points" and isinstance(value, list):
-                print(" ".join(str(v) for v in value) if value else "(empty)")
-            else:
-                print(_family_text(value), end="")
+        for f in FAMILIES:
+            print(f"[{f.key}]")
+            print(_family_text(d[f.key]), end="")
     return EXIT_OK
 
 
 def cmd_blocks(args):
     g = _read_graph(args.file)
     kind = args.kind
-    if kind == "2eb":
-        family = two_edge_biconnected_blocks(g)
-    elif kind == "2sb":
-        family = two_strong_biconnected_blocks(g)
-    elif kind == "2e":
-        family = two_edge_blocks(g)
-    elif kind == "2s":
-        family = two_strong_blocks(g)
-    elif kind == "sbc":
-        family = strongly_biconnected_components(g).components
-    elif kind == "2esb":
-        family = components_2esb(g, guard=args.guard)
-    elif kind == "2vsb":
-        family = components_2vsb(g, guard=args.guard)
-    elif kind == "bbridges":
-        family = b_bridges(g)
-    elif kind == "bap":
-        vertices = b_articulation_points(g)
-        _emit(
-            {"kind": kind, "vertices": list(vertices)},
-            args.format,
-            lambda d: (" ".join(str(v) for v in d["vertices"]) or "(empty)")
-            + "\n",
-        )
-        return EXIT_OK
-    else:  # pragma: no cover - argparse enforces choices
-        raise AssertionError(kind)
-    data = {"kind": kind, "blocks": [list(b) for b in family]}
-    _emit(data, args.format, lambda d: _family_text(d["blocks"]))
+    if kind in _GUARDED:
+        family = _family(_GUARDED[kind](g, guard=args.guard))
+    else:
+        family = _BY_KIND[kind].compute(g)
+    field = "vertices" if kind == "bap" else "blocks"
+    _emit({"kind": kind, field: family}, args.format,
+          lambda d: _family_text(d[field]))
     return EXIT_OK
 
 
@@ -207,12 +176,8 @@ def cmd_bench(args):
 def cmd_export_dot(args):
     g = _read_graph(args.file)
     highlight = None
-    if args.highlight == "2eb":
-        highlight = two_edge_biconnected_blocks(g)
-    elif args.highlight == "2sb":
-        highlight = two_strong_biconnected_blocks(g)
-    elif args.highlight == "sbc":
-        highlight = strongly_biconnected_components(g).components
+    if args.highlight != "none":
+        highlight = _BY_KIND[args.highlight].compute(g)
     print(export_dot(g, highlight=highlight), end="")
     return EXIT_OK
 

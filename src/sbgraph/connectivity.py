@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .graph import underlying
+from .graph import memoized, underlying
 
 
 def canonical_family(sets):
@@ -38,8 +38,12 @@ def strongly_connected_components(g):
     return [tuple(c) for c in scc_classes(g.n, g.out_adj, range(g.n))]
 
 
+@memoized
 def is_strongly_connected(g):
-    """True when the graph has at most one SCC (trivially true for n <= 1)."""
+    """True when the graph has at most one SCC (trivially true for n <= 1).
+
+    The verdict is computed once per graph and kept on it.
+    """
     if g.n <= 1:
         return True
     ncomp, _ = _kernels.scc_ids(g.n, g.out_adj)
@@ -80,15 +84,13 @@ def is_biconnected(u):
     return connected and len(raw) <= 1
 
 
+@memoized
 def is_strongly_biconnected(g):
     """Strongly connected with a biconnected underlying graph.
 
     The verdict is computed once per graph and kept on it.
     """
-    sb = g._sb
-    if sb is None:
-        sb = g._sb = is_strongly_connected(g) and is_biconnected(underlying(g))
-    return sb
+    return is_strongly_connected(g) and is_biconnected(underlying(g))
 
 
 def _strongly_biconnected_subset(g, und, sub):

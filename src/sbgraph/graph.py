@@ -3,14 +3,20 @@
 Vertices are dense 0-based integers.  Edges are ordered (tail, head) pairs;
 self-loops and duplicate ordered pairs are rejected, antiparallel pairs are
 allowed.  Derived views (edge/vertex deletion, induced subgraphs) allocate
-fresh graphs.  Because a graph never changes, the underlying undirected
-graph and the strongly-biconnected verdict are computed once, on first
-use, and kept on the graph.  Both are immutable values, and two threads
-that fill a slot at once store equal ones, so instances can be shared
-freely between concurrent computations.
+fresh graphs.
+
+Because a graph never changes, every fact derived from it alone is
+computed once, on first use, and kept in the graph's memo: the underlying
+undirected graph, the strongly-connected and strongly-biconnected
+verdicts, the strong cuts and the cut report (see `memoized`).  Each is
+an immutable value, and two threads that fill an entry at once store
+equal ones, so instances can be shared freely between concurrent
+computations.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import (
     DuplicateEdgeError,
@@ -23,11 +29,8 @@ from .errors import (
 class Digraph:
     """A simple directed graph with a fixed vertex set {0, ..., n-1}."""
 
-    # _underlying and _sb cache underlying(g) and is_strongly_biconnected(g):
-    # None until first asked for.
-    __slots__ = (
-        "n", "edges", "out_adj", "in_adj", "_edge_set", "_underlying", "_sb"
-    )
+    # _memo holds the values of the `memoized` functions of this graph.
+    __slots__ = ("n", "edges", "out_adj", "in_adj", "_edge_set", "_memo")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -68,8 +71,7 @@ class Digraph:
         # order edges were supplied in.
         self.out_adj = tuple(tuple(sorted(a)) for a in out)
         self.in_adj = tuple(tuple(sorted(a)) for a in inc)
-        self._underlying = None
-        self._sb = None
+        self._memo = {}
 
     @property
     def m(self):
@@ -88,6 +90,21 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m})"
+
+
+def memoized(fn):
+    """Decorator for a function of one Digraph: compute fn(g) on the first
+    call and keep it in g's memo, keyed by the function's name."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(g):
+        memo = g._memo
+        if key not in memo:
+            memo[key] = fn(g)
+        return memo[key]
+
+    return cached
 
 
 class UndirectedGraph:
@@ -183,13 +200,11 @@ def induced_subgraph(g, vertices):
     return Digraph._from_valid(len(members), edges), old_to_new
 
 
+@memoized
 def underlying(g):
     """Forget arc directions; antiparallel arc pairs collapse to one edge.
 
     Built on the first call and kept on g, so later calls return the same
     graph.
     """
-    und = g._underlying
-    if und is None:
-        und = g._underlying = UndirectedGraph(g.n, g.edges)
-    return und
+    return UndirectedGraph(g.n, g.edges)

@@ -3,14 +3,16 @@
 Key order is fixed, every list is canonically ordered, and all ids are
 0-based integers, so identical inputs yield byte-identical output.
 Computations whose preconditions fail are marked skipped with a reason
-instead of erroring the whole report.
+instead of erroring the whole report.  `FAMILIES` lists every
+decomposition once, in report key order; `analyze`, the CLI's `analyze`,
+`blocks` and `export-dot` commands all read it.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .blocks import (
     two_edge_biconnected_blocks,
@@ -19,7 +21,7 @@ from .blocks import (
     two_strong_blocks,
 )
 from .connectivity import is_strongly_biconnected, is_strongly_connected
-from .resilience import _strong_cuts, cut_report
+from .resilience import b_articulation_points, b_bridges
 from .sbc import strongly_biconnected_components
 
 SKIP_NOT_SB = {"skipped": "input not strongly biconnected"}
@@ -42,63 +44,66 @@ class AnalysisReport:
     blocks_2e: object
     blocks_2s: object
 
-    _FIELDS = (
-        "n",
-        "m",
-        "strongly_biconnected",
-        "b_bridges",
-        "b_articulation_points",
-        "sbc",
-        "blocks_2eb",
-        "blocks_2sb",
-        "blocks_2e",
-        "blocks_2s",
-    )
-
     def as_dict(self):
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _family(blocks):
     return [list(b) for b in blocks]
 
 
+@dataclass(frozen=True)
+class Family:
+    """One decomposition: its AnalysisReport field, its `sbgraph blocks
+    --kind`, the input it requires ("sb" strongly biconnected, "sc"
+    strongly connected, None anything) and how to compute its JSON
+    value."""
+
+    key: str
+    kind: str
+    requires: str | None
+    compute: object
+
+
+# In report key order.  Each compute looks its function up in this
+# module when it runs, so rebinding the module attribute reaches it.
+FAMILIES = (
+    Family("b_bridges", "bbridges", "sb", lambda g: _family(b_bridges(g))),
+    Family(
+        "b_articulation_points", "bap", "sb",
+        lambda g: list(b_articulation_points(g)),
+    ),
+    Family(
+        "sbc", "sbc", None,
+        lambda g: _family(strongly_biconnected_components(g).components),
+    ),
+    Family(
+        "blocks_2eb", "2eb", "sb",
+        lambda g: _family(two_edge_biconnected_blocks(g)),
+    ),
+    Family(
+        "blocks_2sb", "2sb", "sb",
+        lambda g: _family(two_strong_biconnected_blocks(g)),
+    ),
+    Family("blocks_2e", "2e", "sc", lambda g: _family(two_edge_blocks(g))),
+    Family("blocks_2s", "2s", "sc", lambda g: _family(two_strong_blocks(g))),
+)
+
+_SKIPS = {"sb": SKIP_NOT_SB, "sc": SKIP_NOT_SC}
+
+
 def analyze(g):
     """Run every applicable decomposition on g."""
     sb = is_strongly_biconnected(g)
-    sc = sb or is_strongly_connected(g)
-    # One sweep finds every single-failure cut; each family is handed the
-    # set it probes.
-    if sb:
-        cuts = cut_report(g)
-        strong = cuts.strong_bridges, cuts.strong_articulation_points
-        bridges = [list(e) for e in cuts.b_bridges]
-        baps = list(cuts.b_articulation_points)
-        eb = _family(two_edge_biconnected_blocks(g, _bridges=cuts.b_bridges))
-        sbb = _family(
-            two_strong_biconnected_blocks(
-                g, _articulation_points=cuts.b_articulation_points
-            )
-        )
-    else:
-        strong = _strong_cuts(g) if sc else None
-        bridges = baps = eb = sbb = SKIP_NOT_SB
-    if sc:
-        e2 = _family(two_edge_blocks(g, _bridges=strong[0]))
-        s2 = _family(two_strong_blocks(g, _articulation_points=strong[1]))
-    else:
-        e2 = s2 = SKIP_NOT_SC
+    holds = {None: True, "sb": sb, "sc": is_strongly_connected(g)}
     return AnalysisReport(
         n=g.n,
         m=g.m,
         strongly_biconnected=sb,
-        b_bridges=bridges,
-        b_articulation_points=baps,
-        sbc=_family(strongly_biconnected_components(g).components),
-        blocks_2eb=eb,
-        blocks_2sb=sbb,
-        blocks_2e=e2,
-        blocks_2s=s2,
+        **{
+            f.key: f.compute(g) if holds[f.requires] else _SKIPS[f.requires]
+            for f in FAMILIES
+        },
     )
 
 

@@ -33,8 +33,10 @@ biconnected-components calls of O(n + m) each, so O(nm) overall.  A
 linear-time sweep would need the separation pairs of H (SPQR trees),
 which this module does not build.
 
-The 2-edge / 2-vertex strongly biconnected predicates read the same
-sweep; their maximal components build on top.
+The strong cuts and the cut report are kept on the graph, so
+`b_bridges`, `b_articulation_points`, the 2-edge / 2-vertex strongly
+biconnected predicates and the block families of `blocks` all read one
+sweep; the maximal components build on top.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .connectivity import (
     scc_classes,
 )
 from .errors import GuardError, NotStronglyBiconnectedError
-from .graph import induced_subgraph, underlying
+from .graph import induced_subgraph, memoized, underlying
 
 
 def _require_sb(g, op):
@@ -169,6 +171,7 @@ def _flow_bridge_heads(idom, pred):
     ]
 
 
+@memoized
 def _strong_cuts(g):
     """Strong bridges and strong articulation points of strongly connected
     g: the arcs and the vertices whose deletion leaves it not strongly
@@ -179,7 +182,8 @@ def _strong_cuts(g):
     the flow-graph bridges of either side, the reverse side's read
     backwards.  A vertex other than the root is a strong articulation
     point exactly when it dominates some other vertex on either side; the
-    root is one when g - 0 has more than one SCC.
+    root is one when g - 0 has more than one SCC.  Computed once per
+    graph and kept on it.
     """
     n = g.n
     if n < 2:
@@ -211,8 +215,12 @@ class CutReport:
     strong_articulation_points: tuple
 
 
-def _cut_report(g):
-    """cut_report of g, which must be strongly biconnected."""
+@memoized
+def cut_report(g):
+    """b-bridges, b-articulation points, strong bridges and strong
+    articulation points of strongly biconnected g, each in canonical
+    order, from one sweep that runs once per graph."""
+    _require_sb(g, "cut_report")
     n = g.n
     strong_arcs, strong_points = _strong_cuts(g)
     und = underlying(g)
@@ -243,33 +251,25 @@ def _cut_report(g):
     )
 
 
-def cut_report(g):
-    """b-bridges, b-articulation points, strong bridges and strong
-    articulation points of strongly biconnected g, each in canonical
-    order, from one sweep."""
-    _require_sb(g, "cut_report")
-    return _cut_report(g)
-
-
 def b_bridges(g):
     """Arcs whose deletion leaves a graph that is not strongly biconnected,
     in canonical (tail, head) order."""
     _require_sb(g, "b_bridges")
-    return list(_cut_report(g).b_bridges)
+    return list(cut_report(g).b_bridges)
 
 
 def b_articulation_points(g):
     """Vertices whose deletion leaves a graph that is not strongly
     biconnected."""
     _require_sb(g, "b_articulation_points")
-    return _cut_report(g).b_articulation_points
+    return cut_report(g).b_articulation_points
 
 
 def is_2_edge_strongly_biconnected(g):
     """More than two vertices, strongly biconnected, and no b-bridges."""
     if g.n <= 2 or not is_strongly_biconnected(g):
         return False
-    return not _cut_report(g).b_bridges
+    return not cut_report(g).b_bridges
 
 
 def is_2_vertex_strongly_biconnected(g):
@@ -277,7 +277,7 @@ def is_2_vertex_strongly_biconnected(g):
     points."""
     if g.n <= 2 or not is_strongly_biconnected(g):
         return False
-    return not _cut_report(g).b_articulation_points
+    return not cut_report(g).b_articulation_points
 
 
 def _candidate_regions(g):

@@ -114,8 +114,9 @@ def sbc_oracle(g, guard=12):
     """Reference decomposition by exhaustive subset enumeration.
 
     Keeps every vertex subset whose induced subgraph is strongly
-    biconnected, discards non-maximal ones, and covers leftover vertices
-    with singletons.  Exponential; guarded by n <= guard.
+    biconnected, covers leftover vertices with singletons, and lets
+    `_finish` discard the non-maximal sets.  Exponential; guarded by
+    n <= guard.
     """
     n = g.n
     if n > guard:
@@ -131,18 +132,6 @@ def sbc_oracle(g, guard=12):
         sub = [v for v in range(n) if mask >> v & 1]
         if _strongly_biconnected_subset(g, und, sub):
             qualifying.append(tuple(sub))
-    qualifying.sort(key=lambda c: (-len(c), c))
-    maximal = []
-    maximal_sets = []
-    for c in qualifying:
-        cs = set(c)
-        if not any(cs <= other for other in maximal_sets):
-            maximal.append(c)
-            maximal_sets.append(cs)
-    covered = set()
-    for c in maximal:
-        covered.update(c)
-    for v in range(n):
-        if v not in covered:
-            maximal.append((v,))
-    return _finish(maximal)
+    covered = set().union(*qualifying)
+    singletons = [(v,) for v in range(n) if v not in covered]
+    return _finish(qualifying + singletons)

@@ -6,7 +6,8 @@ import pytest
 
 import sbgraph as sg
 from sbgraph.cli import main
-from helpers import one_based
+from sbgraph.report import FAMILIES
+from helpers import bidirected_complete, c3, glued, one_based
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +76,25 @@ def test_blocks_bbridges_and_bap(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "blocks", "--kind", "bap", str(path))
     assert code == 0
     assert json.loads(out)["vertices"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+def test_blocks_kind_matches_analyze_field(capsys, tmp_path, fig1_path,
+                                           fig2_path, family):
+    sc_not_sb = tmp_path / "glued.edges"
+    sc_not_sb.write_text(sg.emit_edge_list(glued(bidirected_complete(4), c3())))
+    for path in (fig1_path, fig2_path, str(sc_not_sb)):
+        code, out, _ = run_cli(capsys, "analyze", path)
+        assert code == 0
+        value = json.loads(out)[family.key]
+        code, out, err = run_cli(capsys, "blocks", "--kind", family.kind, path)
+        if isinstance(value, dict):
+            assert code == 1 and "precondition failure" in err
+            continue
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("kind") == family.kind
+        assert list(data.values()) == [value]
 
 
 def test_blocks_text_format(capsys, fig1_path):

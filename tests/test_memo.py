@@ -1,0 +1,97 @@
+"""Every fact derived from a graph alone is computed once and kept on the
+graph, so the families of one graph share one cut sweep and one verdict
+of each kind, whichever of them is called and in whatever order."""
+
+import sys
+import threading
+
+import pytest
+
+import sbgraph as sg
+from sbgraph import _kernels
+from helpers import bidirected_complete, c3, glued, single_arc
+
+
+def _fresh(g):
+    """A copy of g with nothing kept on it yet."""
+    return sg.build_digraph(g.n, g.edges)
+
+
+def _each_family(g):
+    sg.b_bridges(g)
+    sg.b_articulation_points(g)
+    sg.two_edge_biconnected_blocks(g)
+    sg.two_strong_biconnected_blocks(g)
+
+
+@pytest.mark.parametrize("run", [_each_family, sg.analyze])
+def test_one_cut_sweep_per_graph(monkeypatch, fig1, run):
+    g = _fresh(fig1)
+    und_adj = sg.underlying(g).adj
+    masked = []
+    bcc = _kernels.bcc
+
+    def counting(n, adj, sub=None):
+        # One vertex masked out of H: a sweep call or a vertex probe.
+        if adj is und_adj and sub is not None and len(sub) == n - 1:
+            masked.append(sub)
+        return bcc(n, adj, sub)
+
+    monkeypatch.setattr(_kernels, "bcc", counting)
+    run(g)
+    cuts = sg.cut_report(g)
+    # One sweep call per vertex, then the probes of the b-articulation
+    # points whose deletion leaves one SCC: the others split first.
+    weak = set(cuts.b_articulation_points) - set(
+        cuts.strong_articulation_points
+    )
+    assert len(masked) == g.n + len(weak) == 18
+
+
+def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
+    whole = []
+    scc_ids = _kernels.scc_ids
+
+    def counting(n, adj, sub=None):
+        if sub is None:
+            whole.append(adj)
+        return scc_ids(n, adj, sub)
+
+    monkeypatch.setattr(_kernels, "scc_ids", counting)
+    sc_not_sb = glued(bidirected_complete(4), c3())
+    for g in (fig1, fig2, sc_not_sb, single_arc()):
+        g = _fresh(g)
+        whole.clear()
+        sg.analyze(g)
+        # Arc probes pass a modified adjacency, so they do not count.
+        assert sum(adj is g.out_adj for adj in whole) == 1
+
+
+def test_copies_keep_nothing_in_common(fig1):
+    g = _fresh(fig1)
+    assert sg.cut_report(g) is sg.cut_report(g)
+    h = _fresh(g)
+    assert sg.cut_report(h) is not sg.cut_report(g)
+    assert sg.cut_report(h) == sg.cut_report(g)
+    assert sg.underlying(h) is not sg.underlying(g)
+
+
+def test_threads_filling_one_graph_agree(fig1):
+    expected = sg.emit_report(_fresh(fig1))
+    g = _fresh(fig1)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(sg.emit_report(g)))
+        for _ in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given
 
 import sbgraph as sg
+from sbgraph.blocks import _sbc_without_arc
 from sbgraph.resilience import _strong_cuts
 from helpers import (
     bidirected_complete,
@@ -64,12 +65,13 @@ def _assert_sb_families_match(g):
     )
     edge_cells = reference_edge_relation(g)
     assert np.array_equal(sg.edge_relation(g).cells, edge_cells)
-    # Probing every arc, not only the b-bridges, also runs the masked probe
-    # on deletions that keep g strongly biconnected; there an arc with an
-    # antiparallel twin must leave its underlying edge in place.
-    assert np.array_equal(
-        sg.edge_relation(g, _bridges=sorted(g.edges)).cells, edge_cells
-    )
+    # The masked arc probe on every arc, not only the b-bridges: also on
+    # deletions that keep g strongly biconnected, and on arcs with an
+    # antiparallel twin, which must leave their underlying edge in place.
+    for arc in g.edges:
+        assert _sbc_without_arc(g, arc) == (
+            sg.strongly_biconnected_components(sg.remove_edge(g, arc)).components
+        )
     assert np.array_equal(
         sg.vertex_relation(g).cells, reference_vertex_relation(g)
     )
