@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
 The hot traversal kernels exist twice: a compiled extension (`_ckern`,
-built from Cython) and a pure-Python fallback (`pure`).  The compiled
+built from the hand-written `_ckern.c`) and a pure-Python fallback
+(`pure`), with the same contracts and traversal order.  The compiled
 backend is preferred when importable; set SBGRAPH_KERNELS=pure or
 SBGRAPH_KERNELS=c to force a choice (forcing an unavailable backend is an
 error, not a silent downgrade).

@@ -240,8 +240,9 @@ def build_parser():
         description="Connectivity analysis for strongly biconnected "
         "directed graphs",
     )
+    backends = _kernels.available_backends()
     parser.add_argument(
-        "--kernels", choices=("c", "pure"),
+        "--kernels", choices=backends,
         help="force a kernel backend (default: compiled when available)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,8 +286,7 @@ def build_parser():
     p = sub.add_parser("bench", help="time the block pipeline per backend")
     p.add_argument("--sizes", type=_bench_sizes, default="50,100,200")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--backends", default="all",
-                   choices=("all", "c", "pure"))
+    p.add_argument("--backends", default="all", choices=("all", *backends))
     p.add_argument("--repeat", type=_at_least(1), default=3)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_bench)

@@ -10,9 +10,15 @@ from __future__ import annotations
 from .errors import (
     DuplicateEdgeError,
     EdgeListParseError,
+    GuardError,
     SelfLoopError,
 )
 from .graph import Digraph
+
+# Largest header n accepted.  A Digraph holds a few Python objects per
+# vertex, about 150 bytes, and allocates them before any arc is read, so
+# an unchecked header alone could exhaust memory.
+MAX_VERTICES = 1_000_000
 
 
 def _data_lines(text):
@@ -48,6 +54,11 @@ def parse_edge_list(source):
     if n < 0 or m < 0:
         raise EdgeListParseError(
             f"negative counts in header {header!r}", line=lineno
+        )
+    if n > MAX_VERTICES:
+        raise GuardError(
+            f"line {lineno}: header declares n={n} vertices, more than the "
+            f"limit of {MAX_VERTICES}"
         )
     edges = []
     seen = set()

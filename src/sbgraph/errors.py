@@ -30,7 +30,8 @@ class NotStronglyBiconnectedError(GraphError):
 
 
 class GuardError(GraphError):
-    """An enumeration-based operation was asked to exceed its size guard."""
+    """An operation was asked to exceed a size guard: an enumeration-based
+    family, or an input or generated graph larger than the fixed limits."""
 
 
 class GenerationBudgetError(GraphError):

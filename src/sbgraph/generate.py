@@ -13,13 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from .connectivity import is_strongly_biconnected
-from .errors import GenerationBudgetError
+from .errors import GenerationBudgetError, GuardError
 from .graph import Digraph
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_FLOAT = 2.0 ** -53
+# Largest n * (n - 1) sampled (n = 1024).  Each draw holds several 8-byte
+# arrays with one entry per ordered pair, about 30 MB at this budget, and a
+# dense draw about 200 bytes of Python objects per arc.
+MAX_PAIRS = 1024 * 1023
 
 
 class SplitMix64:
@@ -80,12 +84,18 @@ def gen_random_sb(n, p, seed, max_tries=20000):
 
     Same seed, same graph, on every platform.  Raises
     GenerationBudgetError when max_tries samples all fail, which is the
-    expected outcome for densities too low to ever connect.
+    expected outcome for densities too low to ever connect, and GuardError
+    when n * (n - 1) exceeds MAX_PAIRS.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
+    if n * (n - 1) > MAX_PAIRS:
+        raise GuardError(
+            f"n={n} means {n * (n - 1)} vertex pairs to sample, more than "
+            f"the budget of {MAX_PAIRS} (n <= 1024)"
+        )
     rng = SplitMix64(seed)
     for _ in range(max_tries):
         u, v = _sample_arcs(rng, n, p)

@@ -1,6 +1,10 @@
 """Shared graph builders and strategies for the test suite."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
@@ -238,3 +242,24 @@ def reference_two_strong_blocks(g):
         cells &= _co_membership(n, components, force=z)
     np.fill_diagonal(cells, True)
     return canonical_family(_max_cliques(_neighbour_sets(cells)))
+
+
+# Address-space cap for run_cli_capped: far above what the CLI needs.
+CAPPED_BYTES = 2 << 30
+
+
+def run_cli_capped(argv, stdin=""):
+    """Run the CLI in a child process whose address space is capped at
+    CAPPED_BYTES, so that an unbounded allocation fails the calling test
+    instead of exhausting the host.  Returns the CompletedProcess."""
+    code = (
+        "import resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({CAPPED_BYTES}, {CAPPED_BYTES})); "
+        "from sbgraph.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(pathlib.Path(sg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], input=stdin, env=env,
+        capture_output=True, text=True, timeout=120,
+    )

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import sbgraph as sg
+from sbgraph import _kernels
 from sbgraph.cli import main
 from sbgraph.report import FAMILIES
 from helpers import bidirected_complete, c3, glued, one_based
@@ -236,8 +237,6 @@ def test_module_entry_point(fig1_path):
 
 
 def test_kernels_flag(capsys, fig1_path):
-    from sbgraph import _kernels
-
     before = _kernels.backend_name()
     try:
         code, out, _ = run_cli(
@@ -277,9 +276,15 @@ def test_kernels_flag(capsys, fig1_path):
          "argument --p: must be in (0, 1], got -0.5"),
         (["gen", "--n", "5", "--p", "0.5", "--seed", "1", "--max-tries", "-3"],
          "argument --max-tries: must be >= 1, got -3"),
+        (["--kernels", "c", "analyze", "fig1.edges"],
+         "argument --kernels: invalid choice: 'c'"),
+        (["bench", "--backends", "c"],
+         "argument --backends: invalid choice: 'c'"),
     ],
 )
-def test_invalid_arguments_exit_2(capsys, argv, message):
+def test_invalid_arguments_exit_2(capsys, monkeypatch, argv, message):
+    # As on a host without the compiled extension.
+    monkeypatch.delitem(_kernels._BACKENDS, "c", raising=False)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import sbgraph as sg
-from helpers import c3, digraphs
+from helpers import c3, digraphs, run_cli_capped
 
 
 def test_parse_cycle():
@@ -70,3 +70,10 @@ def test_emit_comment_header():
 @given(digraphs())
 def test_emit_parse_roundtrip(g):
     assert sg.parse_edge_list(sg.emit_edge_list(g)) == g
+
+
+def test_huge_header_n_is_refused_before_allocating():
+    proc = run_cli_capped(["analyze", "-"], stdin="100000000000 0\n")
+    assert proc.returncode == 3, proc.stderr
+    assert "more than the limit" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,7 @@
 import pytest
 
 import sbgraph as sg
-from helpers import bidirected_complete
+from helpers import bidirected_complete, run_cli_capped
 
 
 def _scalar_splitmix(seed, count):
@@ -72,6 +72,13 @@ def test_gen_rejects_bad_parameters():
         sg.gen_random_sb(5, 0.0, 0)
     with pytest.raises(ValueError):
         sg.gen_random_sb(5, 1.5, 0)
+
+
+def test_gen_pair_budget_is_checked_before_sampling():
+    proc = run_cli_capped(["gen", "--n", "200000", "--p", "0.5", "--seed", "1"])
+    assert proc.returncode == 3, proc.stderr
+    assert "more than the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_shuffle_deterministic():

@@ -1,8 +1,8 @@
 """Backend parity and brute-force validation of the traversal kernels."""
 
 import itertools
-import pathlib
-import re
+import subprocess
+import sys
 
 import pytest
 
@@ -10,10 +10,10 @@ import sbgraph as sg
 from sbgraph import _kernels
 from helpers import brute_connected_components, brute_scc_partition, random_sb_corpus
 
-needs_compiled = pytest.mark.skipif(
-    "c" not in _kernels.available_backends(),
-    reason="compiled kernels not built",
-)
+# conftest builds the compiled backend when it is not installed; these
+# tests skip only on a host without a C compiler or the Python headers.
+needs_compiled = pytest.mark.needs_compiled
+BACKENDS = ["pure", pytest.param("c", marks=needs_compiled)]
 
 
 def _random_digraphs(count, seed):
@@ -84,19 +84,15 @@ def test_backends_agree_end_to_end():
             assert sg.strongly_biconnected_components(h).components == pure_sbc
 
 
-@pytest.mark.parametrize("backend", ["pure", "c"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_scc_matches_bruteforce(backend):
-    if backend not in _kernels.available_backends():
-        pytest.skip("backend unavailable")
     with _kernels.use_backend(backend):
         for g in _random_digraphs(60, seed=33):
             assert sg.strongly_connected_components(g) == brute_scc_partition(g)
 
 
-@pytest.mark.parametrize("backend", ["pure", "c"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_bcc_connectivity_matches_bruteforce(backend):
-    if backend not in _kernels.available_backends():
-        pytest.skip("backend unavailable")
     with _kernels.use_backend(backend):
         for g in _random_digraphs(60, seed=34):
             u = sg.underlying(g)
@@ -145,10 +141,8 @@ def _brute_bcc(adj, active):
     return sorted(tuple(sorted(b)) for b in blocks), cut, whole <= 1
 
 
-@pytest.mark.parametrize("backend", ["pure", "c"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_bcc_blocks_match_bruteforce(backend):
-    if backend not in _kernels.available_backends():
-        pytest.skip("backend unavailable")
     rng = sg.SplitMix64(36)
     with _kernels.use_backend(backend):
         for g in _random_digraphs(150, seed=36):
@@ -177,35 +171,46 @@ def test_subset_restriction_equals_induced_subgraph():
         assert len({b for _, b in pairs}) == len(pairs)
 
 
-KERNEL_SOURCES = (
-    pathlib.Path(__file__).resolve().parent.parent / "src" / "sbgraph" / "_kernels"
+# Run in a child process, so that a crash fails one case instead of
+# killing the test session.
+_CHILD = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("_ckern", sys.argv[1])
+kern = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kern)
+try:
+    print(repr(eval(sys.argv[2], {"kern": kern})))
+except (ValueError, IndexError, TypeError) as exc:
+    print(type(exc).__name__)
+"""
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        # List rows read like tuple rows.
+        ("kern.bcc(2, [[1], [0]]) == kern.bcc(2, ((1,), (0,)))", "True"),
+        ("kern.bcc(2, [[1], [0]])", "([[0, 1]], [], True)"),
+        ("kern.scc_ids(3, [[1], [2], [0]], [2, 0, 1])"
+         " == kern.scc_ids(3, ((1,), (2,), (0,)), [2, 0, 1])", "True"),
+        ("kern.bcc(2, ((1,), (5,)))", "IndexError"),
+        ("kern.scc_ids(2, ((1,), (-1,)))", "IndexError"),
+        ("kern.scc_ids(2, ((1,), (0,)), [0, 7])", "IndexError"),
+        ("kern.bcc(2, ((1,), (0,)), [-1, 0])", "IndexError"),
+        ("kern.bcc(2, ((1,), (0.0,)))", "TypeError"),
+        ("kern.scc_ids(2, ((1,), (0,)), ['0'])", "TypeError"),
+        ("kern.scc_ids(2, (1, 0))", "TypeError"),
+        ("kern.bcc(3, ((1,), (0,)))", "ValueError"),
+        ("kern.scc_ids(-1, ())", "ValueError"),
+    ],
 )
-MARKER = "# <<<<<<<<<<<<<<"
-
-
-def test_generated_c_matches_pyx():
-    # Cython quotes the .pyx lines it compiles in comment blocks: a header
-    # naming line N, a few lines around it, N itself marked.  A .pyx
-    # edited without regenerating the committed .c no longer matches.
-    pyx = (KERNEL_SOURCES / "_ckern.pyx").read_text().split("\n")
-    c = (KERNEL_SOURCES / "_ckern.c").read_text().split("\n")
-    header = re.compile(r'\s*/\* "sbgraph/_kernels/_ckern\.pyx":(\d+)$')
-    blocks = 0
-    for i, line in enumerate(c):
-        match = header.match(line)
-        if match is None:
-            continue
-        body = c[i + 1:c.index("*/", i)]
-        marked = [k for k, quote in enumerate(body) if quote.endswith(MARKER)]
-        assert len(marked) == 1, f"_ckern.c:{i + 1}: no single marked line"
-        for k, quote in enumerate(body):
-            text = quote[len(" * "):]
-            if k == marked[0]:
-                text = text[:-len(MARKER)]
-            lineno = int(match.group(1)) + k - marked[0]
-            assert text.rstrip() == pyx[lineno - 1].rstrip(), (
-                f"_ckern.c:{i + 2 + k} quotes _ckern.pyx:{lineno} as "
-                f"{text.strip()!r}; regenerate _ckern.c from _ckern.pyx"
-            )
-        blocks += 1
-    assert blocks, "_ckern.c quotes no line of _ckern.pyx"
+def test_compiled_kernels_reject_bad_input(call, expected):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, _kernels._ckern.__file__, call],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, (
+        f"{call} ended the child with status {proc.returncode}: {proc.stderr}"
+    )
+    assert proc.stdout.strip() == expected
