@@ -1,22 +1,21 @@
 """2-block families of strongly (bi)connected digraphs.
 
-The central operation computes 2-edge-biconnected blocks: maximal vertex
-sets whose pairs stay inside one strongly biconnected component under
-every single-arc deletion.  It works on a boolean pair relation: clear
-L[x, y] whenever some b-bridge deletion separates x from y, keep the pairs
-related in both directions as an undirected helper graph, and read the
-blocks of that helper graph off as the answer.  A maximal-clique
-enumeration over the same relation serves as the independent oracle.
+Every family is read off a pair relation: x and y are related when they
+stay inside one part after each probed deletion, a strongly biconnected
+component for the 2-edge- and 2-strong-biconnected blocks, an SCC for
+the 2-edge and 2-strong blocks.  The relation is kept as one bit row per
+vertex (bit y of rows[x] relates x and y), and one loop, `_intersect`,
+builds it for all four families: each probe ANDs into every row the
+parts that hold its vertex.  A probe that leaves a single part relates
+every pair, so the loop skips it.
 
-2-strong-biconnected blocks (single-vertex deletions, overlaps of up to
-two vertices) and the coarser 2-edge / 2-strong blocks intersect the same
-kind of relation over vertex or arc deletions.  One loop, `_intersect`,
-builds the edge, vertex and 2-strong relations: it ANDs in the
-co-membership matrix of the parts each probed deletion leaves (strongly
-biconnected components, or SCCs for 2-strong blocks).  A probe that
-leaves a single part relates every pair, so the loop skips it without
-building its n*n matrix.  The 2-edge blocks are a partition and refine
-vertex labels instead.
+The blocks are then read off the relation.  2-edge-biconnected blocks
+are the blocks of the undirected helper graph that joins related pairs;
+2-edge blocks are the distinct rows, because that relation is an
+equivalence; 2-strong-biconnected and 2-strong blocks, which may
+overlap, are its maximal cliques.  The clique enumeration of the edge
+relation also serves as the independent oracle of the 2-edge-biconnected
+blocks.
 
 Each family probes only the deletions that can change its answer, and
 each probe set is exact:
@@ -49,8 +48,7 @@ graph when the arc has no antiparallel twin).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 from . import _kernels
 from .connectivity import (
@@ -76,43 +74,53 @@ def _require_sc(g, op):
 
 @dataclass(frozen=True)
 class RelationMatrix:
-    """Boolean n*n table; cells[x, y] says x and y survive every probed
-    deletion inside one strongly biconnected component."""
+    """Symmetric pair relation on n vertices, one bit row per vertex: bit
+    y of rows[x] says x and y survive every probed deletion inside one
+    strongly biconnected component."""
 
     n: int
-    cells: np.ndarray
+    rows: tuple
 
     def co(self, x, y):
-        return bool(self.cells[x, y])
+        return bool(self.rows[x] >> y & 1)
 
 
-def _co_membership(n, components, force=None):
-    """Boolean matrix of pairwise component co-membership; rows/columns in
-    `force` are set wholesale (used for the deleted vertex, which never
-    constrains pairs it is not part of)."""
-    m = np.zeros((n, n), dtype=bool)
-    for comp in components:
-        idx = np.fromiter(comp, dtype=np.intp, count=len(comp))
-        m[np.ix_(idx, idx)] = True
-    if force is not None:
-        m[force, :] = True
-        m[:, force] = True
-    return m
+# Maps the digits of bin() to the bytes 0 and 1, for `_bits`.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask):
+    """The set bits of mask, as an ascending tuple."""
+    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+    return tuple(compress(range(len(flags)), flags))
 
 
 def _intersect(n, probes, parts):
-    """Pairs that share a part after every deletion in `probes`.
+    """Bit rows of the pairs that share a part after every deletion in
+    `probes`.
 
     parts(p) returns the parts left by deletion p and the deleted vertex,
-    or None for an arc.  A probe that leaves a single part relates every
-    pair, so it is skipped without building its matrix.
+    or None for an arc.  Parts may overlap, so each vertex keeps the union
+    of the parts that hold it.  The deleted vertex stays related to every
+    vertex: it constrains no pair it is not part of.  A probe that leaves
+    a single part relates every pair, so it is skipped.
     """
-    cells = np.ones((n, n), dtype=bool)
+    full = (1 << n) - 1
+    rows = [full] * n
     for p in probes:
-        components, force = parts(p)
-        if len(components) > 1:
-            cells &= _co_membership(n, components, force)
-    return cells
+        components, deleted = parts(p)
+        if len(components) <= 1:
+            continue
+        keep = [0 if deleted is None else 1 << deleted] * n
+        for comp in components:
+            # A part holds distinct vertices, so the sum is their union.
+            mask = sum(1 << v for v in comp)
+            for v in comp:
+                keep[v] |= mask
+        if deleted is not None:
+            keep[deleted] = full
+        rows = [row & k for row, k in zip(rows, keep)]
+    return tuple(rows)
 
 
 def _without_arc(adj, tail, head):
@@ -138,7 +146,7 @@ def _sbc_without_arc(g, arc):
 def edge_relation(g):
     """Pair relation under single-arc deletions.
 
-    L[x, y] is cleared iff some b-bridge deletion puts x and y into
+    x and y are unrelated iff some b-bridge deletion puts them into
     different strongly biconnected components; arcs that are not b-bridges
     cannot separate anything and are skipped.
     """
@@ -148,13 +156,13 @@ def edge_relation(g):
     def parts(bridge):
         return _sbc_without_arc(g, bridge), None
 
-    cells = _intersect(n, cut_report(g).b_bridges, parts)
-    return RelationMatrix(n=n, cells=cells)
+    rows = _intersect(n, cut_report(g).b_bridges, parts)
+    return RelationMatrix(n=n, rows=rows)
 
 
 def helper_graph(relation):
-    """Undirected graph joining the pairs related in both directions."""
-    rows = _neighbours(relation.cells)
+    """Undirected graph joining the related pairs."""
+    rows = _neighbours(relation.rows)
     return UndirectedGraph(
         relation.n, [(a, b) for a, row in enumerate(rows) for b in row if a < b]
     )
@@ -174,58 +182,57 @@ def two_edge_biconnected_blocks(g):
         return [tuple(range(g.n))]
     relation = edge_relation(g)
     # The blocks of helper_graph(relation), read off its adjacency.
-    blocks, _aps, _connected = _kernels.bcc(g.n, _neighbours(relation.cells))
+    blocks, _aps, _connected = _kernels.bcc(g.n, _neighbours(relation.rows))
     return canonical_family(b for b in blocks if len(b) >= 2)
 
 
-def _neighbours(cells):
-    """Per vertex, the other vertices related to it in both directions,
-    as an ascending tuple (the row type the compiled kernels read)."""
-    sym = cells & cells.T
-    np.fill_diagonal(sym, False)
-    return [tuple(np.flatnonzero(row).tolist()) for row in sym]
+def _neighbours(rows):
+    """Per vertex, the other vertices related to it, as an ascending
+    tuple (the row type the compiled kernels read)."""
+    return [_bits(row & ~(1 << v)) for v, row in enumerate(rows)]
 
 
-def _neighbour_sets(cells):
-    return [frozenset(row) for row in _neighbours(cells)]
+def _max_cliques(rows):
+    """Maximal cliques of size >= 2 of a symmetric relation given as bit
+    rows (the diagonal is ignored), Bron-Kerbosch with pivoting.
 
-
-def _max_cliques(neighbours):
-    """Maximal cliques of size >= 2, Bron-Kerbosch with pivoting.
-
-    Depth-first with an explicit stack of (r, p, x, branches) frames, so
-    a clique of any size cannot overflow the interpreter stack.  The pivot
-    is the smallest vertex of p | x with the most neighbours in p; a
-    vertex whose degree bound cannot beat the best so far is not
-    intersected.
+    Depth-first with an explicit stack of [r, p, x, branches] frames, so
+    a clique of any size cannot overflow the interpreter stack; r, p and
+    x are bit sets.  The pivot is the smallest vertex of p | x with the
+    most neighbours in p; a vertex whose degree bound cannot beat the
+    best so far is not intersected.
     """
+    neighbours = [row & ~(1 << v) for v, row in enumerate(rows)]
+    degree = [row.bit_count() for row in neighbours]
     out = []
     frames = []
 
     def enter(r, p, x):
         if not p and not x:
-            if len(r) >= 2:
-                out.append(tuple(sorted(r)))
+            if r.bit_count() >= 2:
+                out.append(_bits(r))
             return
         best, pivot = -1, None
-        for u in sorted(p | x):
-            if min(len(neighbours[u]), len(p) - (u in p)) <= best:
+        size_p = p.bit_count()
+        for u in _bits(p | x):
+            if min(degree[u], size_p - (p >> u & 1)) <= best:
                 continue
-            size = len(p & neighbours[u])
+            size = (p & neighbours[u]).bit_count()
             if size > best:
                 best, pivot = size, u
-        frames.append((r, p, x, iter(sorted(p - neighbours[pivot]))))
+        frames.append([r, p, x, iter(_bits(p & ~neighbours[pivot]))])
 
-    enter(set(), set(range(len(neighbours))), set())
+    enter(0, (1 << len(rows)) - 1, 0)
     while frames:
-        r, p, x, branches = frames[-1]
+        frame = frames[-1]
+        r, p, x, branches = frame
         v = next(branches, None)
         if v is None:
             frames.pop()
             continue
-        enter(r | {v}, p & neighbours[v], x & neighbours[v])
-        p.remove(v)
-        x.add(v)
+        enter(r | 1 << v, p & neighbours[v], x & neighbours[v])
+        frame[1] = p & ~(1 << v)
+        frame[2] = x | 1 << v
     return out
 
 
@@ -238,8 +245,7 @@ def oracle_two_edge_biconnected_blocks(g, guard=24):
             f"oracle_two_edge_biconnected_blocks requires n <= {guard}, got "
             f"n={g.n}; raise the guard explicitly to override"
         )
-    relation = edge_relation(g)
-    return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
+    return canonical_family(_max_cliques(edge_relation(g).rows))
 
 
 def vertex_relation(g):
@@ -256,8 +262,8 @@ def vertex_relation(g):
         survivors = [v for v in range(n) if v != z]
         return masked_sbc(n, g.out_adj, und_adj, survivors).components, z
 
-    cells = _intersect(n, cut_report(g).b_articulation_points, parts)
-    return RelationMatrix(n=n, cells=cells)
+    rows = _intersect(n, cut_report(g).b_articulation_points, parts)
+    return RelationMatrix(n=n, rows=rows)
 
 
 def two_strong_biconnected_blocks(g):
@@ -265,31 +271,26 @@ def two_strong_biconnected_blocks(g):
     the vertex relation.  Distinct blocks may share up to two vertices,
     which rules out both partitioning and helper-graph blocking."""
     _require_sb(g, "two_strong_biconnected_blocks")
-    relation = vertex_relation(g)
-    return canonical_family(_max_cliques(_neighbour_sets(relation.cells)))
+    return canonical_family(_max_cliques(vertex_relation(g).rows))
 
 
 def two_edge_blocks(g):
     """Maximal sets with two edge-disjoint paths both ways between every
     pair: equivalence classes of "same SCC under every single-arc
-    deletion", filtered to size >= 2.  Only the strong bridges are
+    deletion", filtered to size >= 2.  The relation is an equivalence, so
+    its classes are its distinct rows.  Only the strong bridges are
     probed.
     """
     _require_sc(g, "two_edge_blocks")
     n = g.n
-    labels = [0] * n
-    for tail, head in _strong_cuts(g)[0]:
-        count, ids = _kernels.scc_ids(n, _without_arc(g.out_adj, tail, head))
-        if count <= 1:
-            continue
-        relabel = {}
-        for v in range(n):
-            key = (labels[v], ids[v])
-            labels[v] = relabel.setdefault(key, len(relabel))
-    groups = {}
-    for v in range(n):
-        groups.setdefault(labels[v], []).append(v)
-    return canonical_family(c for c in groups.values() if len(c) >= 2)
+
+    def parts(arc):
+        tail, head = arc
+        adj = _without_arc(g.out_adj, tail, head)
+        return scc_classes(n, adj, range(n)), None
+
+    rows = _intersect(n, _strong_cuts(g)[0], parts)
+    return canonical_family(_bits(r) for r in set(rows) if r.bit_count() >= 2)
 
 
 def two_strong_blocks(g):
@@ -304,5 +305,5 @@ def two_strong_blocks(g):
         survivors = [v for v in range(n) if v != z]
         return scc_classes(n, g.out_adj, survivors), z
 
-    cells = _intersect(n, _strong_cuts(g)[1], parts)
-    return canonical_family(_max_cliques(_neighbour_sets(cells)))
+    rows = _intersect(n, _strong_cuts(g)[1], parts)
+    return canonical_family(_max_cliques(rows))

@@ -7,18 +7,8 @@ lines are ignored.  Parse errors carry the 1-based line number.
 
 from __future__ import annotations
 
-from .errors import (
-    DuplicateEdgeError,
-    EdgeListParseError,
-    GuardError,
-    SelfLoopError,
-)
+from .errors import EdgeListParseError
 from .graph import Digraph
-
-# Largest header n accepted.  A Digraph holds a few Python objects per
-# vertex, about 150 bytes, and allocates them before any arc is read, so
-# an unchecked header alone could exhaust memory.
-MAX_VERTICES = 1_000_000
 
 
 def _data_lines(text):
@@ -55,11 +45,6 @@ def parse_edge_list(source):
         raise EdgeListParseError(
             f"negative counts in header {header!r}", line=lineno
         )
-    if n > MAX_VERTICES:
-        raise GuardError(
-            f"line {lineno}: header declares n={n} vertices, more than the "
-            f"limit of {MAX_VERTICES}"
-        )
     edges = []
     seen = set()
     last_line = lineno
@@ -95,10 +80,8 @@ def parse_edge_list(source):
         raise EdgeListParseError(
             f"declared {m} arcs but found {len(edges)}", line=last_line
         )
-    try:
-        return Digraph(n, edges)
-    except (SelfLoopError, DuplicateEdgeError) as exc:  # pragma: no cover
-        raise EdgeListParseError(str(exc)) from exc
+    # Every arc is checked above, with its line number.
+    return Digraph._from_valid(n, edges)
 
 
 def emit_edge_list(g, comment=None):

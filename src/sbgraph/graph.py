@@ -20,14 +20,21 @@ import functools
 
 from .errors import (
     DuplicateEdgeError,
+    GuardError,
     MissingEdgeError,
     SelfLoopError,
     VertexRangeError,
 )
 
+# Largest vertex count a Digraph accepts.  A graph holds a few Python
+# objects per vertex, about 150 bytes, and allocates them before it reads
+# any arc, so an unchecked count alone could exhaust memory.
+MAX_VERTICES = 1_000_000
+
 
 class Digraph:
-    """A simple directed graph with a fixed vertex set {0, ..., n-1}."""
+    """A simple directed graph with a fixed vertex set {0, ..., n-1},
+    n <= MAX_VERTICES."""
 
     # _memo holds the values of the `memoized` functions of this graph.
     __slots__ = ("n", "edges", "out_adj", "in_adj", "_edge_set", "_memo")
@@ -59,6 +66,11 @@ class Digraph:
         return g
 
     def _fill(self, n, edges, edge_set):
+        if n > MAX_VERTICES:
+            raise GuardError(
+                f"vertex count n={n} is more than the limit of "
+                f"{MAX_VERTICES}"
+            )
         self.n = n
         self.edges = edges
         self._edge_set = edge_set

@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 import numpy as np
 
 import sbgraph as sg
-from sbgraph.blocks import _co_membership, _max_cliques, _neighbour_sets
 from sbgraph.connectivity import canonical_family
 
 
@@ -143,6 +142,61 @@ def strongly_connected_digraphs(draw, min_n=1, max_n=8):
     return sg.induced_subgraph(g, largest)[0]
 
 
+# Dense references for the relations of blocks: n*n boolean tables and a
+# set-based clique search, independent of the bit rows the library keeps.
+
+
+def co_membership(n, components, force=None):
+    """Boolean matrix of pairwise component co-membership; rows/columns in
+    `force` are set wholesale (used for the deleted vertex, which never
+    constrains pairs it is not part of)."""
+    m = np.zeros((n, n), dtype=bool)
+    for comp in components:
+        idx = np.fromiter(comp, dtype=np.intp, count=len(comp))
+        m[np.ix_(idx, idx)] = True
+    if force is not None:
+        m[force, :] = True
+        m[:, force] = True
+    return m
+
+
+def dense(relation):
+    """A RelationMatrix as an n*n boolean table."""
+    n = relation.n
+    return np.array(
+        [[bool(row >> y & 1) for y in range(n)] for row in relation.rows],
+        dtype=bool,
+    ).reshape(n, n)
+
+
+def neighbour_sets(cells):
+    """Per vertex, the other vertices related to it in both directions."""
+    sym = cells & cells.T
+    np.fill_diagonal(sym, False)
+    return [frozenset(np.flatnonzero(row).tolist()) for row in sym]
+
+
+def max_cliques_of_sets(neighbours):
+    """Maximal cliques of size >= 2, Bron-Kerbosch with pivoting on
+    neighbour sets.  The pivot is the smallest vertex of p | x with the
+    most neighbours in p."""
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            if len(r) >= 2:
+                out.append(tuple(sorted(r)))
+            return
+        pivot = max(sorted(p | x), key=lambda u: len(p & neighbours[u]))
+        for v in sorted(p - neighbours[pivot]):
+            expand(r | {v}, p & neighbours[v], x & neighbours[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(range(len(neighbours))), set())
+    return out
+
+
 # Definitional references for the probe filters of resilience and blocks:
 # each probes every single deletion and copies the graph for it.
 
@@ -185,7 +239,7 @@ def reference_edge_relation(g):
     cells = np.ones((n, n), dtype=bool)
     for e in g.edges:
         h = sg.remove_edge(g, e)
-        cells &= _co_membership(n, sg.strongly_biconnected_components(h).components)
+        cells &= co_membership(n, sg.strongly_biconnected_components(h).components)
     return cells
 
 
@@ -208,7 +262,7 @@ def reference_vertex_relation(g):
             [survivors[v] for v in comp]
             for comp in sg.strongly_biconnected_components(h).components
         ]
-        cells &= _co_membership(n, components, force=z)
+        cells &= co_membership(n, components, force=z)
     np.fill_diagonal(cells, True)
     return cells
 
@@ -239,27 +293,32 @@ def reference_two_strong_blocks(g):
         components = [
             [survivors[v] for v in c] for c in sg.strongly_connected_components(h)
         ]
-        cells &= _co_membership(n, components, force=z)
+        cells &= co_membership(n, components, force=z)
     np.fill_diagonal(cells, True)
-    return canonical_family(_max_cliques(_neighbour_sets(cells)))
+    return canonical_family(max_cliques_of_sets(neighbour_sets(cells)))
 
 
 # Address-space cap for run_cli_capped: far above what the CLI needs.
 CAPPED_BYTES = 2 << 30
 
 
-def run_cli_capped(argv, stdin=""):
-    """Run the CLI in a child process whose address space is capped at
-    CAPPED_BYTES, so that an unbounded allocation fails the calling test
-    instead of exhausting the host.  Returns the CompletedProcess."""
-    code = (
+def run_capped(code, argv=(), stdin=""):
+    """Run Python `code` in a child process whose address space is capped
+    at CAPPED_BYTES, so that an unbounded allocation fails the calling
+    test instead of exhausting the host.  Returns the CompletedProcess."""
+    cap = (
         "import resource, sys; "
-        f"resource.setrlimit(resource.RLIMIT_AS, ({CAPPED_BYTES}, {CAPPED_BYTES})); "
-        "from sbgraph.cli import main; sys.exit(main(sys.argv[1:]))"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({CAPPED_BYTES}, {CAPPED_BYTES}))\n"
     )
     src = str(pathlib.Path(sg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], input=stdin, env=env,
+        [sys.executable, "-c", cap + code, *argv], input=stdin, env=env,
         capture_output=True, text=True, timeout=120,
     )
+
+
+def run_cli_capped(argv, stdin=""):
+    """Run the CLI under run_capped's cap."""
+    code = "from sbgraph.cli import main; sys.exit(main(sys.argv[1:]))"
+    return run_capped(code, argv, stdin)

@@ -1,14 +1,18 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 import sbgraph as sg
-from sbgraph.blocks import _max_cliques
+from sbgraph.blocks import _intersect, _max_cliques
 from helpers import (
     bidirected_complete,
     bidirected_cycle,
     c3,
+    dense,
+    max_cliques_of_sets,
+    neighbour_sets,
     one_based,
     overlaps_at_most,
     random_sb_corpus,
@@ -23,13 +27,13 @@ FIG2_2SB = [one_based(1, 2, 3, 4), one_based(3, 4, 5, 6)]
 
 def test_edge_relation_no_bridges_all_true():
     rel = sg.edge_relation(bidirected_complete(4))
-    assert rel.cells.all()
+    assert dense(rel).all()
 
 
 def test_edge_relation_cycle_all_false_off_diagonal():
-    rel = sg.edge_relation(c3())
-    assert rel.cells.diagonal().all()
-    off = rel.cells.copy()
+    cells = dense(sg.edge_relation(c3()))
+    assert cells.diagonal().all()
+    off = cells.copy()
     np.fill_diagonal(off, False)
     assert not off.any()
 
@@ -40,8 +44,9 @@ def test_edge_relation_fig1(fig1):
     assert not rel.co(12 - 1, 15 - 1)
     assert rel.co(4 - 1, 15 - 1)
     # symmetric with a true diagonal
-    assert (rel.cells == rel.cells.T).all()
-    assert rel.cells.diagonal().all()
+    cells = dense(rel)
+    assert (cells == cells.T).all()
+    assert cells.diagonal().all()
 
 
 def test_edge_relation_requires_strongly_biconnected():
@@ -105,7 +110,8 @@ def test_relation_chains_stay_in_one_block():
     for g in random_sb_corpus(25, seed_base=2200):
         rel = sg.edge_relation(g)
         blocks = sg.two_edge_biconnected_blocks(g)
-        cells = rel.cells & rel.cells.T
+        cells = dense(rel)
+        cells = cells & cells.T
         for chain in itertools.combinations(range(g.n), 3):
             for perm in (chain, (chain[1], chain[0], chain[2])):
                 w0, w1, w2 = perm
@@ -197,6 +203,27 @@ def test_helper_graph_edges_match_relation(fig1):
 
 def test_max_cliques_of_a_large_clique_does_not_recurse():
     n = 1100
-    everyone = frozenset(range(n))
-    neighbours = [everyone - {v} for v in range(n)]
-    assert _max_cliques(neighbours) == [tuple(range(n))]
+    everyone = (1 << n) - 1
+    rows = [everyone & ~(1 << v) for v in range(n)]
+    assert _max_cliques(rows) == [tuple(range(n))]
+
+
+def test_max_cliques_match_the_set_based_search():
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        p = rng.choice([0.2, 0.5, 0.8])
+        cells = np.eye(n, dtype=bool)
+        for x, y in itertools.combinations(range(n), 2):
+            cells[x, y] = cells[y, x] = rng.random() < p
+        rows = [sum(1 << y for y in range(n) if cells[x, y]) for x in range(n)]
+        assert _max_cliques(rows) == max_cliques_of_sets(neighbour_sets(cells))
+
+
+def test_intersect_unites_overlapping_parts_and_spares_the_deleted_vertex():
+    # (parts, deleted vertex) per probe: vertex 4 deleted with vertex 1 in
+    # two parts, then an arc probe.
+    probes = [([[0, 1], [1, 2], [3]], 4), ([[0, 1, 2, 4], [3]], None)]
+    rows = _intersect(5, probes, lambda probe: probe)
+    related = [{0, 1, 4}, {0, 1, 2, 4}, {1, 2, 4}, {3}, {0, 1, 2, 4}]
+    assert rows == tuple(sum(1 << v for v in s) for s in related)

@@ -3,7 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sbgraph as sg
-from helpers import bidirected_complete, c3, digraphs, single_arc
+from helpers import (
+    bidirected_complete,
+    c3,
+    digraphs,
+    run_capped,
+    single_arc,
+)
 
 
 def test_build_cycle():
@@ -146,3 +152,17 @@ def test_single_arc_adjacency():
     g = single_arc()
     assert g.out_adj == ((1,), ())
     assert g.in_adj == ((), (0,))
+
+
+def test_huge_vertex_count_is_refused_before_allocating():
+    code = (
+        "import sbgraph as sg\n"
+        "for build in (sg.build_digraph, sg.Digraph._from_valid):\n"
+        "    try:\n"
+        "        build(10**11, [])\n"
+        "    except sg.GuardError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = run_capped(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("more than the limit") == 2, proc.stdout
