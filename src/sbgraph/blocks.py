@@ -53,10 +53,11 @@ from itertools import compress
 from . import _kernels
 from .connectivity import (
     canonical_family,
+    check_guard,
     is_strongly_connected,
     scc_classes,
 )
-from .errors import GuardError, NotStronglyConnectedError
+from .errors import NotStronglyConnectedError
 from .graph import UndirectedGraph, underlying
 # Unused here; bound because the benchmark's tracer test
 # (perfbench/test_perfbench.py) reads blocks.remove_edge.
@@ -240,11 +241,7 @@ def oracle_two_edge_biconnected_blocks(g, guard=24):
     """Reference computation of the 2-edge-biconnected blocks: maximal
     cliques of the edge relation.  Exponential; guarded by n <= guard."""
     _require_sb(g, "oracle_two_edge_biconnected_blocks")
-    if g.n > guard:
-        raise GuardError(
-            f"oracle_two_edge_biconnected_blocks requires n <= {guard}, got "
-            f"n={g.n}; raise the guard explicitly to override"
-        )
+    check_guard("oracle_two_edge_biconnected_blocks", g.n, guard)
     return canonical_family(_max_cliques(edge_relation(g).rows))
 
 

@@ -13,8 +13,8 @@ from .blocks import (
     oracle_two_edge_biconnected_blocks,
     two_edge_biconnected_blocks,
 )
-from .connectivity import is_strongly_biconnected
-from .errors import GraphError, GuardError
+from .connectivity import check_guard, is_strongly_biconnected
+from .errors import GraphError
 from .graph import remove_edge, remove_vertex
 from .sbc import sbc_oracle, strongly_biconnected_components
 
@@ -36,15 +36,13 @@ class OracleCheckReport:
 
 
 def _sbc_mismatch(g, guard):
-    if g.n > guard:
-        return False
     fast = strongly_biconnected_components(g).components
     slow = sbc_oracle(g, guard=guard).components
     return fast != slow
 
 
 def _blocks_mismatch(g, guard):
-    if g.n > guard or not is_strongly_biconnected(g):
+    if not is_strongly_biconnected(g):
         return False
     return two_edge_biconnected_blocks(g) != oracle_two_edge_biconnected_blocks(
         g, guard=guard
@@ -79,26 +77,22 @@ def _minimize(g, mismatch):
     return g
 
 
-def oracle_check(g, guard=12, clique_guard=24):
-    """Compare the refinement SBC decomposition with the enumeration
+def oracle_check(g, guard=12):
+    """Compare the refinement SBC decomposition with the subset-search
     oracle, and the helper-graph block algorithm with the clique oracle.
 
-    Returns a report; on the first mismatch the witness graph is shrunk
-    to a minimal failing example.
+    One guard, n <= guard, bounds both.  Returns a report; on the first
+    mismatch the witness graph is shrunk to a minimal failing example.
     """
-    if g.n > guard or g.n > clique_guard:
-        raise GuardError(
-            f"oracle_check requires n <= {min(guard, clique_guard)}, got "
-            f"n={g.n}; raise the guard explicitly to override"
-        )
+    check_guard("oracle_check", g.n, guard)
     if _sbc_mismatch(g, guard):
         witness = _minimize(g, lambda h: _sbc_mismatch(h, guard))
         return OracleCheckReport(
             passed=False, failure="sbc refinement vs enumeration oracle",
             witness=witness,
         )
-    if _blocks_mismatch(g, clique_guard):
-        witness = _minimize(g, lambda h: _blocks_mismatch(h, clique_guard))
+    if _blocks_mismatch(g, guard):
+        witness = _minimize(g, lambda h: _blocks_mismatch(h, guard))
         return OracleCheckReport(
             passed=False,
             failure="helper-graph blocks vs maximal-clique oracle",

@@ -226,12 +226,16 @@ def _probability(text):
     return value
 
 
-def _add_common(parser, guard_default=12):
+def _add_common(parser, *flags):
+    """The file argument, and each of --format and --guard named in flags."""
     parser.add_argument("file", nargs="?", default="-",
                         help="edge-list file, or - for stdin")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--guard", type=int, default=guard_default,
-                        help="size guard for enumeration-based operations")
+    if "--format" in flags:
+        parser.add_argument("--format", choices=("json", "text"),
+                            default="json")
+    if "--guard" in flags:
+        parser.add_argument("--guard", type=int, default=12,
+                            help="size guard for enumeration-based operations")
 
 
 def build_parser():
@@ -248,25 +252,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="connectivity predicates for one graph")
-    _add_common(p)
+    _add_common(p, "--format")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("analyze", help="full decomposition report")
-    _add_common(p)
+    _add_common(p, "--format")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("blocks", help="one decomposition family")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=("2eb", "2sb", "2e", "2s", "sbc", "2esb", "2vsb",
-                 "bbridges", "bap"),
-    )
-    _add_common(p)
+    p.add_argument("--kind", required=True, choices=(*_BY_KIND, *_GUARDED))
+    _add_common(p, "--format", "--guard")
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("oracle", help="cross-check fast paths vs oracles")
-    _add_common(p)
+    _add_common(p, "--guard")
     p.add_argument("--count", type=_at_least(0), default=0,
                    help="check this many generated graphs instead of a file")
     p.add_argument("--nmin", type=_at_least(3), default=3)
@@ -292,7 +291,7 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-dot", help="emit the graph in DOT format")
-    p.add_argument("file", nargs="?", default="-")
+    _add_common(p)
     p.add_argument("--highlight", choices=("none", "2eb", "2sb", "sbc"),
                    default="none")
     p.set_defaults(func=cmd_export_dot)

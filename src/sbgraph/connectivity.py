@@ -8,9 +8,11 @@ vertex" convention, so K1 and K2 both count as biconnected.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import _kernels
+from .errors import GuardError
 from .graph import memoized, underlying
 
 
@@ -105,3 +107,30 @@ def _strongly_biconnected_subset(g, und, sub):
     count, _ = _kernels.scc_ids(g.n, g.out_adj, sub)
     return count == 1
 
+
+def check_guard(op, n, guard):
+    """Refuse an exponential operation on more than `guard` vertices."""
+    if n > guard:
+        raise GuardError(
+            f"{op} requires n <= {guard}, got n={n}; raise the guard "
+            "explicitly to override"
+        )
+
+
+def maximal_subsets(regions, min_size, keep):
+    """Subsets of each region with at least `min_size` members that satisfy
+    `keep` and lie in no larger such subset, as tuples in region order.
+    Tries subsets largest first and skips, without calling `keep`, those
+    inside one already kept.  Exponential in the region size."""
+    found = []
+    for region in regions:
+        kept = []
+        for size in range(len(region), min_size - 1, -1):
+            for comb in itertools.combinations(region, size):
+                cs = set(comb)
+                if any(cs <= k for k in kept):
+                    continue
+                if keep(comb):
+                    kept.append(cs)
+                    found.append(comb)
+    return found

@@ -26,10 +26,18 @@ from .errors import (
     VertexRangeError,
 )
 
-# Largest vertex count a Digraph accepts.  A graph holds a few Python
+# Largest vertex count a graph accepts.  A graph holds a few Python
 # objects per vertex, about 150 bytes, and allocates them before it reads
 # any arc, so an unchecked count alone could exhaust memory.
 MAX_VERTICES = 1_000_000
+
+
+def _check_vertex_count(n):
+    """Refuse n > MAX_VERTICES before anything is allocated for it."""
+    if n > MAX_VERTICES:
+        raise GuardError(
+            f"vertex count n={n} is more than the limit of {MAX_VERTICES}"
+        )
 
 
 class Digraph:
@@ -66,11 +74,7 @@ class Digraph:
         return g
 
     def _fill(self, n, edges, edge_set):
-        if n > MAX_VERTICES:
-            raise GuardError(
-                f"vertex count n={n} is more than the limit of "
-                f"{MAX_VERTICES}"
-            )
+        _check_vertex_count(n)
         self.n = n
         self.edges = edges
         self._edge_set = edge_set
@@ -127,6 +131,7 @@ class UndirectedGraph:
     def __init__(self, n, pairs):
         if n < 0:
             raise VertexRangeError(f"vertex count must be >= 0, got {n}")
+        _check_vertex_count(n)
         norm = set()
         for a, b in pairs:
             if not (0 <= a < n) or not (0 <= b < n):
@@ -183,13 +188,7 @@ def remove_vertex(g, w):
     """
     if not (0 <= w < g.n):
         raise VertexRangeError(f"vertex {w} out of range for n={g.n}")
-    old_to_new = {v: (v if v < w else v - 1) for v in range(g.n) if v != w}
-    edges = [
-        (old_to_new[t], old_to_new[h])
-        for t, h in g.edges
-        if t != w and h != w
-    ]
-    return Digraph._from_valid(g.n - 1, edges), old_to_new
+    return induced_subgraph(g, [v for v in range(g.n) if v != w])
 
 
 def induced_subgraph(g, vertices):

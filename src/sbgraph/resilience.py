@@ -41,16 +41,17 @@ sweep; the maximal components build on top.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import _kernels
 from .connectivity import (
     canonical_family,
+    check_guard,
     is_strongly_biconnected,
+    maximal_subsets,
     scc_classes,
 )
-from .errors import GuardError, NotStronglyBiconnectedError
+from .errors import NotStronglyBiconnectedError
 from .graph import induced_subgraph, memoized, underlying
 
 
@@ -319,23 +320,11 @@ def _candidate_regions(g):
 
 
 def _maximal_components(g, guard, predicate, op):
-    if g.n > guard:
-        raise GuardError(
-            f"{op} requires n <= {guard}, got n={g.n}; raise the guard "
-            "explicitly to override"
-        )
-    found = []
-    for region in _candidate_regions(g):
-        accepted = []
-        for size in range(len(region), 2, -1):
-            for comb in itertools.combinations(region, size):
-                cs = set(comb)
-                if any(cs <= a for a in accepted):
-                    continue
-                h, _ = induced_subgraph(g, comb)
-                if predicate(h):
-                    accepted.append(cs)
-                    found.append(comb)
+    check_guard(op, g.n, guard)
+    found = maximal_subsets(
+        _candidate_regions(g), 3,
+        lambda c: predicate(induced_subgraph(g, c)[0]),
+    )
     return canonical_family(found)
 
 

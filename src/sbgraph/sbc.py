@@ -13,8 +13,8 @@ the underlying edges as given, so a caller probes a deletion by masking:
 pass V - z as `sub` to delete vertex z, or adjacency rows with one entry
 dropped to delete an arc.  `strongly_biconnected_components(g)` is the
 same loop on all of g.  `sbc_oracle` recomputes the same decomposition by
-exhaustive subset enumeration and exists purely to validate the
-refinement.
+exhaustive search over the vertex subsets of all of V, largest first, and
+exists purely to validate the refinement.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .connectivity import _strongly_biconnected_subset, scc_classes
-from .errors import GuardError
+from .connectivity import (
+    _strongly_biconnected_subset, check_guard, maximal_subsets, scc_classes,
+)
 from .graph import underlying
 
 
@@ -111,27 +112,19 @@ def same_sbc(decomposition, x, y):
 
 
 def sbc_oracle(g, guard=12):
-    """Reference decomposition by exhaustive subset enumeration.
+    """Reference decomposition by exhaustive subset search.
 
-    Keeps every vertex subset whose induced subgraph is strongly
-    biconnected, covers leftover vertices with singletons, and lets
-    `_finish` discard the non-maximal sets.  Exponential; guarded by
-    n <= guard.
+    Keeps the maximal vertex subsets of V, two or more vertices, whose
+    induced subgraph is strongly biconnected, and covers leftover vertices
+    with singletons.  It searches all of V, not the SCCs, to stay
+    independent of the refinement.  Exponential; guarded by n <= guard.
     """
     n = g.n
-    if n > guard:
-        raise GuardError(
-            f"sbc_oracle requires n <= {guard}, got n={n}; raise the guard "
-            "explicitly to override"
-        )
+    check_guard("sbc_oracle", n, guard)
     und = underlying(g)
-    qualifying = []
-    for mask in range(1, 1 << n):
-        if mask & (mask - 1) == 0:
-            continue  # singletons are only added for uncovered vertices
-        sub = [v for v in range(n) if mask >> v & 1]
-        if _strongly_biconnected_subset(g, und, sub):
-            qualifying.append(tuple(sub))
-    covered = set().union(*qualifying)
+    found = maximal_subsets(
+        [range(n)], 2, lambda s: _strongly_biconnected_subset(g, und, s)
+    )
+    covered = set().union(*found)
     singletons = [(v,) for v in range(n) if v not in covered]
-    return _finish(qualifying + singletons)
+    return _finish(found + singletons)

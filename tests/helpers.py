@@ -142,6 +142,24 @@ def strongly_connected_digraphs(draw, min_n=1, max_n=8):
     return sg.induced_subgraph(g, largest)[0]
 
 
+def reference_sbc(g):
+    """Strongly biconnected components by the definition: test every
+    vertex subset of two or more members, drop those inside another
+    qualifying subset, cover the rest with singletons, order canonically."""
+    n = g.n
+    qualifying = []
+    for mask in range(1, 1 << n):
+        sub = [v for v in range(n) if mask >> v & 1]
+        if len(sub) >= 2 and sg.is_strongly_biconnected(
+            sg.induced_subgraph(g, sub)[0]
+        ):
+            qualifying.append(set(sub))
+    maximal = [s for s in qualifying if not any(s < t for t in qualifying)]
+    covered = set().union(*maximal)
+    singletons = [{v} for v in range(n) if v not in covered]
+    return tuple(canonical_family(maximal + singletons))
+
+
 # Dense references for the relations of blocks: n*n boolean tables and a
 # set-based clique search, independent of the bit rows the library keeps.
 

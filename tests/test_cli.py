@@ -280,6 +280,10 @@ def test_kernels_flag(capsys, fig1_path):
          "argument --kernels: invalid choice: 'c'"),
         (["bench", "--backends", "c"],
          "argument --backends: invalid choice: 'c'"),
+        (["analyze", "fig1.edges", "--guard", "16"],
+         "unrecognized arguments: --guard 16"),
+        (["oracle", "fig1.edges", "--format", "json"],
+         "unrecognized arguments: --format json"),
     ],
 )
 def test_invalid_arguments_exit_2(capsys, monkeypatch, argv, message):

@@ -157,7 +157,8 @@ def test_single_arc_adjacency():
 def test_huge_vertex_count_is_refused_before_allocating():
     code = (
         "import sbgraph as sg\n"
-        "for build in (sg.build_digraph, sg.Digraph._from_valid):\n"
+        "for build in (sg.build_digraph, sg.Digraph._from_valid,\n"
+        "              sg.UndirectedGraph):\n"
         "    try:\n"
         "        build(10**11, [])\n"
         "    except sg.GuardError as exc:\n"
@@ -165,4 +166,4 @@ def test_huge_vertex_count_is_refused_before_allocating():
     )
     proc = run_capped(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("more than the limit") == 2, proc.stdout
+    assert proc.stdout.count("more than the limit") == 3, proc.stdout

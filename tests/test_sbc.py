@@ -9,6 +9,7 @@ from helpers import (
     digraphs,
     one_based,
     random_sb_corpus,
+    reference_sbc,
     single_arc,
     two_triangles,
 )
@@ -79,6 +80,16 @@ def test_refinement_matches_oracle_on_corpus():
             sg.strongly_biconnected_components(g).components
             == sg.sbc_oracle(g).components
         )
+
+
+@given(digraphs(max_n=7))
+def test_oracle_matches_definition_random_shapes(g):
+    assert sg.sbc_oracle(g).components == reference_sbc(g)
+
+
+def test_oracle_matches_definition_on_corpus():
+    for g in random_sb_corpus(30, seed_base=700):
+        assert sg.sbc_oracle(g).components == reference_sbc(g)
 
 
 @given(digraphs(max_n=7))
