@@ -17,26 +17,32 @@ trees with the simple Lengauer-Tarjan algorithm (TOPLAS 1979):
   dominates some other vertex in either tree; vertex 0 is one when G - 0
   has more than one SCC.
 
-The rest of each cut set comes from one sweep that runs the biconnected
-components of H - x for every vertex x, where H is the underlying graph:
+The rest of each cut set comes from the triconnected components (the
+SPQR tree) of H, the underlying graph, which is biconnected:
 
 - x is a b-articulation point when it is a strong articulation point or
-  H - x is not biconnected;
+  H - x is not biconnected.  For n >= 4 the latter holds exactly when x
+  is in a separation pair of H: a pole of a virtual edge, or a vertex of
+  an S-node cycle with four or more vertices.  For n <= 3 it never holds.
 - an arc (u, v) is a b-bridge when it is a strong bridge, or when it has
-  no antiparallel twin (otherwise H keeps the edge uv) and uv is a bridge
-  of some H - x.  For biconnected H with n >= 3, H - uv stays connected,
-  so it fails to be biconnected exactly when it has a cut vertex x, and
-  x is one exactly when x is not u or v and uv is a bridge of H - x.
+  no antiparallel twin (otherwise H keeps the edge uv) and H - uv is not
+  biconnected.  For n >= 3 the latter holds exactly when uv is a real
+  edge of an S-node: deleting an edge of a cycle leaves its neighbours on
+  the cycle as cut vertices, while a P-node keeps two other paths between
+  its poles and an R-node stays biconnected.  At n = 3 H is one triangle,
+  so every edge qualifies; at n = 2 none does.
 
-Cost: O(m log n) for the two dominator trees plus one SCC call, and n
-biconnected-components calls of O(n + m) each, so O(nm) overall.  A
-linear-time sweep would need the separation pairs of H (SPQR trees),
-which this module does not build.
+The components come from Hopcroft and Tarjan's algorithm (SIAM J.
+Comput. 1973) with the corrections of Gutwenger and Mutzel (GD 2000,
+LNCS 1984), in `_triconnected`.
+
+Cost: O(m log n) for the two dominator trees plus one SCC call, and
+O(n + m) for the triconnected components.
 
 The strong cuts and the cut report are kept on the graph, so
 `b_bridges`, `b_articulation_points`, the 2-edge / 2-vertex strongly
 biconnected predicates and the block families of `blocks` all read one
-sweep; the maximal components build on top.
+pass; the maximal components build on top.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
+from ._triconnected import triconnected_components
 from .connectivity import (
     canonical_family,
     check_guard,
@@ -220,32 +227,39 @@ class CutReport:
 def cut_report(g):
     """b-bridges, b-articulation points, strong bridges and strong
     articulation points of strongly biconnected g, each in canonical
-    order, from one sweep that runs once per graph."""
+    order, computed once per graph.
+
+    The strong cuts come from `_strong_cuts`, in O(m log n).  The rest is
+    read off the triconnected components of the underlying graph H
+    (Hopcroft-Tarjan with Gutwenger-Mutzel's corrections), in O(n + m):
+    the poles of every virtual edge and the vertices of every S-node with
+    four or more vertices are the x with H - x not biconnected, and the
+    real edges of the S-nodes are the uv with H - uv not biconnected.  At
+    n <= 2 the pass is skipped, as H has no such x or uv; the module
+    docstring has the argument.
+    """
     _require_sb(g, "cut_report")
-    n = g.n
     strong_arcs, strong_points = _strong_cuts(g)
-    und = underlying(g)
-    vertices = list(range(n))
     points = set(strong_points)
-    split = set()  # edges (a, b), a < b, that are a bridge of H - x
-    for x in vertices:
-        blocks, _aps, connected = _kernels.bcc(
-            n, und.adj, vertices[:x] + vertices[x + 1:]
-        )
-        if not connected or len(blocks) > 1:
-            points.add(x)
-        # H - x may be a lone edge (n = 3), which is a bridge but leaves
-        # H - x biconnected; collect 2-vertex blocks either way.
-        split.update(tuple(b) for b in blocks if len(b) == 2)
-    strong = set(strong_arcs)
-    bridges = tuple(
-        (a, b)
-        for a, b in sorted(g.edges)
-        if (a, b) in strong
-        or (not g.has_edge(b, a) and (min(a, b), max(a, b)) in split)
-    )
+    split = set()  # edges (a, b), a < b, with H - ab not biconnected
+    if g.n >= 3:
+        for kind, real, virtual in triconnected_components(
+            g.n, underlying(g).edges
+        ):
+            for a, b in virtual:
+                points.update((a, b))
+            if kind == "S":
+                split.update(real)
+                if len(real) + len(virtual) >= 4:
+                    points.update(v for edge in real + virtual for v in edge)
+    # A split edge is a b-bridge when H has it from one arc only.
+    bridges = set(strong_arcs)
+    for a, b in split:
+        forward = g.has_edge(a, b)
+        if forward != g.has_edge(b, a):
+            bridges.add((a, b) if forward else (b, a))
     return CutReport(
-        b_bridges=bridges,
+        b_bridges=tuple(sorted(bridges)),
         b_articulation_points=tuple(sorted(points)),
         strong_bridges=strong_arcs,
         strong_articulation_points=strong_points,

@@ -40,15 +40,25 @@ class SbcDecomposition:
 
 
 def _finish(raw_sets):
-    """Dedupe, drop subsets of other sets, order canonically and index."""
-    uniq = sorted(set(raw_sets), key=lambda c: (-len(c), c))
+    """Order canonically and index the refinement's strongly biconnected
+    sets, or the oracle's maximal sets plus uncovered singletons.
+
+    Sets of two or more vertices are already maximal and distinct: every
+    maximal strongly biconnected component stays inside one part at every
+    split (one block, then one SCC), so the worklist set that holds an
+    emitted set also holds the maximal component around it, and the two
+    are equal.  Only singletons can repeat or lie inside a larger set, so
+    only they are filtered: O(total size).
+    """
+    covered = set()
     kept = []
-    kept_sets = []
-    for c in uniq:
-        cs = set(c)
-        if not any(cs <= other for other in kept_sets):
+    for c in raw_sets:
+        if len(c) > 1:
             kept.append(c)
-            kept_sets.append(cs)
+            covered.update(c)
+    kept.extend({
+        c for c in raw_sets if len(c) == 1 and c[0] not in covered
+    })
     kept.sort(key=lambda c: (c[0], len(c), c))
     membership = {}
     for idx, c in enumerate(kept):
@@ -73,6 +83,11 @@ def masked_sbc(n, out_adj, und_adj, sub):
     out_adj: out-neighbours per vertex; und_adj: neighbours per vertex in
     the underlying graph of the same arcs.  Vertex ids stay those of the
     full graph.
+
+    Every set on the worklist is an SCC class of `sub` or of a block, so
+    it is strongly connected; one that is connected with a single block
+    is therefore strongly biconnected and is emitted without another SCC
+    call.
     """
     worklist = scc_classes(n, out_adj, sub)
     worklist.reverse()
@@ -84,10 +99,8 @@ def masked_sbc(n, out_adj, und_adj, sub):
             continue
         blocks, _aps, connected = _kernels.bcc(n, und_adj, s)
         if connected and len(blocks) == 1:
-            count, _ = _kernels.scc_ids(n, out_adj, s)
-            if count == 1:
-                emitted.append(tuple(s))
-                continue
+            emitted.append(tuple(s))
+            continue
         # Split along undirected blocks, then re-split every block along
         # its strongly connected components.  Every part is strictly
         # smaller than s, so the worklist terminates.

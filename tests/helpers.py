@@ -10,7 +10,9 @@ import hypothesis.strategies as st
 import numpy as np
 
 import sbgraph as sg
+from sbgraph import _kernels
 from sbgraph.connectivity import canonical_family
+from sbgraph.resilience import _strong_cuts
 
 
 def c3():
@@ -232,6 +234,40 @@ def reference_b_articulation_points(g):
     return tuple(
         v for v in range(g.n)
         if not sg.is_strongly_biconnected(sg.remove_vertex(g, v)[0])
+    )
+
+
+def reference_cut_report(g):
+    """The cut report of strongly biconnected g by one biconnected-
+    components call on H - x for every vertex x, H the underlying graph:
+    x is a b-articulation point when it is a strong articulation point or
+    H - x is not biconnected, and a twinless arc is a b-bridge when its
+    edge is a 2-vertex block of some H - x.  O(nm)."""
+    n = g.n
+    strong_arcs, strong_points = _strong_cuts(g)
+    und = sg.underlying(g)
+    points = set(strong_points)
+    split = set()
+    for x in range(n):
+        rest = [v for v in range(n) if v != x]
+        blocks, _aps, connected = _kernels.bcc(n, und.adj, rest)
+        if not connected or len(blocks) > 1:
+            points.add(x)
+        # H - x may be a lone edge (n = 3), which is a bridge but leaves
+        # H - x biconnected; collect 2-vertex blocks either way.
+        split.update(tuple(b) for b in blocks if len(b) == 2)
+    strong = set(strong_arcs)
+    bridges = tuple(
+        (a, b)
+        for a, b in sorted(g.edges)
+        if (a, b) in strong
+        or (not g.has_edge(b, a) and (min(a, b), max(a, b)) in split)
+    )
+    return sg.CutReport(
+        b_bridges=bridges,
+        b_articulation_points=tuple(sorted(points)),
+        strong_bridges=strong_arcs,
+        strong_articulation_points=strong_points,
     )
 
 

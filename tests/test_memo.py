@@ -1,5 +1,5 @@
 """Every fact derived from a graph alone is computed once and kept on the
-graph, so the families of one graph share one cut sweep and one verdict
+graph, so the families of one graph share one cut pass and one verdict
 of each kind, whichever of them is called and in whatever order."""
 
 import sys
@@ -8,7 +8,7 @@ import threading
 import pytest
 
 import sbgraph as sg
-from sbgraph import _kernels
+from sbgraph import _kernels, resilience
 from helpers import bidirected_complete, c3, glued, single_arc
 
 
@@ -28,24 +28,47 @@ def _each_family(g):
 def test_one_cut_sweep_per_graph(monkeypatch, fig1, run):
     g = _fresh(fig1)
     und_adj = sg.underlying(g).adj
+    passes = []
     masked = []
     bcc = _kernels.bcc
+    triconnected = resilience.triconnected_components
+
+    def counting_pass(n, edges):
+        passes.append(n)
+        return triconnected(n, edges)
 
     def counting(n, adj, sub=None):
-        # One vertex masked out of H: a sweep call or a vertex probe.
+        # One vertex masked out of H: a vertex probe.
         if adj is und_adj and sub is not None and len(sub) == n - 1:
             masked.append(sub)
         return bcc(n, adj, sub)
 
+    monkeypatch.setattr(resilience, "triconnected_components", counting_pass)
     monkeypatch.setattr(_kernels, "bcc", counting)
     run(g)
     cuts = sg.cut_report(g)
-    # One sweep call per vertex, then the probes of the b-articulation
-    # points whose deletion leaves one SCC: the others split first.
+    assert passes == [g.n]
+    # The probes of the b-articulation points whose deletion leaves one
+    # SCC: the others split first.
     weak = set(cuts.b_articulation_points) - set(
         cuts.strong_articulation_points
     )
-    assert len(masked) == g.n + len(weak) == 18
+    assert len(masked) == len(weak) == 2
+
+
+def test_cut_report_masks_no_vertex(monkeypatch, fig1, fig2):
+    masked = []
+    bcc = _kernels.bcc
+
+    def counting(n, adj, sub=None):
+        if sub is not None:
+            masked.append(sub)
+        return bcc(n, adj, sub)
+
+    monkeypatch.setattr(_kernels, "bcc", counting)
+    for g in (fig1, fig2, bidirected_complete(5)):
+        sg.cut_report(_fresh(g))
+    assert masked == []
 
 
 def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):

@@ -132,3 +132,12 @@ def test_long_paths_do_not_recurse():
     assert arcs == tuple(sorted(directed_cycle(n).edges))
     assert points == tuple(range(n))
     assert sg.two_edge_blocks(bidirected_cycle(n)) == [tuple(range(n))]
+    # The triconnected components' searches also run on explicit stacks:
+    # H is one 3000-cycle, then two long cycles joined by a chord.
+    cycle = sg.cut_report(bidirected_cycle(n))
+    assert cycle.b_bridges == ()
+    assert cycle.b_articulation_points == tuple(range(n))
+    chorded = sg.build_digraph(n, directed_cycle(n).edges + ((0, n // 2),))
+    cuts = sg.cut_report(chorded)
+    assert cuts.b_bridges == tuple(sorted(directed_cycle(n).edges))
+    assert cuts.b_articulation_points == tuple(range(n))

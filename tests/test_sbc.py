@@ -3,8 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sbgraph as sg
+from sbgraph import _kernels
 from helpers import (
     bidirected_complete,
+    bidirected_cycle,
     c3,
     digraphs,
     one_based,
@@ -20,6 +22,24 @@ def test_strongly_biconnected_input_is_single_component(fig1):
     assert d.components == (tuple(range(16)),)
     d = sg.strongly_biconnected_components(bidirected_complete(4))
     assert d.components == ((0, 1, 2, 3),)
+
+
+def test_strongly_biconnected_input_makes_one_scc_call(monkeypatch, fig1):
+    # The worklist holds SCC classes only, so a set with one block is
+    # emitted without rechecking its strong connectivity.
+    calls = []
+    scc_ids = _kernels.scc_ids
+
+    def counting(n, adj, sub=None):
+        calls.append(sub)
+        return scc_ids(n, adj, sub)
+
+    monkeypatch.setattr(_kernels, "scc_ids", counting)
+    for g in (fig1, bidirected_cycle(6)):
+        calls.clear()
+        d = sg.strongly_biconnected_components(sg.build_digraph(g.n, g.edges))
+        assert d.components == (tuple(range(g.n)),)
+        assert len(calls) == 1
 
 
 def test_two_triangles_components():
