@@ -13,7 +13,8 @@ The blocks are then read off the relation.  2-edge-biconnected blocks
 are the blocks of the undirected helper graph that joins related pairs;
 2-edge blocks are the distinct rows, because that relation is an
 equivalence; 2-strong-biconnected and 2-strong blocks, which may
-overlap, are its maximal cliques.  The clique enumeration of the edge
+overlap, are its maximal cliques, searched over the classes of vertices
+with equal rows (`_max_cliques`).  The clique enumeration of the edge
 relation also serves as the independent oracle of the 2-edge-biconnected
 blocks.
 
@@ -31,22 +32,37 @@ each probe set is exact:
 
 `resilience` finds all four sets without rechecking deletions: the strong
 ones from the dominator trees of G and its reverse, the b-sets from one
-biconnected-components sweep over H - x (see its docstring for the
-characterizations).  Each family reads its set from there.  The graph
-keeps every derived fact it is asked for once (the strongly-connected
-and strongly-biconnected verdicts, the underlying graph, the strong cuts
-and the cut report), so the families of one graph share one sweep and
-one verdict of each kind, whoever calls them.
+pass over the triconnected components of H, the underlying graph (see
+its docstring for the characterizations).  Each family reads its set
+from there.  The graph keeps every derived fact it is asked for once
+(the strongly-connected and strongly-biconnected verdicts, the
+underlying graph, the strong cuts and the cut report), so the families
+of one graph share one cut pass and one verdict of each kind, whoever
+calls them.
+
+Each deletion is split into SCCs once.  A strong bridge or strong
+articulation point d leaves G - d with several SCCs; `_arc_splits` and
+`_vertex_splits` compute that split once per graph, for every d, and
+keep it on the graph as the kernel's labels (4 bytes per vertex).  The
+2-edge and 2-strong blocks intersect those splits directly, and the
+probes of the 2-edge- and 2-strong-biconnected blocks start their
+strongly-biconnected refinement from them.  Every other b-bridge or
+b-articulation point leaves G - d strongly connected, because the strong
+cut sets are exact, so its refinement starts from the one class V - d
+with no SCC call.
 
 Every probe masks the deleted element out of the graph's adjacency
-instead of copying the graph: a vertex probe passes V - z as the active
-subset, and an arc probe (`_sbc_without_arc`) drops one entry from one
+instead of copying the graph: a vertex probe leaves z out of its
+classes, and an arc probe (`_sbc_without_arc`) drops one entry from one
 out-adjacency row (and the edge from the two rows of the underlying
-graph when the arc has no antiparallel twin).
+graph when the arc has no antiparallel twin).  A probe keeps the raw
+sets of the refinement (`sbc.masked_sbc`): `_intersect` reads only its
+parts, not their order.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -55,10 +71,10 @@ from .connectivity import (
     canonical_family,
     check_guard,
     is_strongly_connected,
-    scc_classes,
+    label_classes,
 )
 from .errors import NotStronglyConnectedError
-from .graph import UndirectedGraph, underlying
+from .graph import UndirectedGraph, memoized, underlying
 # Unused here; bound because the benchmark's tracer test
 # (perfbench/test_perfbench.py) reads blocks.remove_edge.
 from .graph import remove_edge  # noqa: F401
@@ -131,17 +147,69 @@ def _without_arc(adj, tail, head):
     return rows
 
 
-def _sbc_without_arc(g, arc):
-    """Strongly biconnected components of g minus `arc`, with g's vertex
-    ids, probed by masking the arc out of g's adjacency."""
-    tail, head = arc
+def _survivors(n, z):
+    """V - z, ascending."""
+    return [v for v in range(n) if v != z]
+
+
+@memoized
+def _arc_splits(g):
+    """The SCC split of strongly connected g minus each strong bridge, as
+    {arc: labels}: the kernel's SCC label of every vertex, 4 bytes each.
+    Computed once per graph, for every family that probes arcs."""
     n = g.n
+    return {
+        (tail, head): array(
+            "i", _kernels.scc_ids(n, _without_arc(g.out_adj, tail, head))[1]
+        )
+        for tail, head in _strong_cuts(g)[0]
+    }
+
+
+@memoized
+def _vertex_splits(g):
+    """The SCC split of strongly connected g minus each strong
+    articulation point z, as {z: labels}, z labelled -1.  Computed once
+    per graph, for every family that probes vertices."""
+    n = g.n
+    return {
+        z: array("i", _kernels.scc_ids(n, g.out_adj, _survivors(n, z))[1])
+        for z in _strong_cuts(g)[1]
+    }
+
+
+def _arc_classes(g, arc):
+    """SCC classes of strongly connected g minus `arc`.  Only a strong
+    bridge splits g (`_strong_cuts` is exact), so any other arc leaves
+    the one class V."""
+    labels = _arc_splits(g).get(arc)
+    if labels is None:
+        return [list(range(g.n))]
+    return label_classes(labels, range(g.n))
+
+
+def _vertex_classes(g, z):
+    """SCC classes of strongly connected g minus vertex z.  Only a strong
+    articulation point splits g, so any other z leaves the one class
+    V - z."""
+    rest = _survivors(g.n, z)
+    labels = _vertex_splits(g).get(z)
+    if labels is None:
+        return [rest]
+    return label_classes(labels, rest)
+
+
+def _sbc_without_arc(g, arc):
+    """Raw strongly biconnected sets of strongly connected g minus `arc`
+    (see `masked_sbc`), with g's vertex ids, probed by masking the arc out
+    of g's adjacency and starting from its shared SCC split."""
+    tail, head = arc
     und_adj = underlying(g).adj
     if not g.has_edge(head, tail):
         # Without a twin arc the underlying edge goes too.
         und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
     out_adj = _without_arc(g.out_adj, tail, head)
-    return masked_sbc(n, out_adj, und_adj, range(n)).components
+    return masked_sbc(g.n, out_adj, und_adj, _arc_classes(g, arc))
 
 
 def edge_relation(g):
@@ -195,23 +263,44 @@ def _neighbours(rows):
 
 def _max_cliques(rows):
     """Maximal cliques of size >= 2 of a symmetric relation given as bit
-    rows (the diagonal is ignored), Bron-Kerbosch with pivoting.
+    rows (the diagonal is ignored), Bron-Kerbosch with pivoting on twin
+    classes.
+
+    Vertices with equal closed rows (row | 1 << v) are true twins: they
+    are related to each other and lie in exactly the same maximal cliques.
+    So the search runs on one representative per class, over the
+    quotient relation, and expands each clique found to the union of its
+    classes; a single class is kept when it alone is maximal and holds
+    two or more vertices.  The search is exponential in the number of
+    distinct rows, not in n.
 
     Depth-first with an explicit stack of [r, p, x, branches] frames, so
     a clique of any size cannot overflow the interpreter stack; r, p and
-    x are bit sets.  The pivot is the smallest vertex of p | x with the
-    most neighbours in p; a vertex whose degree bound cannot beat the
-    best so far is not intersected.
+    x are bit sets of classes.  The pivot is the first class (by smallest
+    member) of p | x with the most neighbours in p; a class whose degree
+    bound cannot beat the best so far is not intersected.
     """
-    neighbours = [row & ~(1 << v) for v, row in enumerate(rows)]
+    classes = {}
+    for v, row in enumerate(rows):
+        classes.setdefault(row | 1 << v, []).append(v)
+    members = list(classes.values())
+    # A class is represented by its first member: `reps` is the bit set
+    # of representatives and `index` maps each to its class.
+    index = {c[0]: i for i, c in enumerate(members)}
+    reps = sum(1 << v for v in index)
+    neighbours = [
+        sum(1 << index[u] for u in _bits(closed & reps)) & ~(1 << i)
+        for i, closed in enumerate(classes)
+    ]
     degree = [row.bit_count() for row in neighbours]
     out = []
     frames = []
 
     def enter(r, p, x):
         if not p and not x:
-            if r.bit_count() >= 2:
-                out.append(_bits(r))
+            clique = [v for i in _bits(r) for v in members[i]]
+            if len(clique) >= 2:
+                out.append(tuple(sorted(clique)))
             return
         best, pivot = -1, None
         size_p = p.bit_count()
@@ -223,7 +312,7 @@ def _max_cliques(rows):
                 best, pivot = size, u
         frames.append([r, p, x, iter(_bits(p & ~neighbours[pivot]))])
 
-    enter(0, (1 << len(rows)) - 1, 0)
+    enter(0, (1 << len(members)) - 1, 0)
     while frames:
         frame = frames[-1]
         r, p, x, branches = frame
@@ -256,8 +345,7 @@ def vertex_relation(g):
     und_adj = underlying(g).adj
 
     def parts(z):
-        survivors = [v for v in range(n) if v != z]
-        return masked_sbc(n, g.out_adj, und_adj, survivors).components, z
+        return masked_sbc(n, g.out_adj, und_adj, _vertex_classes(g, z)), z
 
     rows = _intersect(n, cut_report(g).b_articulation_points, parts)
     return RelationMatrix(n=n, rows=rows)
@@ -276,31 +364,30 @@ def two_edge_blocks(g):
     pair: equivalence classes of "same SCC under every single-arc
     deletion", filtered to size >= 2.  The relation is an equivalence, so
     its classes are its distinct rows.  Only the strong bridges are
-    probed.
+    probed, and their splits are shared with the 2-edge-biconnected
+    blocks.
     """
     _require_sc(g, "two_edge_blocks")
     n = g.n
 
     def parts(arc):
-        tail, head = arc
-        adj = _without_arc(g.out_adj, tail, head)
-        return scc_classes(n, adj, range(n)), None
+        return _arc_classes(g, arc), None
 
-    rows = _intersect(n, _strong_cuts(g)[0], parts)
+    rows = _intersect(n, _arc_splits(g), parts)
     return canonical_family(_bits(r) for r in set(rows) if r.bit_count() >= 2)
 
 
 def two_strong_blocks(g):
     """Maximal sets whose pairs share an SCC of G minus w for every other
     vertex w: maximal cliques of size >= 2 of that relation.  Only the
-    strong articulation points are probed.
+    strong articulation points are probed, and their splits are shared
+    with the 2-strong-biconnected blocks.
     """
     _require_sc(g, "two_strong_blocks")
     n = g.n
 
     def parts(z):
-        survivors = [v for v in range(n) if v != z]
-        return scc_classes(n, g.out_adj, survivors), z
+        return _vertex_classes(g, z), z
 
-    rows = _intersect(n, _strong_cuts(g)[1], parts)
+    rows = _intersect(n, _vertex_splits(g), parts)
     return canonical_family(_max_cliques(rows))

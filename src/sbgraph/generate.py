@@ -6,19 +6,21 @@ state walk and the mix are 64-bit integer arithmetic (vectorized over
 numpy uint64), and floats are derived as (z >> 11) * 2**-53, which is
 exact in IEEE doubles.  A seed therefore yields the same stream on every
 platform, bit for bit.
+
+numpy is imported by the functions that use it, not by this module, so
+`import sbgraph` and every command that generates nothing do not load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .connectivity import is_strongly_biconnected
 from .errors import GenerationBudgetError, GuardError
 from .graph import Digraph
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _TO_FLOAT = 2.0 ** -53
 # Largest n * (n - 1) sampled (n = 1024).  Each draw holds several 8-byte
 # arrays with one entry per ordered pair, about 30 MB at this budget, and a
@@ -30,23 +32,27 @@ class SplitMix64:
     """splitmix64 stream with block output."""
 
     def __init__(self, seed):
-        self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._state = seed & _MASK
 
     def next_block(self, count):
         """Next `count` raw 64-bit outputs as a uint64 array."""
+        import numpy as np
+
         with np.errstate(over="ignore"):
             steps = np.arange(1, count + 1, dtype=np.uint64)
-            z = self._state + steps * _GAMMA
-            self._state = self._state + np.uint64(count) * _GAMMA
+            z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+            self._state = (self._state + count * _GAMMA) & _MASK
             z ^= z >> np.uint64(30)
-            z *= _MIX1
+            z *= np.uint64(_MIX1)
             z ^= z >> np.uint64(27)
-            z *= _MIX2
+            z *= np.uint64(_MIX2)
             z ^= z >> np.uint64(31)
         return z
 
     def floats(self, count):
         """Next `count` uniforms in [0, 1), 53-bit resolution."""
+        import numpy as np
+
         return (self.next_block(count) >> np.uint64(11)) * _TO_FLOAT
 
     def u64(self):
@@ -67,6 +73,8 @@ class SplitMix64:
 def _sample_arcs(rng, n, p):
     """One Erdos-Renyi draw: every ordered pair (u, v), u != v, kept with
     probability p.  Pair k maps to u = k // (n-1) and v skipping u."""
+    import numpy as np
+
     total = n * (n - 1)
     if p >= 1.0:
         ks = np.arange(total)
@@ -96,6 +104,8 @@ def gen_random_sb(n, p, seed, max_tries=20000):
             f"n={n} means {n * (n - 1)} vertex pairs to sample, more than "
             f"the budget of {MAX_PAIRS} (n <= 1024)"
         )
+    import numpy as np
+
     rng = SplitMix64(seed)
     for _ in range(max_tries):
         u, v = _sample_arcs(rng, n, p)

@@ -8,10 +8,10 @@ fresh graphs.
 Because a graph never changes, every fact derived from it alone is
 computed once, on first use, and kept in the graph's memo: the underlying
 undirected graph, the strongly-connected and strongly-biconnected
-verdicts, the strong cuts and the cut report (see `memoized`).  Each is
-an immutable value, and two threads that fill an entry at once store
-equal ones, so instances can be shared freely between concurrent
-computations.
+verdicts, the strong cuts, the SCC split each strong cut leaves, and the
+cut report (see `memoized`).  No caller modifies a kept value, and two
+threads that fill an entry at once store equal ones, so instances can be
+shared freely between concurrent computations.
 """
 
 from __future__ import annotations

@@ -5,14 +5,20 @@ subgraph is strongly connected with a biconnected underlying graph.
 Components may overlap (observed overlap is at most one vertex) and cover
 all of V, so singletons appear for vertices in no larger component.
 
-`masked_sbc(n, out_adj, und_adj, sub)` computes the decomposition of the
-subgraph induced on `sub` by alternating refinement: worklist sets are
+`masked_sbc(n, out_adj, und_adj, classes)` refines the SCC classes of a
+subgraph into its strongly biconnected components: worklist sets are
 emitted when strongly biconnected, otherwise split along undirected blocks
 and re-split along strongly connected components.  It reads the arcs and
 the underlying edges as given, so a caller probes a deletion by masking:
-pass V - z as `sub` to delete vertex z, or adjacency rows with one entry
-dropped to delete an arc.  `strongly_biconnected_components(g)` is the
-same loop on all of g.  `sbc_oracle` recomputes the same decomposition by
+starting from the SCC classes of G - z, which leave z out, deletes vertex
+z, and passing adjacency rows with one entry dropped deletes an arc.  The
+caller supplies the starting classes, so a probe whose SCC split is
+already known (the block families share one per strong cut) costs no SCC
+call for it.  It returns the raw emitted sets, in no particular order and
+with possible repeated or covered singletons: a probe only needs the
+parts.  `strongly_biconnected_components(g)` runs the same loop from the
+SCC classes of all of g and finishes the result (`_finish`: canonical
+order and membership index).  `sbc_oracle` recomputes the same decomposition by
 exhaustive search over the vertex subsets of all of V, largest first, and
 exists purely to validate the refinement.
 """
@@ -74,23 +80,30 @@ def strongly_biconnected_components(g):
     The input need not be strongly connected; the worklist starts from the
     SCC classes, so the decomposition applies per SCC.
     """
-    return masked_sbc(g.n, g.out_adj, underlying(g).adj, range(g.n))
+    n = g.n
+    classes = scc_classes(n, g.out_adj, range(n))
+    return _finish(masked_sbc(n, g.out_adj, underlying(g).adj, classes))
 
 
-def masked_sbc(n, out_adj, und_adj, sub):
-    """Strongly biconnected components of the subgraph induced on `sub`.
+def masked_sbc(n, out_adj, und_adj, classes):
+    """Raw strongly biconnected sets of the subgraph whose SCC classes are
+    `classes`.
 
     out_adj: out-neighbours per vertex; und_adj: neighbours per vertex in
     the underlying graph of the same arcs.  Vertex ids stay those of the
-    full graph.
+    full graph.  `classes` are the SCC classes of the probed subgraph
+    under out_adj, each a list of vertices; they are not modified.
 
-    Every set on the worklist is an SCC class of `sub` or of a block, so
-    it is strongly connected; one that is connected with a single block
-    is therefore strongly biconnected and is emitted without another SCC
-    call.
+    Returns every strongly biconnected component of two or more vertices
+    once, plus singletons that may repeat or lie inside a larger set
+    (`_finish` drops those), as tuples in no particular order.
+
+    Every set on the worklist is an SCC class of the subgraph or of a
+    block, so it is strongly connected; one that is connected with a
+    single block is therefore strongly biconnected and is emitted without
+    another SCC call.
     """
-    worklist = scc_classes(n, out_adj, sub)
-    worklist.reverse()
+    worklist = classes[::-1]
     emitted = []
     while worklist:
         s = worklist.pop()
@@ -112,7 +125,7 @@ def masked_sbc(n, out_adj, und_adj, sub):
                 parts.extend(scc_classes(n, out_adj, b))
         parts.sort(key=lambda c: c[0])
         worklist.extend(reversed(parts))
-    return _finish(emitted)
+    return emitted
 
 
 def same_sbc(decomposition, x, y):

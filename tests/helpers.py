@@ -3,6 +3,7 @@
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -142,6 +143,26 @@ def strongly_connected_digraphs(draw, min_n=1, max_n=8):
     classes = sg.strongly_connected_components(g)
     largest = max(classes, key=len) if classes else ()
     return sg.induced_subgraph(g, largest)[0]
+
+
+def long_ear_graph(seed, n):
+    """A strongly biconnected digraph on n vertices: a directed cycle,
+    then directed ears of 1-8 new vertices between two distinct old ones,
+    then a few chords.  Each ear keeps G strongly connected and H
+    biconnected."""
+    rng = random.Random(seed)
+    k = min(n, rng.randint(3, 9))
+    arcs = {(i, (i + 1) % k) for i in range(k)}
+    while k < n:
+        inner = min(rng.randint(1, 8), n - k)
+        u, v = rng.sample(range(k), 2)
+        path = [u, *range(k, k + inner), v]
+        arcs.update(zip(path, path[1:]))
+        k += inner
+    for _ in range(n // 10):
+        u, v = rng.sample(range(n), 2)
+        arcs.add((u, v))
+    return sg.build_digraph(n, sorted(arcs))
 
 
 def reference_sbc(g):

@@ -6,6 +6,7 @@ import pytest
 
 import sbgraph as sg
 from sbgraph.blocks import _intersect, _max_cliques
+from sbgraph.connectivity import canonical_family
 from helpers import (
     bidirected_complete,
     bidirected_cycle,
@@ -202,22 +203,50 @@ def test_helper_graph_edges_match_relation(fig1):
 
 
 def test_max_cliques_of_a_large_clique_does_not_recurse():
+    # Each clique vertex v has a private partner n + v, so no two rows are
+    # equal, no twin class merges anything, and the search still goes n
+    # frames deep into the clique.
     n = 1100
-    everyone = (1 << n) - 1
-    rows = [everyone & ~(1 << v) for v in range(n)]
-    assert _max_cliques(rows) == [tuple(range(n))]
+    clique = (1 << n) - 1
+    rows = [clique | 1 << (n + v) for v in range(n)]
+    rows += [1 << v for v in range(n)]
+    expected = [tuple(range(n))] + [(v, n + v) for v in range(n)]
+    assert canonical_family(_max_cliques(rows)) == canonical_family(expected)
+
+
+def _blown_up(rng, n, p):
+    """A random symmetric relation on n vertices in which each vertex is
+    blown up into 1-4 true twins, as a boolean table with a true
+    diagonal."""
+    copies = [rng.randint(1, 4) for _ in range(n)]
+    owner = [x for x, k in enumerate(copies) for _ in range(k)]
+    base = np.eye(n, dtype=bool)
+    for x, y in itertools.combinations(range(n), 2):
+        base[x, y] = base[y, x] = rng.random() < p
+    return base[np.ix_(owner, owner)]
 
 
 def test_max_cliques_match_the_set_based_search():
     rng = random.Random(8)
-    for _ in range(300):
-        n = rng.randint(0, 12)
+    for trial in range(450):
         p = rng.choice([0.2, 0.5, 0.8])
-        cells = np.eye(n, dtype=bool)
-        for x, y in itertools.combinations(range(n), 2):
-            cells[x, y] = cells[y, x] = rng.random() < p
-        rows = [sum(1 << y for y in range(n) if cells[x, y]) for x in range(n)]
-        assert _max_cliques(rows) == max_cliques_of_sets(neighbour_sets(cells))
+        if trial % 3 == 2:
+            cells = _blown_up(rng, rng.randint(0, 6), p)
+        else:
+            n = rng.randint(0, 12)
+            cells = np.eye(n, dtype=bool)
+            for x, y in itertools.combinations(range(n), 2):
+                cells[x, y] = cells[y, x] = rng.random() < p
+        n = len(cells)
+        # Every other relation leaves the diagonal out of its rows.
+        diagonal = trial % 2 == 0
+        rows = [
+            sum(1 << y for y in range(n) if cells[x, y] and (diagonal or x != y))
+            for x in range(n)
+        ]
+        assert canonical_family(_max_cliques(rows)) == canonical_family(
+            max_cliques_of_sets(neighbour_sets(cells))
+        )
 
 
 def test_intersect_unites_overlapping_parts_and_spares_the_deleted_vertex():

@@ -1,7 +1,7 @@
 import pytest
 
 import sbgraph as sg
-from helpers import bidirected_complete, run_cli_capped
+from helpers import bidirected_complete, run_capped, run_cli_capped
 
 
 def _scalar_splitmix(seed, count):
@@ -16,6 +16,20 @@ def _scalar_splitmix(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def test_import_leaves_numpy_to_the_generator():
+    code = (
+        "import sbgraph as sg\n"
+        "assert 'numpy' not in sys.modules, 'import sbgraph loaded numpy'\n"
+        "g = sg.gen_random_sb(7, 0.5, 3)\n"
+        "assert sg.is_strongly_biconnected(g) and 'numpy' in sys.modules\n"
+        "print(g.n, g.edges)\n"
+    )
+    proc = run_capped(code)
+    assert proc.returncode == 0, proc.stderr
+    expected = sg.gen_random_sb(7, 0.5, 3)
+    assert proc.stdout == f"{expected.n} {expected.edges}\n"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 11])

@@ -1,0 +1,55 @@
+"""Reports stay byte-identical: one sha256 over the `emit_report` text of a
+fixed corpus, on every kernel backend.
+
+The digest was computed before the probes shared their strong-cut splits
+and the clique search moved to twin classes, from the code those changes
+started from.  A change that alters any report on this corpus, on either
+backend, fails here; one that means to change a report must say so and
+record the new digest with its reason.
+"""
+
+import hashlib
+
+import pytest
+
+import sbgraph as sg
+from sbgraph import _kernels
+from helpers import (
+    bidirected_complete,
+    c3,
+    glued,
+    long_ear_graph,
+    random_sb_corpus,
+)
+
+GOLDEN_SHA256 = (
+    "9f7f9a644ef6e8712cd81a0e06fc8fd5ac161554f3a8c06673cc93de51a8d4e9"
+)
+
+BACKENDS = ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
+
+
+def _corpus(fig1, fig2):
+    """(n, arcs) of every corpus graph, in a fixed order: the paper's two
+    figures, 30 `gen_random_sb` graphs with n 5-14, 8 long-ear graphs
+    with n 20-62, and 8 strongly connected graphs that are not strongly
+    biconnected, glued from those."""
+    graphs = [fig1, fig2]
+    sampled = random_sb_corpus(30, seed_base=5100, nmin=5, nmax=14, p=0.45)
+    ears = [long_ear_graph(5200 + i, 20 + 6 * i) for i in range(8)]
+    graphs += sampled + ears
+    graphs += [glued(a, b) for a, b in zip(ears[:4], ears[4:])]
+    graphs += [glued(a, b) for a, b in zip(sampled[:3], sampled[10:13])]
+    graphs.append(glued(bidirected_complete(4), c3()))
+    return [(g.n, g.edges) for g in graphs]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reports_match_the_golden_digest(backend, fig1, fig2):
+    corpus = _corpus(fig1, fig2)
+    digest = hashlib.sha256()
+    with _kernels.use_backend(backend):
+        for n, arcs in corpus:
+            # A fresh graph per backend: nothing kept from another run.
+            digest.update(sg.emit_report(sg.build_digraph(n, arcs)).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

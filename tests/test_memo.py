@@ -2,6 +2,7 @@
 graph, so the families of one graph share one cut pass and one verdict
 of each kind, whichever of them is called and in whatever order."""
 
+import collections
 import sys
 import threading
 
@@ -9,7 +10,17 @@ import pytest
 
 import sbgraph as sg
 from sbgraph import _kernels, resilience
-from helpers import bidirected_complete, c3, glued, single_arc
+from sbgraph.resilience import _strong_cuts
+from helpers import (
+    bidirected_complete,
+    c3,
+    glued,
+    long_ear_graph,
+    reference_two_edge_blocks,
+    reference_two_strong_blocks,
+    single_arc,
+    twin_bridge_graph,
+)
 
 
 def _fresh(g):
@@ -88,6 +99,70 @@ def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
         sg.analyze(g)
         # Arc probes pass a modified adjacency, so they do not count.
         assert sum(adj is g.out_adj for adj in whole) == 1
+
+
+def _count_cut_probes(monkeypatch, g):
+    """Count, per deleted arc or vertex of g, the `scc_ids` calls that
+    probe that one deletion over all that remains: g's adjacency with one
+    vertex left out of the subset, or with one arc dropped from one row
+    over all n vertices.  The refinement inside a probe passes smaller
+    subsets (a block of H - z has at most n - 2 vertices, one of H - e at
+    most n - 1), so it is not counted."""
+    probes = collections.Counter()
+    scc_ids = _kernels.scc_ids
+
+    def counting(n, adj, sub=None):
+        if adj is g.out_adj:
+            if sub is not None and len(sub) == n - 1:
+                (z,) = set(range(n)) - set(sub)
+                probes[z] += 1
+        elif sub is None or len(sub) == n:
+            (tail,) = [t for t in range(n) if adj[t] is not g.out_adj[t]]
+            (head,) = set(g.out_adj[tail]) - set(adj[tail])
+            probes[(tail, head)] += 1
+        return scc_ids(n, adj, sub)
+
+    monkeypatch.setattr(_kernels, "scc_ids", counting)
+    return probes
+
+
+def _fine_first(g):
+    sg.two_edge_blocks(g)
+    sg.two_strong_blocks(g)
+    sg.two_edge_biconnected_blocks(g)
+    sg.two_strong_biconnected_blocks(g)
+
+
+@pytest.mark.parametrize("run", [sg.analyze, _fine_first])
+def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
+    # Each graph has b-cuts that are not strong cuts; those cost no SCC
+    # call, as their deletion leaves one SCC.
+    for g in (fig1, twin_bridge_graph(), long_ear_graph(34, 40)):
+        g = _fresh(g)
+        cuts = sg.cut_report(g)  # its own root probe is not counted
+        weak = set(cuts.b_bridges + cuts.b_articulation_points) - set(
+            cuts.strong_bridges + cuts.strong_articulation_points
+        )
+        assert weak
+        probes = _count_cut_probes(monkeypatch, g)
+        run(g)
+        monkeypatch.undo()
+        strong = cuts.strong_bridges + cuts.strong_articulation_points
+        assert probes == collections.Counter(strong)
+
+
+def test_shared_splits_serve_graphs_that_are_not_sb(monkeypatch):
+    g = _fresh(glued(long_ear_graph(34, 40), long_ear_graph(3, 20)))
+    cuts = _strong_cuts(g)
+    probes = _count_cut_probes(monkeypatch, g)
+    report = sg.analyze(g)
+    monkeypatch.undo()
+    assert not report.strongly_biconnected
+    assert probes == collections.Counter(cuts[0] + cuts[1])
+    assert report.blocks_2e == [list(b) for b in reference_two_edge_blocks(g)]
+    assert report.blocks_2s == [
+        list(b) for b in reference_two_strong_blocks(g)
+    ]
 
 
 def test_copies_keep_nothing_in_common(fig1):

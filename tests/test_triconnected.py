@@ -2,7 +2,6 @@
 read off them, against the per-vertex biconnected-components sweep."""
 
 import collections
-import random
 
 from hypothesis import given
 
@@ -13,31 +12,12 @@ from helpers import (
     bidirected_cycle,
     c3,
     directed_cycle,
+    long_ear_graph,
     random_sb_corpus,
     reference_cut_report,
     strongly_connected_digraphs,
     twin_bridge_graph,
 )
-
-
-def long_ear_graph(seed, n):
-    """A strongly biconnected digraph on n vertices: a directed cycle,
-    then directed ears of 1-8 new vertices between two distinct old ones,
-    then a few chords.  Each ear keeps G strongly connected and H
-    biconnected."""
-    rng = random.Random(seed)
-    k = min(n, rng.randint(3, 9))
-    arcs = {(i, (i + 1) % k) for i in range(k)}
-    while k < n:
-        inner = min(rng.randint(1, 8), n - k)
-        u, v = rng.sample(range(k), 2)
-        path = [u, *range(k, k + inner), v]
-        arcs.update(zip(path, path[1:]))
-        k += inner
-    for _ in range(n // 10):
-        u, v = rng.sample(range(n), 2)
-        arcs.add((u, v))
-    return sg.build_digraph(n, sorted(arcs))
 
 
 def p_node_with_real_edge(length):
