@@ -37,9 +37,10 @@ EXIT_PRECONDITION = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 
-_BY_KIND = {f.kind: f for f in FAMILIES}
-# The enumeration-based kinds: guarded, and not part of the report.
-_GUARDED = {"2esb": components_2esb, "2vsb": components_2vsb}
+# Every `blocks --kind`: the report's families plus the 2esb / 2vsb sets.
+_BY_KIND = {f.kind: f.compute for f in FAMILIES}
+_BY_KIND["2esb"] = lambda g: _family(components_2esb(g))
+_BY_KIND["2vsb"] = lambda g: _family(components_2vsb(g))
 
 
 class _PathError(Exception):
@@ -114,10 +115,7 @@ def cmd_analyze(args):
 def cmd_blocks(args):
     g = _read_graph(args.file)
     kind = args.kind
-    if kind in _GUARDED:
-        family = _family(_GUARDED[kind](g, guard=args.guard))
-    else:
-        family = _BY_KIND[kind].compute(g)
+    family = _BY_KIND[kind](g)
     field = "vertices" if kind == "bap" else "blocks"
     _emit({"kind": kind, field: family}, args.format,
           lambda d: _family_text(d[field]))
@@ -177,7 +175,7 @@ def cmd_export_dot(args):
     g = _read_graph(args.file)
     highlight = None
     if args.highlight != "none":
-        highlight = _BY_KIND[args.highlight].compute(g)
+        highlight = _BY_KIND[args.highlight](g)
     print(export_dot(g, highlight=highlight), end="")
     return EXIT_OK
 
@@ -227,15 +225,12 @@ def _probability(text):
 
 
 def _add_common(parser, *flags):
-    """The file argument, and each of --format and --guard named in flags."""
+    """The file argument, and --format when flags name it."""
     parser.add_argument("file", nargs="?", default="-",
                         help="edge-list file, or - for stdin")
     if "--format" in flags:
         parser.add_argument("--format", choices=("json", "text"),
                             default="json")
-    if "--guard" in flags:
-        parser.add_argument("--guard", type=int, default=12,
-                            help="size guard for enumeration-based operations")
 
 
 def build_parser():
@@ -260,12 +255,13 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("blocks", help="one decomposition family")
-    p.add_argument("--kind", required=True, choices=(*_BY_KIND, *_GUARDED))
-    _add_common(p, "--format", "--guard")
+    p.add_argument("--kind", required=True, choices=tuple(_BY_KIND))
+    _add_common(p, "--format")
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("oracle", help="cross-check fast paths vs oracles")
-    _add_common(p, "--guard")
+    _add_common(p)
+    p.add_argument("--guard", type=int, default=12, help="oracle size limit")
     p.add_argument("--count", type=_at_least(0), default=0,
                    help="check this many generated graphs instead of a file")
     p.add_argument("--nmin", type=_at_least(3), default=3)

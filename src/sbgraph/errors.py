@@ -30,8 +30,8 @@ class NotStronglyBiconnectedError(GraphError):
 
 
 class GuardError(GraphError):
-    """An operation was asked to exceed a size guard: an enumeration-based
-    family, or an input or generated graph larger than the fixed limits."""
+    """An operation was asked to exceed a size guard: an exhaustive oracle,
+    or an input or generated graph larger than the fixed limits."""
 
 
 class GenerationBudgetError(GraphError):

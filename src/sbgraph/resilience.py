@@ -39,10 +39,30 @@ LNCS 1984), in `_triconnected`.
 Cost: O(m log n) for the two dominator trees plus one SCC call, and
 O(n + m) for the triconnected components.
 
-The strong cuts and the cut report are kept on the graph, so
-`b_bridges`, `b_articulation_points`, the 2-edge / 2-vertex strongly
-biconnected predicates and the block families of `blocks` all read one
-pass; the maximal components build on top.
+The strong cuts and the cut report are kept on the graph, so `b_bridges`,
+`b_articulation_points`, the 2-edge / 2-vertex strongly biconnected
+predicates and the block families of `blocks` all read one pass.
+
+The maximal 2-edge / 2-vertex strongly biconnected sets (2esb / 2vsb: SB,
+three or more vertices, no b-bridge / no b-articulation point) come from
+deleting cuts and recomputing SBCs, as Henzinger, Krinninger and
+Loitzenbauer (ICALP 2015) and Jaberi (DAM 2016) do for the strongly
+connected analogues.  An SBC T with no cut is kept; otherwise:
+
+- 2esb: delete T's b-bridges.  A b-bridge uv lies in no 2esb set C in T:
+  if T - uv is not strongly connected, u cannot reach v in it but can in
+  C - uv; if H[T] - uv is not biconnected, some x separates u from v, but
+  the biconnected C - uv has a u-v path avoiding x.  Having no b-bridge
+  survives adding arcs back, so kept sets are 2esb in g.
+- 2vsb: for the least b-articulation point x of T, search D + x for each
+  SBC D of T - x; a 2vsb set C in T lies in one, as C - x is SB.
+
+Sets of two branches share at most one (2esb) or two (2vsb) vertices, so
+no kept set lies in another, and no arc is deleted twice: 2esb splits at
+most m times and keeps at most m/3 sets.  Each 2vsb step shrinks the set,
+so its depth is below n; the number of 2vsb sets searched has no proved
+bound here.  Each set searched costs one cut report and one SBC pass,
+O(m log n).
 """
 
 from __future__ import annotations
@@ -52,14 +72,11 @@ from dataclasses import dataclass
 from . import _kernels
 from ._triconnected import triconnected_components
 from .connectivity import (
-    canonical_family,
-    check_guard,
-    is_strongly_biconnected,
-    maximal_subsets,
-    scc_classes,
+    canonical_family, is_strongly_biconnected, scc_classes,
 )
 from .errors import NotStronglyBiconnectedError
-from .graph import induced_subgraph, memoized, underlying
+from .graph import Digraph, induced_subgraph, memoized, underlying
+from .sbc import masked_sbc
 
 
 def _require_sb(g, op):
@@ -295,65 +312,51 @@ def is_2_vertex_strongly_biconnected(g):
     return not cut_report(g).b_articulation_points
 
 
-def _candidate_regions(g):
-    """Disjoint vertex regions that must contain every component with
-    internal in- and out-degrees >= 2.
+def _sb_parts(h, sub, least):
+    """SBCs of h's subgraph on `sub` with at least `least` >= 2 vertices."""
+    classes = scc_classes(h.n, h.out_adj, sub)
+    parts = masked_sbc(h.n, h.out_adj, underlying(h).adj, classes)
+    return [c for c in parts if len(c) >= least]
 
-    Any vertex subset C with |C| > 2 whose induced subgraph has no
-    b-bridge (or no b-articulation point) gives each member at least two
-    internal out-arcs and two internal in-arcs, so iterating "drop
-    vertices of internal degree < 2, then split along SCCs" never discards
-    a member of a valid component.
-    """
-    regions = []
-    stack = [list(range(g.n))]
+
+def _components(g, split):
+    """Sets kept by the iteration of the module docstring.  split(h[T]) is
+    None to keep T, else the (graph, id map) pairs to search next."""
+    found = []
+    stack = [(g, range(g.n))]
     while stack:
-        sub = stack.pop()
-        members = set(sub)
-        changed = True
-        while changed:
-            changed = False
-            for v in list(members):
-                outd = sum(1 for w in g.out_adj[v] if w in members)
-                ind = sum(1 for w in g.in_adj[v] if w in members)
-                if outd < 2 or ind < 2:
-                    members.discard(v)
-                    changed = True
-        if len(members) < 3:
-            continue
-        core = sorted(members)
-        classes = scc_classes(g.n, g.out_adj, core)
-        if len(classes) == 1 and len(core) == len(sub):
-            regions.append(core)
-            continue
-        for c in classes:
-            if len(c) >= 3:
-                stack.append(c)
-    regions.sort(key=lambda c: c[0])
-    return regions
-
-
-def _maximal_components(g, guard, predicate, op):
-    check_guard(op, g.n, guard)
-    found = maximal_subsets(
-        _candidate_regions(g), 3,
-        lambda c: predicate(induced_subgraph(g, c)[0]),
-    )
+        h, names = stack.pop()
+        for c in _sb_parts(h, range(h.n), 3):
+            sub, index = induced_subgraph(h, c)
+            ids = [names[v] for v in index]
+            children = split(sub)
+            if children is None:
+                found.append(ids)
+            else:
+                stack += [(k, [ids[v] for v in old]) for k, old in children]
     return canonical_family(found)
 
 
-def components_2esb(g, guard=12):
-    """Maximal vertex subsets inducing 2-edge-strongly-biconnected
-    subgraphs.  Enumeration-based and guarded; regions that cannot host a
-    component are pruned first."""
-    return _maximal_components(
-        g, guard, is_2_edge_strongly_biconnected, "components_2esb"
-    )
+def _drop_b_bridges(h):
+    bridges = set(cut_report(h).b_bridges)
+    if bridges:
+        rest = (e for e in h.edges if e not in bridges)
+        return [(Digraph._from_valid(h.n, rest), range(h.n))]
 
 
-def components_2vsb(g, guard=12):
-    """Maximal vertex subsets inducing 2-vertex-strongly-biconnected
-    subgraphs.  Enumeration-based and guarded."""
-    return _maximal_components(
-        g, guard, is_2_vertex_strongly_biconnected, "components_2vsb"
-    )
+def _split_at_b_articulation_point(h):
+    points = cut_report(h).b_articulation_points
+    if points:
+        x = points[0]
+        rest = [v for v in range(h.n) if v != x]
+        return [induced_subgraph(h, (x, *d)) for d in _sb_parts(h, rest, 2)]
+
+
+def components_2esb(g):
+    """Maximal vertex sets inducing 2-edge-strongly-biconnected subgraphs."""
+    return _components(g, _drop_b_bridges)
+
+
+def components_2vsb(g):
+    """Maximal vertex sets inducing 2-vertex-strongly-biconnected subgraphs."""
+    return _components(g, _split_at_b_articulation_point)

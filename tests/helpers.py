@@ -12,7 +12,7 @@ import numpy as np
 
 import sbgraph as sg
 from sbgraph import _kernels
-from sbgraph.connectivity import canonical_family
+from sbgraph.connectivity import canonical_family, maximal_subsets, scc_classes
 from sbgraph.resilience import _strong_cuts
 
 
@@ -145,24 +145,29 @@ def strongly_connected_digraphs(draw, min_n=1, max_n=8):
     return sg.induced_subgraph(g, largest)[0]
 
 
-def long_ear_graph(seed, n):
+def ear_graph(seed, n, ears=(1, 8), chords=None):
     """A strongly biconnected digraph on n vertices: a directed cycle,
-    then directed ears of 1-8 new vertices between two distinct old ones,
-    then a few chords.  Each ear keeps G strongly connected and H
-    biconnected."""
+    then directed ears of ears[0]..ears[1] new vertices between two
+    distinct old ones, then `chords` (default n // 10) draws of a random
+    arc.  Each ear keeps G strongly connected and H biconnected."""
     rng = random.Random(seed)
     k = min(n, rng.randint(3, 9))
     arcs = {(i, (i + 1) % k) for i in range(k)}
     while k < n:
-        inner = min(rng.randint(1, 8), n - k)
+        inner = min(rng.randint(*ears), n - k)
         u, v = rng.sample(range(k), 2)
         path = [u, *range(k, k + inner), v]
         arcs.update(zip(path, path[1:]))
         k += inner
-    for _ in range(n // 10):
+    for _ in range(n // 10 if chords is None else chords):
         u, v = rng.sample(range(n), 2)
         arcs.add((u, v))
     return sg.build_digraph(n, sorted(arcs))
+
+
+def bidirected(g):
+    """g with the reverse of every arc added."""
+    return sg.build_digraph(g.n, set(g.edges) | {(h, t) for t, h in g.edges})
 
 
 def reference_sbc(g):
@@ -290,6 +295,62 @@ def reference_cut_report(g):
         strong_bridges=strong_arcs,
         strong_articulation_points=strong_points,
     )
+
+
+def _candidate_regions(g):
+    """Disjoint vertex regions that hold every vertex set of three or more
+    members whose induced subgraph has no b-bridge (or no b-articulation
+    point).  Each member of such a set has two or more in- and out-arcs
+    inside it, so "drop vertices of internal degree < 2, then split along
+    SCCs", repeated, never discards one."""
+    regions = []
+    stack = [list(range(g.n))]
+    while stack:
+        sub = stack.pop()
+        members = set(sub)
+        changed = True
+        while changed:
+            changed = False
+            for v in list(members):
+                outd = sum(1 for w in g.out_adj[v] if w in members)
+                ind = sum(1 for w in g.in_adj[v] if w in members)
+                if outd < 2 or ind < 2:
+                    members.discard(v)
+                    changed = True
+        if len(members) < 3:
+            continue
+        core = sorted(members)
+        classes = scc_classes(g.n, g.out_adj, core)
+        if len(classes) == 1 and len(core) == len(sub):
+            regions.append(core)
+            continue
+        for c in classes:
+            if len(c) >= 3:
+                stack.append(c)
+    regions.sort(key=lambda c: c[0])
+    return regions
+
+
+def _reference_components(g, predicate):
+    """Maximal vertex subsets of three or more members whose induced
+    subgraph satisfies `predicate`, by trying every subset of each
+    candidate region, largest first.  Exponential."""
+    found = maximal_subsets(
+        _candidate_regions(g), 3,
+        lambda c: predicate(sg.induced_subgraph(g, c)[0]),
+    )
+    return canonical_family(found)
+
+
+def reference_components_2esb(g):
+    """Maximal 2-edge-strongly-biconnected vertex sets by the definition."""
+    return _reference_components(g, sg.is_2_edge_strongly_biconnected)
+
+
+def reference_components_2vsb(g):
+    """Maximal 2-vertex-strongly-biconnected vertex sets by the
+    definition."""
+    return _reference_components(g, sg.is_2_vertex_strongly_biconnected)
 
 
 def reference_strong_bridges(g):

@@ -68,7 +68,7 @@ def test_criterion_3_fig1_arc_deletion_separates(fig1):
 
 def test_criterion_4_fig1_2esb_component(fig1):
     start = time.perf_counter()
-    comps = sg.components_2esb(fig1, guard=16)
+    comps = sg.components_2esb(fig1)
     assert comps == [one_based(9, 10, 11, 12, 13, 14)]
     big_block = one_based(4, 9, 10, 11, 12, 13, 14)
     assert big_block in sg.two_edge_biconnected_blocks(fig1)
@@ -123,7 +123,6 @@ def test_criterion_7_invariant_suite(corpus, fig1, fig2):
     start = time.perf_counter()
     violations = 0
     for g in list(graphs) + [fig1, fig2]:
-        guard = max(12, g.n)
         eb = sg.two_edge_biconnected_blocks(g)
         if not overlaps_at_most(eb, 1):
             violations += 1
@@ -141,7 +140,7 @@ def test_criterion_7_invariant_suite(corpus, fig1, fig2):
             ):
                 violations += 1
                 break
-        for c in sg.components_2vsb(g, guard=guard):
+        for c in sg.components_2vsb(g):
             h, _ = sg.induced_subgraph(g, c)
             if h.m < 2 * len(c):
                 violations += 1

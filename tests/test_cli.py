@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -107,14 +109,27 @@ def test_blocks_text_format(capsys, fig1_path):
 
 
 def test_blocks_guarded_kinds(capsys, fig1_path):
-    code, _, err = run_cli(capsys, "blocks", "--kind", "2esb", fig1_path)
-    assert code == 3
-    assert "resource error" in err
-    code, out, _ = run_cli(
-        capsys, "blocks", "--kind", "2esb", fig1_path, "--guard", "16"
-    )
+    # The component kinds once needed --guard 16 for fig1; they take none.
+    code, out, _ = run_cli(capsys, "blocks", "--kind", "2esb", fig1_path)
     assert code == 0
     assert json.loads(out)["blocks"] == [[8, 9, 10, 11, 12, 13]]
+
+
+@pytest.mark.parametrize(
+    "kind,components",
+    [("2esb", sg.components_2esb), ("2vsb", sg.components_2vsb)],
+)
+def test_blocks_component_kinds_match_library(capsys, tmp_path, fig1,
+                                              fig2, kind, components):
+    sc_not_sb = glued(bidirected_complete(4), bidirected_complete(5))
+    for g in (fig1, fig2, sc_not_sb):
+        path = tmp_path / "g.edges"
+        path.write_text(sg.emit_edge_list(g))
+        code, out, _ = run_cli(capsys, "blocks", "--kind", kind, str(path))
+        assert code == 0
+        assert json.loads(out) == {
+            "kind": kind, "blocks": [list(c) for c in components(g)]
+        }
 
 
 def test_blocks_precondition_exit_code(capsys, tmp_path):
@@ -224,10 +239,13 @@ def test_stdin_input(capsys, monkeypatch):
 
 
 def test_module_entry_point(fig1_path):
+    # The child imports sbgraph from this checkout's src, installed or not.
+    src = pathlib.Path(sg.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "sbgraph", "blocks", "--kind", "2eb", fig1_path],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["blocks"] == [
@@ -284,6 +302,8 @@ def test_kernels_flag(capsys, fig1_path):
          "unrecognized arguments: --guard 16"),
         (["oracle", "fig1.edges", "--format", "json"],
          "unrecognized arguments: --format json"),
+        (["blocks", "--kind", "2esb", "fig1.edges", "--guard", "16"],
+         "unrecognized arguments: --guard 16"),
     ],
 )
 def test_invalid_arguments_exit_2(capsys, monkeypatch, argv, message):

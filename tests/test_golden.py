@@ -17,8 +17,8 @@ from sbgraph import _kernels
 from helpers import (
     bidirected_complete,
     c3,
+    ear_graph,
     glued,
-    long_ear_graph,
     random_sb_corpus,
 )
 
@@ -36,7 +36,7 @@ def _corpus(fig1, fig2):
     biconnected, glued from those."""
     graphs = [fig1, fig2]
     sampled = random_sb_corpus(30, seed_base=5100, nmin=5, nmax=14, p=0.45)
-    ears = [long_ear_graph(5200 + i, 20 + 6 * i) for i in range(8)]
+    ears = [ear_graph(5200 + i, 20 + 6 * i) for i in range(8)]
     graphs += sampled + ears
     graphs += [glued(a, b) for a, b in zip(ears[:4], ears[4:])]
     graphs += [glued(a, b) for a, b in zip(sampled[:3], sampled[10:13])]

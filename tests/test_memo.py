@@ -14,8 +14,8 @@ from sbgraph.resilience import _strong_cuts
 from helpers import (
     bidirected_complete,
     c3,
+    ear_graph,
     glued,
-    long_ear_graph,
     reference_two_edge_blocks,
     reference_two_strong_blocks,
     single_arc,
@@ -137,7 +137,7 @@ def _fine_first(g):
 def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
     # Each graph has b-cuts that are not strong cuts; those cost no SCC
     # call, as their deletion leaves one SCC.
-    for g in (fig1, twin_bridge_graph(), long_ear_graph(34, 40)):
+    for g in (fig1, twin_bridge_graph(), ear_graph(34, 40)):
         g = _fresh(g)
         cuts = sg.cut_report(g)  # its own root probe is not counted
         weak = set(cuts.b_bridges + cuts.b_articulation_points) - set(
@@ -152,7 +152,7 @@ def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
 
 
 def test_shared_splits_serve_graphs_that_are_not_sb(monkeypatch):
-    g = _fresh(glued(long_ear_graph(34, 40), long_ear_graph(3, 20)))
+    g = _fresh(glued(ear_graph(34, 40), ear_graph(3, 20)))
     cuts = _strong_cuts(g)
     probes = _count_cut_probes(monkeypatch, g)
     report = sg.analyze(g)

@@ -1,12 +1,24 @@
+import json
+
 import pytest
+from hypothesis import given, settings
 
 import sbgraph as sg
+from sbgraph import resilience
 from helpers import (
+    bidirected,
     bidirected_complete,
+    bidirected_cycle,
     c3,
+    digraphs,
     directed_cycle,
+    ear_graph,
+    glued,
     one_based,
     random_sb_corpus,
+    reference_components_2esb,
+    reference_components_2vsb,
+    run_cli_capped,
     single_arc,
     two_triangles,
 )
@@ -104,13 +116,8 @@ def test_is_2_vertex_strongly_biconnected():
 
 
 def test_components_2esb_fig1(fig1):
-    comps = sg.components_2esb(fig1, guard=16)
+    comps = sg.components_2esb(fig1)
     assert comps == [one_based(9, 10, 11, 12, 13, 14)]
-
-
-def test_components_2esb_guard(fig1):
-    with pytest.raises(sg.GuardError):
-        sg.components_2esb(fig1)  # n=16 over the default guard
 
 
 def test_components_2esb_trivial():
@@ -125,7 +132,7 @@ def test_components_2vsb_trivial():
 
 
 def test_components_2vsb_fig1(fig1):
-    assert sg.components_2vsb(fig1, guard=16) == [
+    assert sg.components_2vsb(fig1) == [
         one_based(9, 10, 11, 12, 13, 14)
     ]
 
@@ -139,3 +146,80 @@ def test_components_overlap_and_edge_bounds():
         for c in sg.components_2vsb(g):
             h, _ = sg.induced_subgraph(g, c)
             assert h.m >= 2 * len(c)
+
+
+def _assert_components_match_reference(g):
+    assert sg.components_2esb(g) == reference_components_2esb(g)
+    assert sg.components_2vsb(g) == reference_components_2vsb(g)
+
+
+@settings(deadline=None)
+@given(digraphs(max_n=8))
+def test_components_match_reference_on_draws(g):
+    _assert_components_match_reference(g)
+
+
+def test_components_match_reference_on_corpus():
+    for g in random_sb_corpus(40, seed_base=440, nmax=10):
+        _assert_components_match_reference(g)
+
+
+def test_components_match_reference_on_fixtures_and_non_sb(fig1, fig2):
+    sc_not_sb = [
+        glued(bidirected_complete(4), c3()),
+        glued(bidirected_complete(4), bidirected_complete(5)),
+        glued(ear_graph(7, 7), ear_graph(8, 6)),
+    ]
+    not_sc = [
+        single_arc(),
+        sg.build_digraph(7, [*bidirected_complete(4).edges, (3, 4), (5, 6)]),
+        sg.build_digraph(8, [*two_triangles().edges, (5, 6), (6, 7), (7, 5)]),
+    ]
+    for g in [fig1, fig2, *sc_not_sb, *not_sc]:
+        _assert_components_match_reference(g)
+    # Glued K4 and K5 keep both sides; K4 with arcs out of it keeps K4.
+    assert sg.components_2esb(sc_not_sb[1]) == [(0, 1, 2, 3), (3, 4, 5, 6, 7)]
+    assert sg.components_2vsb(not_sc[1]) == [(0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_component_iteration_searches_at_most_n_sets(monkeypatch, seed):
+    """Each set the iteration searches reaches `cut_report` once.  On
+    seeded short-ear, long-ear and bidirected long-ear graphs with n = 200
+    both families search at most n sets: 2esb splits at most m times by
+    its argument, and the 2vsb count, which has no proved bound, is
+    measured here."""
+    searched = []
+    report = resilience.cut_report
+
+    def counting(h):
+        searched.append(h.n)
+        return report(h)
+
+    monkeypatch.setattr(resilience, "cut_report", counting)
+    n = 200
+    for g in (
+        ear_graph(seed, n, ears=(1, 2), chords=3 * n),
+        ear_graph(seed, n, ears=(3, 8)),
+        bidirected(ear_graph(seed, n, ears=(3, 8))),
+    ):
+        for components in (sg.components_2esb, sg.components_2vsb):
+            searched.clear()
+            components(g)
+            assert 0 < len(searched) <= n
+
+
+@pytest.mark.parametrize(
+    "kind,blocks", [("2esb", [list(range(3000))]), ("2vsb", [])]
+)
+def test_components_of_long_bidirected_cycle_via_cli(kind, blocks):
+    """A bidirected cycle with n = 3000 runs through `blocks --kind` with
+    no guard, no RecursionError and no MemoryError: the iteration runs on
+    explicit stacks and searches at most n sets (here one), under the
+    capped address space of run_cli_capped."""
+    text = sg.emit_edge_list(bidirected_cycle(3000))
+    proc = run_cli_capped(["blocks", "--kind", kind], stdin=text)
+    assert proc.returncode == 0, proc.stderr
+    assert "RecursionError" not in proc.stderr
+    assert "MemoryError" not in proc.stderr
+    assert json.loads(proc.stdout)["blocks"] == blocks

@@ -12,7 +12,7 @@ from helpers import (
     bidirected_cycle,
     c3,
     directed_cycle,
-    long_ear_graph,
+    ear_graph,
     random_sb_corpus,
     reference_cut_report,
     strongly_connected_digraphs,
@@ -129,7 +129,7 @@ def test_figures_and_corpus_match_sweep(fig1, fig2):
 
 def test_long_ear_graphs_match_sweep():
     for seed in range(13):
-        g = long_ear_graph(seed, 20 + 5 * seed)
+        g = ear_graph(seed, 20 + 5 * seed)
         assert sg.is_strongly_biconnected(g)
         _assert_components_split_h(g)
         _assert_matches_sweep(g)
