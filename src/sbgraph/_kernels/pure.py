@@ -2,7 +2,10 @@
 
 Both kernels accept an optional vertex subset and then behave exactly as if
 they were run on the induced subgraph, without materializing it.  DFS uses
-explicit stacks so deep graphs cannot overflow the interpreter stack.
+explicit stacks so deep graphs cannot overflow the interpreter stack.  A
+vertex id outside 0..n-1, in a row read or in the subset, raises
+IndexError, as in the compiled kernels: a negative id is checked
+explicitly, since list indexing would read it from the end.
 """
 
 
@@ -23,6 +26,8 @@ def scc_ids(n, adj, sub=None):
         order = list(sub)
         active = bytearray(n)
         for v in order:
+            if v < 0:
+                raise IndexError(f"vertex {v} out of range")
             active[v] = 1
     index = [-1] * n
     low = [0] * n
@@ -48,6 +53,8 @@ def scc_ids(n, adj, sub=None):
             while i < len(neigh):
                 w = neigh[i]
                 i += 1
+                if w < 0:
+                    raise IndexError(f"vertex {w} out of range")
                 if active is not None and not active[w]:
                     continue
                 if index[w] == -1:
@@ -109,6 +116,8 @@ def bcc(n, adj, sub=None):
         order = list(sub)
         active = bytearray(n)
         for v in order:
+            if v < 0:
+                raise IndexError(f"vertex {v} out of range")
             active[v] = 1
     disc = [-1] * n
     low = [0] * n
@@ -135,6 +144,8 @@ def bcc(n, adj, sub=None):
             while i < end:
                 w = neigh[i]
                 i += 1
+                if w < 0:
+                    raise IndexError(f"vertex {w} out of range")
                 if active is not None and not active[w]:
                     continue
                 d = disc[w]

@@ -40,29 +40,24 @@ underlying graph, the strong cuts and the cut report), so the families
 of one graph share one cut pass and one verdict of each kind, whoever
 calls them.
 
-Each deletion is split into SCCs once.  A strong bridge or strong
-articulation point d leaves G - d with several SCCs; `_arc_splits` and
-`_vertex_splits` compute that split once per graph, for every d, and
-keep it on the graph as the kernel's labels (4 bytes per vertex).  The
-2-edge and 2-strong blocks intersect those splits directly, and the
-probes of the 2-edge- and 2-strong-biconnected blocks start their
-strongly-biconnected refinement from them.  Every other b-bridge or
-b-articulation point leaves G - d strongly connected, because the strong
-cut sets are exact, so its refinement starts from the one class V - d
-with no SCC call.
-
-Every probe masks the deleted element out of the graph's adjacency
-instead of copying the graph: a vertex probe leaves z out of its
-classes, and an arc probe (`_sbc_without_arc`) drops one entry from one
-out-adjacency row (and the edge from the two rows of the underlying
-graph when the arc has no antiparallel twin).  A probe keeps the raw
-sets of the refinement (`sbc.masked_sbc`): `_intersect` reads only its
-parts, not their order.
+Every family runs one probe per deletion d, an arc (tail, head) or a
+vertex, and feeds its parts to `_intersect`.  A probe masks d out of the
+graph's adjacency instead of copying the graph (`_masked`): an arc
+probe drops one entry from one out-adjacency row, a vertex probe leaves
+d out of the vertices it visits.  `_scc_parts` gives the SCC split of
+G - d: a strong bridge or strong articulation point d splits G, and
+`_arc_splits` and `_vertex_splits` compute those splits once per graph
+and keep the classes on it; a family that probes only arcs never
+splits a vertex.  Every other d leaves G - d strongly
+connected, because the strong cut sets are exact, so its split is the
+one class of the vertices left, with no SCC call.  `_sbc_parts` refines
+that split into the raw strongly biconnected sets of G - d
+(`sbc.masked_sbc`), also masking the underlying edge of an arc with no
+antiparallel twin; `_intersect` reads only the parts, not their order.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -71,7 +66,7 @@ from .connectivity import (
     canonical_family,
     check_guard,
     is_strongly_connected,
-    label_classes,
+    scc_classes,
 )
 from .errors import NotStronglyConnectedError
 from .graph import UndirectedGraph, memoized, underlying
@@ -112,31 +107,32 @@ def _bits(mask):
     return tuple(compress(range(len(flags)), flags))
 
 
-def _intersect(n, probes, parts):
-    """Bit rows of the pairs that share a part after every deletion in
-    `probes`.
+def _intersect(n, partitions):
+    """Bit rows of the pairs that share a part in every partition of
+    `partitions`, each a list of parts left by one deletion.
 
-    parts(p) returns the parts left by deletion p and the deleted vertex,
-    or None for an arc.  Parts may overlap, so each vertex keeps the union
-    of the parts that hold it.  The deleted vertex stays related to every
-    vertex: it constrains no pair it is not part of.  A probe that leaves
-    a single part relates every pair, so it is skipped.
+    Parts may overlap, so each vertex keeps the union of the parts that
+    hold it.  A vertex in no part, the deleted one, stays related to every
+    vertex: it constrains no pair it is not part of.  A deletion that
+    leaves a single part relates every pair, so it is skipped.
     """
     full = (1 << n) - 1
     rows = [full] * n
-    for p in probes:
-        components, deleted = parts(p)
-        if len(components) <= 1:
+    for parts in partitions:
+        if len(parts) <= 1:
             continue
-        keep = [0 if deleted is None else 1 << deleted] * n
-        for comp in components:
+        keep = [0] * n
+        covered = 0
+        for part in parts:
             # A part holds distinct vertices, so the sum is their union.
-            mask = sum(1 << v for v in comp)
-            for v in comp:
+            mask = sum(1 << v for v in part)
+            covered |= mask
+            for v in part:
                 keep[v] |= mask
-        if deleted is not None:
-            keep[deleted] = full
-        rows = [row & k for row, k in zip(rows, keep)]
+        # The deleted vertex, in no part, keeps its whole row and its bit
+        # in every other row.
+        spare = full & ~covered
+        rows = [row & (k | spare if k else full) for row, k in zip(rows, keep)]
     return tuple(rows)
 
 
@@ -147,69 +143,52 @@ def _without_arc(adj, tail, head):
     return rows
 
 
-def _survivors(n, z):
-    """V - z, ascending."""
-    return [v for v in range(n) if v != z]
+def _masked(g, d):
+    """g's out-adjacency with deletion d, an arc (tail, head) or a vertex,
+    masked out, and the vertices left, ascending."""
+    if isinstance(d, tuple):
+        return _without_arc(g.out_adj, *d), range(g.n)
+    return g.out_adj, [v for v in range(g.n) if v != d]
 
 
 @memoized
 def _arc_splits(g):
-    """The SCC split of strongly connected g minus each strong bridge, as
-    {arc: labels}: the kernel's SCC label of every vertex, 4 bytes each.
-    Computed once per graph, for every family that probes arcs."""
-    n = g.n
+    """{arc: SCC classes of g - arc} for every strong bridge of strongly
+    connected g, computed once per graph.  The kernel runs on all of V
+    with no subset, its fastest path."""
     return {
-        (tail, head): array(
-            "i", _kernels.scc_ids(n, _without_arc(g.out_adj, tail, head))[1]
-        )
-        for tail, head in _strong_cuts(g)[0]
+        arc: scc_classes(g.n, _masked(g, arc)[0]) for arc in _strong_cuts(g)[0]
     }
 
 
 @memoized
 def _vertex_splits(g):
-    """The SCC split of strongly connected g minus each strong
-    articulation point z, as {z: labels}, z labelled -1.  Computed once
-    per graph, for every family that probes vertices."""
-    n = g.n
-    return {
-        z: array("i", _kernels.scc_ids(n, g.out_adj, _survivors(n, z))[1])
-        for z in _strong_cuts(g)[1]
-    }
+    """{z: SCC classes of g - z} for every strong articulation point z of
+    strongly connected g, computed once per graph."""
+    return {z: scc_classes(g.n, *_masked(g, z)) for z in _strong_cuts(g)[1]}
 
 
-def _arc_classes(g, arc):
-    """SCC classes of strongly connected g minus `arc`.  Only a strong
-    bridge splits g (`_strong_cuts` is exact), so any other arc leaves
-    the one class V."""
-    labels = _arc_splits(g).get(arc)
-    if labels is None:
-        return [list(range(g.n))]
-    return label_classes(labels, range(g.n))
+def _scc_parts(g, d):
+    """SCC classes of strongly connected g minus the arc or vertex d.
+    Only a strong cut splits g (`_strong_cuts` is exact), so any other d
+    leaves the one class of the vertices left."""
+    splits = _arc_splits(g) if isinstance(d, tuple) else _vertex_splits(g)
+    classes = splits.get(d)
+    if classes is None:
+        return [list(_masked(g, d)[1])]
+    return classes
 
 
-def _vertex_classes(g, z):
-    """SCC classes of strongly connected g minus vertex z.  Only a strong
-    articulation point splits g, so any other z leaves the one class
-    V - z."""
-    rest = _survivors(g.n, z)
-    labels = _vertex_splits(g).get(z)
-    if labels is None:
-        return [rest]
-    return label_classes(labels, rest)
-
-
-def _sbc_without_arc(g, arc):
-    """Raw strongly biconnected sets of strongly connected g minus `arc`
-    (see `masked_sbc`), with g's vertex ids, probed by masking the arc out
-    of g's adjacency and starting from its shared SCC split."""
-    tail, head = arc
+def _sbc_parts(g, d):
+    """Raw strongly biconnected sets of strongly connected g minus the arc
+    or vertex d (see `masked_sbc`), with g's vertex ids, refined from its
+    SCC split."""
     und_adj = underlying(g).adj
-    if not g.has_edge(head, tail):
+    if isinstance(d, tuple) and not g.has_edge(d[1], d[0]):
         # Without a twin arc the underlying edge goes too.
+        tail, head = d
         und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
-    out_adj = _without_arc(g.out_adj, tail, head)
-    return masked_sbc(g.n, out_adj, und_adj, _arc_classes(g, arc))
+    return masked_sbc(g.n, _masked(g, d)[0], und_adj, _scc_parts(g, d))
 
 
 def edge_relation(g):
@@ -220,13 +199,9 @@ def edge_relation(g):
     cannot separate anything and are skipped.
     """
     _require_sb(g, "edge_relation")
-    n = g.n
-
-    def parts(bridge):
-        return _sbc_without_arc(g, bridge), None
-
-    rows = _intersect(n, cut_report(g).b_bridges, parts)
-    return RelationMatrix(n=n, rows=rows)
+    bridges = cut_report(g).b_bridges
+    rows = _intersect(g.n, (_sbc_parts(g, b) for b in bridges))
+    return RelationMatrix(n=g.n, rows=rows)
 
 
 def helper_graph(relation):
@@ -341,14 +316,9 @@ def vertex_relation(g):
     Only b-articulation points z are probed.
     """
     _require_sb(g, "vertex_relation")
-    n = g.n
-    und_adj = underlying(g).adj
-
-    def parts(z):
-        return masked_sbc(n, g.out_adj, und_adj, _vertex_classes(g, z)), z
-
-    rows = _intersect(n, cut_report(g).b_articulation_points, parts)
-    return RelationMatrix(n=n, rows=rows)
+    points = cut_report(g).b_articulation_points
+    rows = _intersect(g.n, (_sbc_parts(g, z) for z in points))
+    return RelationMatrix(n=g.n, rows=rows)
 
 
 def two_strong_biconnected_blocks(g):
@@ -368,12 +338,7 @@ def two_edge_blocks(g):
     blocks.
     """
     _require_sc(g, "two_edge_blocks")
-    n = g.n
-
-    def parts(arc):
-        return _arc_classes(g, arc), None
-
-    rows = _intersect(n, _arc_splits(g), parts)
+    rows = _intersect(g.n, _arc_splits(g).values())
     return canonical_family(_bits(r) for r in set(rows) if r.bit_count() >= 2)
 
 
@@ -384,10 +349,5 @@ def two_strong_blocks(g):
     with the 2-strong-biconnected blocks.
     """
     _require_sc(g, "two_strong_blocks")
-    n = g.n
-
-    def parts(z):
-        return _vertex_classes(g, z), z
-
-    rows = _intersect(n, _vertex_splits(g), parts)
+    rows = _intersect(g.n, _vertex_splits(g).values())
     return canonical_family(_max_cliques(rows))

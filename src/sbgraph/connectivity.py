@@ -24,19 +24,15 @@ def canonical_family(sets):
     return fam
 
 
-def label_classes(ids, sub):
-    """The vertices of `sub` grouped by their kernel label ids[v], as
-    lists in `sub` order, ordered by first member."""
+def scc_classes(n, adj, sub=None):
+    """Strongly connected classes of the subgraph induced on `sub`, or of
+    the whole graph when sub is None, as lists in `sub` order, ordered by
+    first member."""
+    ids = _kernels.scc_ids(n, adj, sub)[1]
     groups = {}
-    for v in sub:
+    for v in range(n) if sub is None else sub:
         groups.setdefault(ids[v], []).append(v)
     return sorted(groups.values(), key=lambda c: c[0])
-
-
-def scc_classes(n, adj, sub):
-    """Strongly connected classes of the subgraph induced on `sub`, as
-    lists in `sub` order, ordered by first member."""
-    return label_classes(_kernels.scc_ids(n, adj, sub)[1], sub)
 
 
 def strongly_connected_components(g):

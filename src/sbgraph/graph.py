@@ -8,10 +8,12 @@ fresh graphs.
 Because a graph never changes, every fact derived from it alone is
 computed once, on first use, and kept in the graph's memo: the underlying
 undirected graph, the strongly-connected and strongly-biconnected
-verdicts, the strong cuts, the SCC split each strong cut leaves, and the
-cut report (see `memoized`).  No caller modifies a kept value, and two
-threads that fill an entry at once store equal ones, so instances can be
-shared freely between concurrent computations.
+verdicts, the strong cuts, the SCC classes left by each strong bridge
+and by each strong articulation point (two tables, so a caller that
+probes only arcs never splits a vertex), and the cut report (see
+`memoized`).  No caller modifies a kept value, and two threads that fill
+an entry at once store equal ones, so instances can be shared freely
+between concurrent computations.
 """
 
 from __future__ import annotations
@@ -195,18 +197,20 @@ def induced_subgraph(g, vertices):
     """Restrict g to a vertex subset, re-indexed densely.
 
     Returns the subgraph together with the old->new index map; new ids
-    follow the ascending order of the old ones.
+    follow the ascending order of the old ones.  It reads only the
+    members' out-adjacency rows, in O(their out-degree) rather than O(m),
+    and lists the subgraph's edges in ascending (tail, head) order.
     """
     members = sorted(set(vertices))
     for v in members:
         if not (0 <= v < g.n):
             raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
     old_to_new = {v: i for i, v in enumerate(members)}
-    keep = old_to_new.keys()
     edges = [
-        (old_to_new[t], old_to_new[h])
-        for t, h in g.edges
-        if t in keep and h in keep
+        (i, old_to_new[h])
+        for i, t in enumerate(members)
+        for h in g.out_adj[t]
+        if h in old_to_new
     ]
     return Digraph._from_valid(len(members), edges), old_to_new
 

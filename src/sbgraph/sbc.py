@@ -18,14 +18,14 @@ call for it.  It returns the raw emitted sets, in no particular order and
 with possible repeated or covered singletons: a probe only needs the
 parts.  `strongly_biconnected_components(g)` runs the same loop from the
 SCC classes of all of g and finishes the result (`_finish`: canonical
-order and membership index).  `sbc_oracle` recomputes the same decomposition by
-exhaustive search over the vertex subsets of all of V, largest first, and
-exists purely to validate the refinement.
+order).  `sbc_oracle` recomputes the same decomposition by exhaustive
+search over the vertex subsets of all of V, largest first, and exists
+purely to validate the refinement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels
 from .connectivity import (
@@ -39,15 +39,15 @@ class SbcDecomposition:
     """Cover of V by strongly biconnected components, canonically ordered."""
 
     components: tuple
-    membership: dict = field(compare=False, repr=False)
 
     def component_ids(self, v):
-        return self.membership.get(v, frozenset())
+        """Indices of the components that hold v."""
+        return frozenset(i for i, c in enumerate(self.components) if v in c)
 
 
 def _finish(raw_sets):
-    """Order canonically and index the refinement's strongly biconnected
-    sets, or the oracle's maximal sets plus uncovered singletons.
+    """Order canonically the refinement's strongly biconnected sets, or
+    the oracle's maximal sets plus uncovered singletons.
 
     Sets of two or more vertices are already maximal and distinct: every
     maximal strongly biconnected component stays inside one part at every
@@ -66,12 +66,7 @@ def _finish(raw_sets):
         c for c in raw_sets if len(c) == 1 and c[0] not in covered
     })
     kept.sort(key=lambda c: (c[0], len(c), c))
-    membership = {}
-    for idx, c in enumerate(kept):
-        for v in c:
-            membership.setdefault(v, set()).add(idx)
-    membership = {v: frozenset(ids) for v, ids in membership.items()}
-    return SbcDecomposition(components=tuple(kept), membership=membership)
+    return SbcDecomposition(components=tuple(kept))
 
 
 def strongly_biconnected_components(g):

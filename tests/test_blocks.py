@@ -250,9 +250,10 @@ def test_max_cliques_match_the_set_based_search():
 
 
 def test_intersect_unites_overlapping_parts_and_spares_the_deleted_vertex():
-    # (parts, deleted vertex) per probe: vertex 4 deleted with vertex 1 in
-    # two parts, then an arc probe.
-    probes = [([[0, 1], [1, 2], [3]], 4), ([[0, 1, 2, 4], [3]], None)]
-    rows = _intersect(5, probes, lambda probe: probe)
+    # Per deletion, its parts: vertex 4 deleted, so in no part, with vertex
+    # 1 in two parts; an arc deletion, whose parts cover every vertex; and
+    # a single part, which relates every pair.
+    partitions = [[[0, 1], [1, 2], [3]], [[0, 1, 2, 4], [3]], [[0, 2, 3]]]
+    rows = _intersect(5, iter(partitions))
     related = [{0, 1, 4}, {0, 1, 2, 4}, {1, 2, 4}, {3}, {0, 1, 2, 4}]
     assert rows == tuple(sum(1 << v for v in s) for s in related)

@@ -95,6 +95,21 @@ def test_induced_pair():
     assert h.edges == ((0, 1),)
 
 
+@given(digraphs(), st.data())
+def test_induced_subgraph_matches_the_arc_filter(g, data):
+    vertices = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    h, old_to_new = sg.induced_subgraph(g, vertices)
+    # The definition: keep each arc of g with both ends in the set.
+    members = sorted(set(vertices))
+    assert old_to_new == {v: i for i, v in enumerate(members)}
+    assert set(h.edges) == {
+        (old_to_new[t], old_to_new[w])
+        for t, w in g.edges
+        if t in old_to_new and w in old_to_new
+    }
+    assert list(h.edges) == sorted(h.edges)
+
+
 def test_induced_out_of_range():
     with pytest.raises(sg.VertexRangeError):
         sg.induced_subgraph(c3(), [0, 5])

@@ -195,9 +195,7 @@ except (ValueError, IndexError, TypeError) as exc:
         ("kern.scc_ids(3, [[1], [2], [0]], [2, 0, 1])"
          " == kern.scc_ids(3, ((1,), (2,), (0,)), [2, 0, 1])", "True"),
         ("kern.bcc(2, ((1,), (5,)))", "IndexError"),
-        ("kern.scc_ids(2, ((1,), (-1,)))", "IndexError"),
         ("kern.scc_ids(2, ((1,), (0,)), [0, 7])", "IndexError"),
-        ("kern.bcc(2, ((1,), (0,)), [-1, 0])", "IndexError"),
         ("kern.bcc(2, ((1,), (0.0,)))", "TypeError"),
         ("kern.scc_ids(2, ((1,), (0,)), ['0'])", "TypeError"),
         ("kern.scc_ids(2, (1, 0))", "TypeError"),
@@ -214,3 +212,20 @@ def test_compiled_kernels_reject_bad_input(call, expected):
         f"{call} ended the child with status {proc.returncode}: {proc.stderr}"
     )
     assert proc.stdout.strip() == expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        "kern.scc_ids(2, ((1,), (-1,)))",
+        "kern.scc_ids(2, ((1,), (0,)), [-1, 0])",
+        "kern.bcc(2, ((1,), (-1,)))",
+        "kern.bcc(2, ((1,), (0,)), [-1, 0])",
+        "kern.bcc(3, ((1,), (0, -1), (1,)), [0, 1, -1])",
+    ],
+)
+def test_kernels_reject_negative_ids(backend, call):
+    # List indexing would read a negative id from the end.
+    with pytest.raises(IndexError):
+        eval(call, {"kern": _kernels._BACKENDS[backend]})

@@ -151,6 +151,29 @@ def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
         assert probes == collections.Counter(strong)
 
 
+@pytest.mark.parametrize(
+    "run", [sg.two_edge_biconnected_blocks, sg.two_edge_blocks]
+)
+def test_arc_families_split_no_vertex(monkeypatch, fig1, run):
+    for g in (fig1, twin_bridge_graph(), ear_graph(34, 40)):
+        g = _fresh(g)
+        assert _strong_cuts(g)[1]
+        masked = []
+        scc_ids = _kernels.scc_ids
+
+        def counting(n, adj, sub=None):
+            # A vertex probe passes g's own rows over a subset; an arc
+            # probe and its refinement pass rows with the arc dropped.
+            if adj is g.out_adj and sub is not None:
+                masked.append(sub)
+            return scc_ids(n, adj, sub)
+
+        monkeypatch.setattr(_kernels, "scc_ids", counting)
+        run(g)
+        monkeypatch.undo()
+        assert masked == []
+
+
 def test_shared_splits_serve_graphs_that_are_not_sb(monkeypatch):
     g = _fresh(glued(ear_graph(34, 40), ear_graph(3, 20)))
     cuts = _strong_cuts(g)

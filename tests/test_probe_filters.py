@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given
 
 import sbgraph as sg
-from sbgraph.blocks import _sbc_without_arc
+from sbgraph.blocks import _sbc_parts, _scc_parts
 from sbgraph.resilience import _strong_cuts
 from sbgraph.sbc import _finish
 from helpers import (
@@ -45,7 +45,32 @@ def test_glued_shapes_are_sc_not_sb():
         assert not sg.is_strongly_biconnected(g)
 
 
+def _assert_probes_match_copies(g):
+    """The masked probes on every arc and every vertex, not only the cuts:
+    also on deletions that keep g strongly (bi)connected, and on arcs with
+    an antiparallel twin, which must leave their underlying edge in place.
+    They agree with the decompositions of a copy of g - d, its ids mapped
+    back to g's.  The SBC probe returns raw sets; finished, they are the
+    decomposition."""
+    # Deleting the only vertex of K1 leaves nothing to decompose.
+    deletions = list(g.edges) + (list(range(g.n)) if g.n > 1 else [])
+    for d in deletions:
+        if isinstance(d, tuple):
+            h, back = sg.remove_edge(g, d), range(g.n)
+        else:
+            h, old_to_new = sg.remove_vertex(g, d)
+            back = sorted(old_to_new)
+        assert _scc_parts(g, d) == [
+            [back[v] for v in c] for c in sg.strongly_connected_components(h)
+        ]
+        assert _finish(_sbc_parts(g, d)).components == tuple(
+            tuple(back[v] for v in c)
+            for c in sg.strongly_biconnected_components(h).components
+        )
+
+
 def _assert_sc_families_match(g):
+    _assert_probes_match_copies(g)
     assert _strong_cuts(g) == (
         reference_strong_bridges(g),
         reference_strong_articulation_points(g),
@@ -67,14 +92,6 @@ def _assert_sb_families_match(g):
     )
     edge_cells = reference_edge_relation(g)
     assert np.array_equal(dense(sg.edge_relation(g)), edge_cells)
-    # The masked arc probe on every arc, not only the b-bridges: also on
-    # deletions that keep g strongly biconnected, and on arcs with an
-    # antiparallel twin, which must leave their underlying edge in place.
-    # The probe returns raw sets; finished, they are the decomposition.
-    for arc in g.edges:
-        assert _finish(_sbc_without_arc(g, arc)).components == (
-            sg.strongly_biconnected_components(sg.remove_edge(g, arc)).components
-        )
     assert np.array_equal(
         dense(sg.vertex_relation(g)), reference_vertex_relation(g)
     )
