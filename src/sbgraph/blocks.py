@@ -47,8 +47,14 @@ probe drops one entry from one out-adjacency row, a vertex probe leaves
 d out of the vertices it visits.  `_scc_parts` gives the SCC split of
 G - d: a strong bridge or strong articulation point d splits G, and
 `_arc_splits` and `_vertex_splits` compute those splits once per graph
-and keep the classes on it; a family that probes only arcs never
-splits a vertex.  Every other d leaves G - d strongly
+and keep them on it; a family that probes only arcs never splits a
+vertex.  A split runs one SCC call over d's region alone, the vertices
+outside the SCC of vertex 0 in G - d, which `resilience._cut_region`
+reads off the dominator trees, and keeps only the region's classes;
+`_scc_parts` adds the class of 0, every vertex left outside them, when
+a probe reads it.  Vertex 0 is split by the SCC call over G - 0 that
+`_strong_cuts` makes to find whether it is a strong cut, and all of
+those classes are kept.  Every other d leaves G - d strongly
 connected, because the strong cut sets are exact, so its split is the
 one class of the vertices left, with no SCC call.  `_sbc_parts` refines
 that split into the raw strongly biconnected sets of G - d
@@ -59,7 +65,7 @@ antiparallel twin; `_intersect` reads only the parts, not their order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, filterfalse
 
 from . import _kernels
 from .connectivity import (
@@ -73,7 +79,9 @@ from .graph import UndirectedGraph, memoized, underlying
 # Unused here; bound because the benchmark's tracer test
 # (perfbench/test_perfbench.py) reads blocks.remove_edge.
 from .graph import remove_edge  # noqa: F401
-from .resilience import _require_sb, _strong_cuts, cut_report
+from .resilience import (
+    _cut_region, _require_sb, _root_split, _strong_cuts, cut_report,
+)
 from .sbc import masked_sbc
 
 
@@ -151,32 +159,47 @@ def _masked(g, d):
     return g.out_adj, [v for v in range(g.n) if v != d]
 
 
+def _region_classes(g, d):
+    """SCC classes of g - d, for a strong cut d other than vertex 0, that
+    leave out the SCC of 0: the SCCs of d's region alone."""
+    return scc_classes(g.n, _masked(g, d)[0], _cut_region(g, d))
+
+
 @memoized
 def _arc_splits(g):
-    """{arc: SCC classes of g - arc} for every strong bridge of strongly
-    connected g, computed once per graph.  The kernel runs on all of V
-    with no subset, its fastest path."""
-    return {
-        arc: scc_classes(g.n, _masked(g, arc)[0]) for arc in _strong_cuts(g)[0]
-    }
+    """{arc: region classes of g - arc} for every strong bridge of
+    strongly connected g, computed once per graph."""
+    return {arc: _region_classes(g, arc) for arc in _strong_cuts(g)[0]}
 
 
 @memoized
 def _vertex_splits(g):
-    """{z: SCC classes of g - z} for every strong articulation point z of
-    strongly connected g, computed once per graph."""
-    return {z: scc_classes(g.n, *_masked(g, z)) for z in _strong_cuts(g)[1]}
+    """{z: region classes of g - z} for every strong articulation point z
+    of strongly connected g, computed once per graph; for z = 0, every
+    class of g - 0, as `_strong_cuts` found them."""
+    return {
+        z: _root_split(g) if z == 0 else _region_classes(g, z)
+        for z in _strong_cuts(g)[1]
+    }
 
 
 def _scc_parts(g, d):
-    """SCC classes of strongly connected g minus the arc or vertex d.
-    Only a strong cut splits g (`_strong_cuts` is exact), so any other d
-    leaves the one class of the vertices left."""
-    splits = _arc_splits(g) if isinstance(d, tuple) else _vertex_splits(g)
-    classes = splits.get(d)
+    """SCC classes of strongly connected g minus the arc or vertex d,
+    ordered by first member.  Only a strong cut splits g (`_strong_cuts`
+    is exact), so any other d leaves the one class of the vertices left.
+    A strong cut's kept classes leave out the class of vertex 0, unless d
+    is 0: that class, always the first, is every vertex left outside
+    them."""
+    arc = isinstance(d, tuple)
+    classes = (_arc_splits(g) if arc else _vertex_splits(g)).get(d)
     if classes is None:
         return [list(_masked(g, d)[1])]
-    return classes
+    if d == 0:
+        return classes
+    outside = set(chain.from_iterable(classes))
+    if not arc:
+        outside.add(d)
+    return [list(filterfalse(outside.__contains__, range(g.n))), *classes]
 
 
 def _sbc_parts(g, d):
@@ -338,7 +361,8 @@ def two_edge_blocks(g):
     blocks.
     """
     _require_sc(g, "two_edge_blocks")
-    rows = _intersect(g.n, _arc_splits(g).values())
+    arcs = _strong_cuts(g)[0]
+    rows = _intersect(g.n, (_scc_parts(g, arc) for arc in arcs))
     return canonical_family(_bits(r) for r in set(rows) if r.bit_count() >= 2)
 
 
@@ -349,5 +373,6 @@ def two_strong_blocks(g):
     with the 2-strong-biconnected blocks.
     """
     _require_sc(g, "two_strong_blocks")
-    rows = _intersect(g.n, _vertex_splits(g).values())
+    points = _strong_cuts(g)[1]
+    rows = _intersect(g.n, (_scc_parts(g, z) for z in points))
     return canonical_family(_max_cliques(rows))

@@ -38,7 +38,7 @@ def scc_classes(n, adj, sub=None):
 def strongly_connected_components(g):
     """Partition of V into maximal strongly connected classes,
     ordered by smallest member."""
-    return [tuple(c) for c in scc_classes(g.n, g.out_adj, range(g.n))]
+    return [tuple(c) for c in scc_classes(g.n, g.out_adj)]
 
 
 @memoized

@@ -8,12 +8,14 @@ fresh graphs.
 Because a graph never changes, every fact derived from it alone is
 computed once, on first use, and kept in the graph's memo: the underlying
 undirected graph, the strongly-connected and strongly-biconnected
-verdicts, the strong cuts, the SCC classes left by each strong bridge
-and by each strong articulation point (two tables, so a caller that
-probes only arcs never splits a vertex), and the cut report (see
-`memoized`).  No caller modifies a kept value, and two threads that fill
-an entry at once store equal ones, so instances can be shared freely
-between concurrent computations.
+verdicts, the dominator trees of the graph and of its reverse, the SCC
+classes of the graph minus vertex 0, the strong cuts, the SCC classes
+that each strong bridge and each strong articulation point leaves
+outside the class of vertex 0 (two tables, so a caller that probes only
+arcs never splits a vertex), and the cut report (see `memoized`).  No
+caller modifies a kept value, and two threads that fill an entry at
+once store equal ones, so instances can be shared freely between
+concurrent computations.
 """
 
 from __future__ import annotations

@@ -17,6 +17,31 @@ trees with the simple Lengauer-Tarjan algorithm (TOPLAS 1979):
   dominates some other vertex in either tree; vertex 0 is one when G - 0
   has more than one SCC.
 
+The same trees bound what a strong cut separates (Georgiadis, Italiano,
+Laura and Parotsidis, SODA 2015).  Write D_F(v) and D_R(v) for v's
+subtree, the vertices v dominates, in the forward and the reverse tree.
+For a strong cut d other than 0, the region of d is the set of vertices
+outside the SCC of 0 in G - d (`_cut_region`):
+
+- if (a, b) is a flow-graph bridge (idom(b) = a), the vertices that 0
+  cannot reach in G - ab are exactly D_F(b); if it is a reverse one
+  (ridom(a) = b), the vertices that cannot reach 0 are exactly D_R(a).
+  A strong bridge's region is the union of the sets that apply.
+- for a strong articulation point z != 0 the same holds for
+  D_F(z) - z and D_R(z) - z, and its region is their union.
+
+0 lies in no subtree of another vertex, so it is outside every region,
+and every vertex outside the region reaches 0 and is reached from it:
+the SCC of 0 is everything outside the region, d aside.  The other SCCs
+are the SCCs of the region alone, since a cycle through a vertex of the
+region and one outside it would put the first in the SCC of 0 too.  So
+one SCC call over the region splits G - d.  Each call costs O(region +
+arcs leaving the region's vertices) plus the kernel's O(n) arrays, in
+place of O(n + m) for the whole graph.  The worst case is still
+quadratic: on a directed cycle every arc and every vertex is a strong
+cut and G - d is a path, so each region holds all but one or two
+vertices, about 2n^2 over all cuts.
+
 The rest of each cut set comes from the triconnected components (the
 SPQR tree) of H, the underlying graph, which is biconnected:
 
@@ -39,7 +64,8 @@ LNCS 1984), in `_triconnected`.
 Cost: O(m log n) for the two dominator trees plus one SCC call, and
 O(n + m) for the triconnected components.
 
-The strong cuts and the cut report are kept on the graph, so `b_bridges`,
+The dominator trees, the SCC classes of G - 0, the strong cuts and the
+cut report are kept on the graph, so `b_bridges`,
 `b_articulation_points`, the 2-edge / 2-vertex strongly biconnected
 predicates and the block families of `blocks` all read one pass.
 
@@ -69,7 +95,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels
 from ._triconnected import triconnected_components
 from .connectivity import (
     canonical_family, is_strongly_biconnected, scc_classes,
@@ -161,39 +186,75 @@ def _immediate_dominators(n, succ, pred):
     return idom
 
 
-def _flow_bridge_heads(idom, pred):
+class _DominatorTree:
+    """Dominator tree of a flow graph rooted at vertex 0, which must reach
+    every vertex, kept as preorder intervals: `order` lists the vertices
+    in preorder of the tree, v sits at order[first[v]] and its subtree
+    D(v), the vertices v dominates, fills the next size[v] places.
+    `heads` holds the flow-graph bridge heads (`_flow_bridge_heads`)."""
+
+    __slots__ = ("idom", "order", "first", "size", "heads")
+
+    def __init__(self, succ, pred):
+        n = len(succ)
+        idom = _immediate_dominators(n, succ, pred)
+        children = [[] for _ in range(n)]
+        for v in range(1, n):
+            children[idom[v]].append(v)
+        first = [0] * n
+        size = [1] * n
+        order = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            first[v] = len(order)
+            order.append(v)
+            stack.extend(children[v])
+        for v in reversed(order[1:]):
+            size[idom[v]] += size[v]
+        self.idom, self.order, self.first, self.size = idom, order, first, size
+        self.heads = frozenset(_flow_bridge_heads(self, pred))
+
+    def dominates(self, v, w):
+        return self.first[v] <= self.first[w] < self.first[v] + self.size[v]
+
+    def subtree(self, v):
+        """D(v) in preorder, v first."""
+        start = self.first[v]
+        return self.order[start:start + self.size[v]]
+
+
+def _flow_bridge_heads(tree, pred):
     """Vertices v != 0 whose arc from idom(v) is a bridge of the flow graph
-    rooted at 0: every path from the root to v ends with that arc.
+    of `tree`: every path from the root to v ends with that arc.
 
     That holds exactly when v dominates every other in-neighbour
     (Italiano, Laura and Santaroni, TCS 2012).  Some in-neighbour ends a
     v-free path from the root, so the condition also makes idom(v) an
-    in-neighbour.  Dominance is read from preorder intervals of the
-    dominator tree.
+    in-neighbour.
     """
-    n = len(idom)
-    children = [[] for _ in range(n)]
-    for v in range(1, n):
-        children[idom[v]].append(v)
-    first = [0] * n
-    size = [1] * n
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        first[v] = len(order)
-        order.append(v)
-        stack.extend(children[v])
-    for v in reversed(order[1:]):
-        size[idom[v]] += size[v]
+    idom = tree.idom
     return [
         v
-        for v in range(1, n)
-        if all(
-            w == idom[v] or first[v] <= first[w] < first[v] + size[v]
-            for w in pred[v]
-        )
+        for v in range(1, len(idom))
+        if all(w == idom[v] or tree.dominates(v, w) for w in pred[v])
     ]
+
+
+@memoized
+def _dominators(g):
+    """Dominator trees of strongly connected g (n >= 2) and of its
+    reverse, both rooted at 0, computed once per graph."""
+    return (
+        _DominatorTree(g.out_adj, g.in_adj),
+        _DominatorTree(g.in_adj, g.out_adj),
+    )
+
+
+@memoized
+def _root_split(g):
+    """SCC classes of g - 0, computed once per graph."""
+    return scc_classes(g.n, g.out_adj, range(1, g.n))
 
 
 @memoized
@@ -210,21 +271,35 @@ def _strong_cuts(g):
     root is one when g - 0 has more than one SCC.  Computed once per
     graph and kept on it.
     """
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         return (), ()
-    forward = _immediate_dominators(n, g.out_adj, g.in_adj)
-    reverse = _immediate_dominators(n, g.in_adj, g.out_adj)
-    arcs = {(forward[v], v) for v in _flow_bridge_heads(forward, g.in_adj)}
-    arcs.update(
-        (v, reverse[v]) for v in _flow_bridge_heads(reverse, g.out_adj)
-    )
-    points = set(forward[1:]) | set(reverse[1:])
+    forward, reverse = _dominators(g)
+    arcs = {(forward.idom[v], v) for v in forward.heads}
+    arcs.update((v, reverse.idom[v]) for v in reverse.heads)
+    points = set(forward.idom[1:]) | set(reverse.idom[1:])
     points.discard(0)
-    count, _ = _kernels.scc_ids(n, g.out_adj, range(1, n))
-    if count > 1:
+    if len(_root_split(g)) > 1:
         points.add(0)
     return tuple(sorted(arcs)), tuple(sorted(points))
+
+
+def _cut_region(g, d):
+    """Vertices outside the SCC of vertex 0 in g - d, ascending, for a
+    strong bridge or a strong articulation point d != 0 of strongly
+    connected g; the module docstring has the argument."""
+    forward, reverse = _dominators(g)
+    if isinstance(d, tuple):
+        tail, head = d
+        region = set()
+        if head in forward.heads and forward.idom[head] == tail:
+            region.update(forward.subtree(head))
+        if tail in reverse.heads and reverse.idom[tail] == head:
+            region.update(reverse.subtree(tail))
+    else:
+        region = set(forward.subtree(d))
+        region.update(reverse.subtree(d))
+        region.discard(d)
+    return sorted(region)
 
 
 @dataclass(frozen=True)
@@ -313,7 +388,8 @@ def is_2_vertex_strongly_biconnected(g):
 
 
 def _sb_parts(h, sub, least):
-    """SBCs of h's subgraph on `sub` with at least `least` >= 2 vertices."""
+    """SBCs of h's subgraph on `sub` (all of h when None) with at least
+    `least` >= 2 vertices."""
     classes = scc_classes(h.n, h.out_adj, sub)
     parts = masked_sbc(h.n, h.out_adj, underlying(h).adj, classes)
     return [c for c in parts if len(c) >= least]
@@ -326,7 +402,7 @@ def _components(g, split):
     stack = [(g, range(g.n))]
     while stack:
         h, names = stack.pop()
-        for c in _sb_parts(h, range(h.n), 3):
+        for c in _sb_parts(h, None, 3):
             sub, index = induced_subgraph(h, c)
             ids = [names[v] for v in index]
             children = split(sub)

@@ -76,7 +76,7 @@ def strongly_biconnected_components(g):
     SCC classes, so the decomposition applies per SCC.
     """
     n = g.n
-    classes = scc_classes(n, g.out_adj, range(n))
+    classes = scc_classes(n, g.out_adj)
     return _finish(masked_sbc(n, g.out_adj, underlying(g).adj, classes))
 
 

@@ -9,11 +9,12 @@ import threading
 import pytest
 
 import sbgraph as sg
-from sbgraph import _kernels, resilience
+from sbgraph import _kernels, blocks, resilience
 from sbgraph.resilience import _strong_cuts
 from helpers import (
     bidirected_complete,
     c3,
+    directed_cycle,
     ear_graph,
     glued,
     reference_two_edge_blocks,
@@ -97,22 +98,37 @@ def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
         g = _fresh(g)
         whole.clear()
         sg.analyze(g)
-        # Arc probes pass a modified adjacency, so they do not count.
-        assert sum(adj is g.out_adj for adj in whole) == 1
+        # One call gives the verdict and one starts the SBC
+        # decomposition; arc probes pass a modified adjacency, so they
+        # do not count.
+        assert sum(adj is g.out_adj for adj in whole) == 2
 
 
 def _count_cut_probes(monkeypatch, g):
-    """Count, per deleted arc or vertex of g, the `scc_ids` calls that
-    probe that one deletion over all that remains: g's adjacency with one
-    vertex left out of the subset, or with one arc dropped from one row
-    over all n vertices.  The refinement inside a probe passes smaller
-    subsets (a block of H - z has at most n - 2 vertices, one of H - e at
-    most n - 1), so it is not counted."""
+    """Count, per deleted arc or vertex d of g, the `scc_ids` calls that
+    split g - d: those made inside `blocks._region_classes` for d, and
+    those over all that remains of g - d (g's adjacency with one vertex
+    left out of the subset, or with one arc dropped from one row over all
+    n vertices).  The call that `_strong_cuts` makes over every vertex
+    but 0 is of the second kind and counts for vertex 0.  The refinement
+    inside a probe passes smaller subsets (a block of H - z has at most
+    n - 2 vertices, one of H - e at most n - 1), so it is not counted."""
     probes = collections.Counter()
+    splitting = []
     scc_ids = _kernels.scc_ids
+    region_classes = blocks._region_classes
+
+    def split(h, d):
+        splitting.append(d)
+        try:
+            return region_classes(h, d)
+        finally:
+            splitting.pop()
 
     def counting(n, adj, sub=None):
-        if adj is g.out_adj:
+        if splitting:
+            probes[splitting[-1]] += 1
+        elif adj is g.out_adj:
             if sub is not None and len(sub) == n - 1:
                 (z,) = set(range(n)) - set(sub)
                 probes[z] += 1
@@ -122,6 +138,7 @@ def _count_cut_probes(monkeypatch, g):
             probes[(tail, head)] += 1
         return scc_ids(n, adj, sub)
 
+    monkeypatch.setattr(blocks, "_region_classes", split)
     monkeypatch.setattr(_kernels, "scc_ids", counting)
     return probes
 
@@ -136,19 +153,20 @@ def _fine_first(g):
 @pytest.mark.parametrize("run", [sg.analyze, _fine_first])
 def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
     # Each graph has b-cuts that are not strong cuts; those cost no SCC
-    # call, as their deletion leaves one SCC.
+    # call, as their deletion leaves one SCC.  Vertex 0 costs the one
+    # call that finds whether it is a strong cut, whether it is or not.
     for g in (fig1, twin_bridge_graph(), ear_graph(34, 40)):
         g = _fresh(g)
-        cuts = sg.cut_report(g)  # its own root probe is not counted
+        probes = _count_cut_probes(monkeypatch, g)
+        run(g)
+        monkeypatch.undo()
+        cuts = sg.cut_report(g)
         weak = set(cuts.b_bridges + cuts.b_articulation_points) - set(
             cuts.strong_bridges + cuts.strong_articulation_points
         )
         assert weak
-        probes = _count_cut_probes(monkeypatch, g)
-        run(g)
-        monkeypatch.undo()
         strong = cuts.strong_bridges + cuts.strong_articulation_points
-        assert probes == collections.Counter(strong)
+        assert probes == collections.Counter({*strong, 0})
 
 
 @pytest.mark.parametrize(
@@ -176,16 +194,43 @@ def test_arc_families_split_no_vertex(monkeypatch, fig1, run):
 
 def test_shared_splits_serve_graphs_that_are_not_sb(monkeypatch):
     g = _fresh(glued(ear_graph(34, 40), ear_graph(3, 20)))
-    cuts = _strong_cuts(g)
     probes = _count_cut_probes(monkeypatch, g)
     report = sg.analyze(g)
     monkeypatch.undo()
+    cuts = _strong_cuts(g)
     assert not report.strongly_biconnected
-    assert probes == collections.Counter(cuts[0] + cuts[1])
+    assert probes == collections.Counter({*cuts[0], *cuts[1], 0})
     assert report.blocks_2e == [list(b) for b in reference_two_edge_blocks(g)]
     assert report.blocks_2s == [
         list(b) for b in reference_two_strong_blocks(g)
     ]
+
+
+def test_no_split_visits_vertex_0(monkeypatch, fig1, fig2):
+    # Vertex 0 lies in the SCC that every split leaves out, and a deleted
+    # vertex is in no SCC.
+    calls = []
+    region_classes = blocks._region_classes
+    scc_ids = _kernels.scc_ids
+
+    def split(g, d):
+        def recording(n, adj, sub=None):
+            calls.append((d, sub))
+            return scc_ids(n, adj, sub)
+
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "scc_ids", recording)
+            return region_classes(g, d)
+
+    monkeypatch.setattr(blocks, "_region_classes", split)
+    shapes = [fig1, fig2, twin_bridge_graph(), ear_graph(34, 40)]
+    shapes += [directed_cycle(6), glued(ear_graph(3, 20), ear_graph(34, 40))]
+    for g in shapes:
+        sg.analyze(_fresh(g))
+    assert calls
+    for d, sub in calls:
+        assert 0 not in sub
+        assert isinstance(d, tuple) or d not in sub
 
 
 def test_copies_keep_nothing_in_common(fig1):

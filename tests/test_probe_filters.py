@@ -6,15 +6,18 @@ import numpy as np
 from hypothesis import given
 
 import sbgraph as sg
-from sbgraph.blocks import _sbc_parts, _scc_parts
-from sbgraph.resilience import _strong_cuts
+from sbgraph.blocks import _masked, _sbc_parts, _scc_parts
+from sbgraph.connectivity import scc_classes
+from sbgraph.resilience import _cut_region, _strong_cuts
 from sbgraph.sbc import _finish
 from helpers import (
+    bidirected,
     bidirected_complete,
     bidirected_cycle,
     c3,
     dense,
     directed_cycle,
+    ear_graph,
     glued,
     random_sb_corpus,
     reference_b_articulation_points,
@@ -132,6 +135,51 @@ def test_filters_match_references_on_sb_corpus(fig1, fig2):
     for g in [fig1, fig2, twin_bridge_graph()] + small + cycles + corpus:
         _assert_sc_families_match(g)
         _assert_sb_families_match(g)
+
+
+def _assert_splits_match_masked_graph(g):
+    """Every strong cut's split, read off its dominator region, equals the
+    SCC classes of g with the cut masked out, over every vertex left; the
+    region is what lies outside the class of vertex 0."""
+    arcs, points = _strong_cuts(g)
+    for d in arcs + points:
+        adj, left = _masked(g, d)
+        reference = scc_classes(g.n, adj, left)
+        assert _scc_parts(g, d) == reference
+        if d != 0:
+            assert _cut_region(g, d) == sorted(set(left) - set(reference[0]))
+
+
+def _glued_at_0(a, b):
+    """glued(a, b) relabelled so that the shared vertex is 0."""
+    g = glued(a, b)
+    swap = {0: a.n - 1, a.n - 1: 0}
+    return sg.build_digraph(
+        g.n, [(swap.get(t, t), swap.get(h, h)) for t, h in g.edges]
+    )
+
+
+@given(strongly_connected_digraphs())
+def test_splits_match_masked_graph_on_random_draws(g):
+    _assert_splits_match_masked_graph(g)
+
+
+def test_splits_match_masked_graph_on_shapes(fig1, fig2):
+    # On a directed cycle every arc is both a forward and a reverse
+    # bridge.  A graph glued at 0 has 0 as a strong articulation point.
+    corpus = random_sb_corpus(12, seed_base=900, nmax=10)
+    ears = [ear_graph(seed, n) for seed, n in ((1, 30), (2, 60), (3, 90))]
+    glued_at_0 = [
+        _glued_at_0(a, b) for a, b in zip(corpus + ears, ears + corpus)
+    ]
+    assert all(0 in _strong_cuts(g)[1] for g in glued_at_0)
+    shapes = [directed_cycle(k) for k in range(2, 10)]
+    shapes += [bidirected(g) for g in corpus[:4] + ears]
+    shapes += [bidirected_cycle(7), bidirected_complete(5)]
+    shapes += [twin_bridge_graph()]
+    shapes += [ear_graph(seed, 80, ears=(3, 8)) for seed in range(4)]
+    for g in [fig1, fig2] + corpus + ears + glued_at_0 + shapes:
+        _assert_splits_match_masked_graph(g)
 
 
 def test_twin_bridge_graph_has_both_kinds_of_b_bridge():
