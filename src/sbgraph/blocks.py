@@ -9,14 +9,11 @@ builds it for all four families: each probe ANDs into every row the
 parts that hold its vertex.  A probe that leaves a single part relates
 every pair, so the loop skips it.
 
-The blocks are then read off the relation.  2-edge-biconnected blocks
-are the blocks of the undirected helper graph that joins related pairs;
-2-edge blocks are the distinct rows, because that relation is an
-equivalence; 2-strong-biconnected and 2-strong blocks, which may
-overlap, are its maximal cliques, searched over the classes of vertices
-with equal rows (`_max_cliques`).  The clique enumeration of the edge
-relation also serves as the independent oracle of the 2-edge-biconnected
-blocks.
+Every family's blocks are the maximal cliques, of two or more vertices,
+of its relation, which is the paper's definition, and one search reads
+them all (`_max_cliques`); the blocks of the helper graph that joins
+related pairs serve only as the independent oracle of the
+2-edge-biconnected blocks.
 
 Each family probes only the deletions that can change its answer, and
 each probe set is exact:
@@ -67,12 +64,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse
 
-from . import _kernels
 from .connectivity import (
     canonical_family,
     check_guard,
     is_strongly_connected,
     scc_classes,
+    undirected_blocks,
 )
 from .errors import NotStronglyConnectedError
 from .graph import UndirectedGraph, memoized, underlying
@@ -229,34 +226,18 @@ def edge_relation(g):
 
 def helper_graph(relation):
     """Undirected graph joining the related pairs."""
-    rows = _neighbours(relation.rows)
     return UndirectedGraph(
-        relation.n, [(a, b) for a, row in enumerate(rows) for b in row if a < b]
+        relation.n,
+        [(a, b) for a, row in enumerate(relation.rows) for b in _bits(row)
+         if a < b],
     )
 
 
 def two_edge_biconnected_blocks(g):
-    """All 2-edge-biconnected blocks, canonically ordered.
-
-    No b-bridges means every pair stays related, so the whole vertex set
-    is the single block; otherwise the blocks of the helper graph built
-    from the edge relation are the answer.
-    """
+    """All 2-edge-biconnected blocks, canonically ordered: the maximal
+    cliques of size >= 2 of the edge relation (V when no arc separates)."""
     _require_sb(g, "two_edge_biconnected_blocks")
-    if g.n < 2:
-        return []
-    if not cut_report(g).b_bridges:
-        return [tuple(range(g.n))]
-    relation = edge_relation(g)
-    # The blocks of helper_graph(relation), read off its adjacency.
-    blocks, _aps, _connected = _kernels.bcc(g.n, _neighbours(relation.rows))
-    return canonical_family(b for b in blocks if len(b) >= 2)
-
-
-def _neighbours(rows):
-    """Per vertex, the other vertices related to it, as an ascending
-    tuple (the row type the compiled kernels read)."""
-    return [_bits(row & ~(1 << v)) for v, row in enumerate(rows)]
+    return canonical_family(_max_cliques(edge_relation(g).rows))
 
 
 def _max_cliques(rows):
@@ -271,6 +252,17 @@ def _max_cliques(rows):
     classes; a single class is kept when it alone is maximal and holds
     two or more vertices.  The search is exponential in the number of
     distinct rows, not in n.
+
+    On two of the relations it reads, the search stays small:
+
+    - The 2-edge relation is an equivalence, so the quotient has no
+      edges: every class is a clique by itself, and no search runs.
+    - The helper graph of the 2-edge-biconnected relation is a block
+      graph: each of its blocks is a 2-edge-biconnected block, hence a
+      clique (Jaberi's theorem).  True twins merge the non-cut vertices
+      of each block into one class.  Below depth 1, p | x lies inside
+      one block, so a frame branches at most once, or not at all when x
+      already holds a class of that block.
 
     Depth-first with an explicit stack of [r, p, x, branches] frames, so
     a clique of any size cannot overflow the interpreter stack; r, p and
@@ -287,18 +279,23 @@ def _max_cliques(rows):
     index = {c[0]: i for i, c in enumerate(members)}
     reps = sum(1 << v for v in index)
     neighbours = [
-        sum(1 << index[u] for u in _bits(closed & reps)) & ~(1 << i)
-        for i, closed in enumerate(classes)
+        sum(1 << index[u] for u in _bits(closed & reps & ~(1 << c[0])))
+        for c, closed in zip(members, classes)
     ]
     degree = [row.bit_count() for row in neighbours]
-    out = []
+    # A class with no neighbour is a maximal clique by itself, so only
+    # the other classes enter the search, and each clique it finds holds
+    # two or more classes.
+    out = [
+        tuple(c) for c, row in zip(members, neighbours)
+        if not row and len(c) >= 2
+    ]
+    linked = sum(1 << i for i, row in enumerate(neighbours) if row)
     frames = []
 
     def enter(r, p, x):
         if not p and not x:
-            clique = [v for i in _bits(r) for v in members[i]]
-            if len(clique) >= 2:
-                out.append(tuple(sorted(clique)))
+            out.append(tuple(sorted(v for i in _bits(r) for v in members[i])))
             return
         best, pivot = -1, None
         size_p = p.bit_count()
@@ -310,7 +307,8 @@ def _max_cliques(rows):
                 best, pivot = size, u
         frames.append([r, p, x, iter(_bits(p & ~neighbours[pivot]))])
 
-    enter(0, (1 << len(members)) - 1, 0)
+    if linked:
+        enter(0, linked, 0)
     while frames:
         frame = frames[-1]
         r, p, x, branches = frame
@@ -325,11 +323,13 @@ def _max_cliques(rows):
 
 
 def oracle_two_edge_biconnected_blocks(g, guard=24):
-    """Reference computation of the 2-edge-biconnected blocks: maximal
-    cliques of the edge relation.  Exponential; guarded by n <= guard."""
+    """Reference 2-edge-biconnected blocks by a second route: the blocks
+    of size >= 2 of the helper graph.  That graph holds one edge per
+    related pair, so it is guarded by n <= guard."""
     _require_sb(g, "oracle_two_edge_biconnected_blocks")
     check_guard("oracle_two_edge_biconnected_blocks", g.n, guard)
-    return canonical_family(_max_cliques(edge_relation(g).rows))
+    blocks = undirected_blocks(helper_graph(edge_relation(g))).blocks
+    return [b for b in blocks if len(b) >= 2]
 
 
 def vertex_relation(g):
@@ -346,24 +346,22 @@ def vertex_relation(g):
 
 def two_strong_biconnected_blocks(g):
     """All 2-strong-biconnected blocks: maximal cliques of size >= 2 of
-    the vertex relation.  Distinct blocks may share up to two vertices,
-    which rules out both partitioning and helper-graph blocking."""
+    the vertex relation; distinct blocks may share up to two vertices."""
     _require_sb(g, "two_strong_biconnected_blocks")
     return canonical_family(_max_cliques(vertex_relation(g).rows))
 
 
 def two_edge_blocks(g):
     """Maximal sets with two edge-disjoint paths both ways between every
-    pair: equivalence classes of "same SCC under every single-arc
-    deletion", filtered to size >= 2.  The relation is an equivalence, so
-    its classes are its distinct rows.  Only the strong bridges are
-    probed, and their splits are shared with the 2-edge-biconnected
-    blocks.
+    pair: the maximal cliques of size >= 2 of "same SCC under every
+    single-arc deletion", an equivalence, so its classes.  Only the
+    strong bridges are probed, and their splits are shared with the
+    2-edge-biconnected blocks.
     """
     _require_sc(g, "two_edge_blocks")
     arcs = _strong_cuts(g)[0]
     rows = _intersect(g.n, (_scc_parts(g, arc) for arc in arcs))
-    return canonical_family(_bits(r) for r in set(rows) if r.bit_count() >= 2)
+    return canonical_family(_max_cliques(rows))
 
 
 def two_strong_blocks(g):

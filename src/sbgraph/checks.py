@@ -79,7 +79,8 @@ def _minimize(g, mismatch):
 
 def oracle_check(g, guard=12):
     """Compare the refinement SBC decomposition with the subset-search
-    oracle, and the helper-graph block algorithm with the clique oracle.
+    oracle, and the maximal-clique 2-edge-biconnected blocks with the
+    helper-graph oracle.
 
     One guard, n <= guard, bounds both.  Returns a report; on the first
     mismatch the witness graph is shrunk to a minimal failing example.
@@ -95,7 +96,7 @@ def oracle_check(g, guard=12):
         witness = _minimize(g, lambda h: _blocks_mismatch(h, guard))
         return OracleCheckReport(
             passed=False,
-            failure="helper-graph blocks vs maximal-clique oracle",
+            failure="maximal-clique blocks vs helper-graph oracle",
             witness=witness,
         )
     return OracleCheckReport(passed=True)

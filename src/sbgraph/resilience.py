@@ -73,7 +73,18 @@ The maximal 2-edge / 2-vertex strongly biconnected sets (2esb / 2vsb: SB,
 three or more vertices, no b-bridge / no b-articulation point) come from
 deleting cuts and recomputing SBCs, as Henzinger, Krinninger and
 Loitzenbauer (ICALP 2015) and Jaberi (DAM 2016) do for the strongly
-connected analogues.  An SBC T with no cut is kept; otherwise:
+connected analogues.  Before each SBC pass, the current set is peeled:
+every vertex with fewer than two in-neighbours or fewer than two
+out-neighbours left in it is dropped, repeatedly (`_peeled`).  No 2esb
+or 2vsb set C keeps such a vertex v.  C is strongly connected with
+three or more vertices, so v has exactly one in-neighbour u in C (or
+one out-neighbour; that case is the mirror image).  Every path into v
+in C ends with uv, so the arc uv is a strong bridge of C, and u is a
+strong articulation point of C, as the third vertex of C cannot reach v
+in C - u.  Both are strong cuts of C, so C is neither 2esb nor 2vsb.
+Each C lies inside the set it is peeled from, so induction over the
+drops keeps C whole.  An SBC T of what is left with no cut is kept;
+otherwise:
 
 - 2esb: delete T's b-bridges.  A b-bridge uv lies in no 2esb set C in T:
   if T - uv is not strongly connected, u cannot reach v in it but can in
@@ -87,13 +98,14 @@ Sets of two branches share at most one (2esb) or two (2vsb) vertices, so
 no kept set lies in another, and no arc is deleted twice: 2esb splits at
 most m times and keeps at most m/3 sets.  Each 2vsb step shrinks the set,
 so its depth is below n; the number of 2vsb sets searched has no proved
-bound here.  Each set searched costs one cut report and one SBC pass,
-O(m log n).
+bound here.  Each set searched costs one peel, one cut report and one
+SBC pass, O(m log n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, filterfalse
 
 from ._triconnected import triconnected_components
 from .connectivity import (
@@ -395,6 +407,24 @@ def _sb_parts(h, sub, least):
     return [c for c in parts if len(c) >= least]
 
 
+def _peeled(h):
+    """Vertices of h left, ascending, once every vertex with fewer than
+    two in- or out-neighbours among those left is dropped, repeatedly."""
+    ins = [len(row) for row in h.in_adj]
+    outs = [len(row) for row in h.out_adj]
+    dropped = [a < 2 or b < 2 for a, b in zip(ins, outs)]
+    stack = list(compress(range(h.n), dropped))
+    while stack:
+        v = stack.pop()
+        for counts, neighbours in ((ins, h.out_adj[v]), (outs, h.in_adj[v])):
+            for w in neighbours:
+                counts[w] -= 1
+                if counts[w] < 2 and not dropped[w]:
+                    dropped[w] = True
+                    stack.append(w)
+    return list(filterfalse(dropped.__getitem__, range(h.n)))
+
+
 def _components(g, split):
     """Sets kept by the iteration of the module docstring.  split(h[T]) is
     None to keep T, else the (graph, id map) pairs to search next."""
@@ -402,7 +432,7 @@ def _components(g, split):
     stack = [(g, range(g.n))]
     while stack:
         h, names = stack.pop()
-        for c in _sb_parts(h, None, 3):
+        for c in _sb_parts(h, _peeled(h), 3):
             sub, index = induced_subgraph(h, c)
             ids = [names[v] for v in index]
             children = split(sub)

@@ -98,7 +98,7 @@ def masked_sbc(n, out_adj, und_adj, classes):
     single block is therefore strongly biconnected and is emitted without
     another SCC call.
     """
-    worklist = classes[::-1]
+    worklist = list(classes)
     emitted = []
     while worklist:
         s = worklist.pop()
@@ -118,8 +118,7 @@ def masked_sbc(n, out_adj, und_adj, classes):
                 parts.append(b)
             else:
                 parts.extend(scc_classes(n, out_adj, b))
-        parts.sort(key=lambda c: c[0])
-        worklist.extend(reversed(parts))
+        worklist.extend(parts)
     return emitted
 
 

@@ -137,6 +137,18 @@ def test_components_2vsb_fig1(fig1):
     ]
 
 
+def test_peeling_keeps_vertices_with_two_neighbours_each_way():
+    """The bidirected triangle, each vertex with exactly two in- and two
+    out-neighbours, is 2esb and 2vsb and survives the peel; a directed
+    ear hung on it peels away, one vertex after the other."""
+    k3 = bidirected_complete(3)
+    assert sg.components_2esb(k3) == [(0, 1, 2)]
+    assert sg.components_2vsb(k3) == [(0, 1, 2)]
+    g = sg.build_digraph(5, [*k3.edges, (0, 3), (3, 4), (4, 1)])
+    assert resilience._peeled(g) == [0, 1, 2]
+    assert sg.components_2vsb(g) == [(0, 1, 2)]
+
+
 def test_components_overlap_and_edge_bounds():
     for g in random_sb_corpus(30, seed_base=340):
         esb = sg.components_2esb(g)
@@ -182,13 +194,26 @@ def test_components_match_reference_on_fixtures_and_non_sb(fig1, fig2):
     assert sg.components_2vsb(not_sc[1]) == [(0, 1, 2, 3)]
 
 
+# Sets each family searches on the three graphs of the test below, per
+# seed: (short-ear 2esb, 2vsb, long-ear 2esb, 2vsb, bidirected 2esb, 2vsb).
+# Peeling leaves the short-ear core one 2esb and 2vsb set, searched at
+# once, and peels the long-ear graphs to nothing.  In the bidirected
+# graphs nothing peels: the 2vsb search splits at b-articulation points
+# alone.
+SEARCHED = {
+    0: (1, 1, 0, 0, 1, 47),
+    1: (1, 1, 0, 0, 1, 44),
+    2: (1, 1, 0, 0, 1, 38),
+}
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_component_iteration_searches_at_most_n_sets(monkeypatch, seed):
     """Each set the iteration searches reaches `cut_report` once.  On
     seeded short-ear, long-ear and bidirected long-ear graphs with n = 200
     both families search at most n sets: 2esb splits at most m times by
     its argument, and the 2vsb count, which has no proved bound, is
-    measured here."""
+    measured here and pinned in SEARCHED."""
     searched = []
     report = resilience.cut_report
 
@@ -198,6 +223,7 @@ def test_component_iteration_searches_at_most_n_sets(monkeypatch, seed):
 
     monkeypatch.setattr(resilience, "cut_report", counting)
     n = 200
+    counts = []
     for g in (
         ear_graph(seed, n, ears=(1, 2), chords=3 * n),
         ear_graph(seed, n, ears=(3, 8)),
@@ -206,7 +232,9 @@ def test_component_iteration_searches_at_most_n_sets(monkeypatch, seed):
         for components in (sg.components_2esb, sg.components_2vsb):
             searched.clear()
             components(g)
-            assert 0 < len(searched) <= n
+            assert len(searched) <= n
+            counts.append(len(searched))
+    assert tuple(counts) == SEARCHED[seed]
 
 
 @pytest.mark.parametrize(
