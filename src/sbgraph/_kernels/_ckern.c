@@ -280,12 +280,10 @@ PyDoc_STRVAR(bcc_doc,
 static PyObject *
 bcc(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *n_obj, *adj, *sub = Py_None, *blocks = NULL, *aps = NULL;
-    PyObject *result = NULL;
+    PyObject *n_obj, *adj, *sub = Py_None, *blocks = NULL, *result = NULL;
     int *work = NULL, *disc, *low, *pos, *vstack, *dfs_v, *members;
-    Py_ssize_t *dfs_i = NULL, ri, k;
-    unsigned char *is_ap = NULL;
-    int n, v, counter = 0, trees = 0, sp = 0;
+    Py_ssize_t *dfs_i = NULL, ri;
+    int n, v, counter = 0, sp = 0;
     Graph g;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O:bcc", kwlist,
@@ -294,15 +292,12 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
     if (graph_init(&g, n_obj, adj, sub) < 0)
         return NULL;
     n = g.n;
-    /* members holds a block (at most n vertices, the parent included) or,
-     * at the end, the articulation points in sub order (at most
-     * order_len, duplicates included). */
-    k = g.order_len > n ? g.order_len : n;
-    work = PyMem_Malloc((5 * ((size_t)n + 1) + (size_t)k + 1) * sizeof(int));
+    /* members holds one block while it is sorted: at most n distinct
+     * vertices, the parent included, however long sub is. */
+    work = PyMem_Malloc(6 * ((size_t)n + 1) * sizeof(int));
     dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    is_ap = PyMem_Calloc((size_t)n + 1, 1);
     blocks = PyList_New(0);
-    if (work == NULL || dfs_i == NULL || is_ap == NULL) {
+    if (work == NULL || dfs_i == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -318,10 +313,9 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
         disc[v] = -1;
 
     for (ri = 0; ri < g.order_len; ri++) {
-        int root = g.order[ri], root_children = 0, fp = 1;
+        int root = g.order[ri], fp = 1;
         if (disc[root] != -1)
             continue;
-        trees++;
         disc[root] = low[root] = counter++;
         dfs_v[0] = root;
         dfs_i[0] = g.indptr[root];
@@ -336,8 +330,6 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
                     continue;
                 d = disc[w];
                 if (d == -1) {
-                    if (v == root)
-                        root_children++;
                     disc[w] = low[w] = counter++;
                     pos[w] = sp;
                     vstack[sp++] = w;
@@ -372,13 +364,9 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
                         goto done;
                     }
                     Py_DECREF(block);
-                    if (p != root)
-                        is_ap[p] = 1;
                 }
             }
         }
-        if (root_children >= 2)
-            is_ap[root] = 1;
         if (disc[root] == counter - 1) {
             PyObject *block = int_list(&root, 1);
             if (block == NULL || PyList_Append(blocks, block) < 0) {
@@ -388,21 +376,12 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
             Py_DECREF(block);
         }
     }
-    k = 0;
-    for (ri = 0; ri < g.order_len; ri++)
-        if (is_ap[g.order[ri]])
-            members[k++] = g.order[ri];
-    qsort(members, k, sizeof(int), compare_ints);
-    aps = int_list(members, k);
-    if (aps != NULL)
-        result = Py_BuildValue("(OOO)", blocks, aps,
-                               trees <= 1 ? Py_True : Py_False);
+    result = blocks;
+    blocks = NULL;
 done:
     Py_XDECREF(blocks);
-    Py_XDECREF(aps);
     PyMem_Free(work);
     PyMem_Free(dfs_i);
-    PyMem_Free(is_ap);
     graph_free(&g);
     return result;
 }

@@ -94,13 +94,10 @@ def bcc(n, adj, sub=None):
     adj: per-vertex sequences of neighbours (each undirected edge listed in
     both directions).  sub: active vertex subset or None.
 
-    Returns (blocks, articulation_points, connected):
-      blocks - sorted vertex lists, one per biconnected component; isolated
-               active vertices yield singleton blocks, so blocks cover the
-               active set;
-      articulation_points - sorted list of cut vertices;
-      connected - whether the active vertices form one connected component
-                  (vacuously True for <= 1 active vertex).
+    Returns the blocks: sorted vertex lists, one per biconnected
+    component.  Isolated active vertices yield singleton blocks, so the
+    blocks cover the active set, and a disconnected set has two or more;
+    a cut vertex is one that lies in two or more blocks.
 
     The search keeps a stack of vertices, not of edges: every vertex but
     a tree's root is pushed when discovered, and when a child v of p
@@ -122,16 +119,12 @@ def bcc(n, adj, sub=None):
     disc = [-1] * n
     low = [0] * n
     pos = [0] * n  # index of a vertex on the vertex stack
-    is_ap = bytearray(n)
     counter = 0
     vstack = []
     blocks = []
-    trees = 0
     for root in order:
         if disc[root] != -1:
             continue
-        trees += 1
-        root_children = 0
         disc[root] = low[root] = counter
         counter += 1
         dfs_v = [root]
@@ -150,8 +143,6 @@ def bcc(n, adj, sub=None):
                     continue
                 d = disc[w]
                 if d == -1:
-                    if v == root:
-                        root_children += 1
                     disc[w] = low[w] = counter
                     counter += 1
                     pos[w] = len(vstack)
@@ -178,12 +169,6 @@ def bcc(n, adj, sub=None):
                         members.append(p)
                         members.sort()
                         blocks.append(members)
-                        if p != root:
-                            is_ap[p] = 1
-        if root_children >= 2:
-            is_ap[root] = 1
         if disc[root] == counter - 1:
             blocks.append([root])
-    aps = [v for v in order if is_ap[v]]
-    aps.sort()
-    return blocks, aps, trees <= 1
+    return blocks

@@ -225,11 +225,12 @@ def edge_relation(g):
 
 
 def helper_graph(relation):
-    """Undirected graph joining the related pairs."""
+    """Undirected graph joining the related pairs, each read once from
+    the bits above a in row a."""
     return UndirectedGraph(
         relation.n,
-        [(a, b) for a, row in enumerate(relation.rows) for b in _bits(row)
-         if a < b],
+        [(a, a + 1 + b) for a, row in enumerate(relation.rows)
+         for b in _bits(row >> (a + 1))],
     )
 
 
@@ -278,10 +279,12 @@ def _max_cliques(rows):
     # of representatives and `index` maps each to its class.
     index = {c[0]: i for i, c in enumerate(members)}
     reps = sum(1 << v for v in index)
-    neighbours = [
-        sum(1 << index[u] for u in _bits(closed & reps & ~(1 << c[0])))
-        for c, closed in zip(members, classes)
-    ]
+    neighbours = []
+    for c, closed in zip(members, classes):
+        others = closed & reps & ~(1 << c[0])
+        neighbours.append(
+            sum(1 << index[u] for u in _bits(others)) if others else 0
+        )
     degree = [row.bit_count() for row in neighbours]
     # A class with no neighbour is a maximal clique by itself, so only
     # the other classes enter the search, and each clique it finds holds

@@ -9,6 +9,7 @@ vertex" convention, so K1 and K2 both count as biconnected.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import _kernels
@@ -68,23 +69,22 @@ def undirected_blocks(u):
     """Biconnected components of an undirected graph.
 
     A bridge shows up as a 2-vertex block; the bridges field lists exactly
-    those edges.
+    those edges.  The articulation points are read off the blocks: the
+    vertices that lie in two or more of them.
     """
-    raw, aps, _connected = _kernels.bcc(u.n, u.adj)
-    blocks = canonical_family(raw)
-    bridges = tuple(b for b in blocks if len(b) == 2)
+    blocks = canonical_family(_kernels.bcc(u.n, u.adj))
+    count = Counter(itertools.chain.from_iterable(blocks))
     return BlockDecomposition(
         blocks=tuple(blocks),
-        articulation_points=tuple(aps),
-        bridges=bridges,
+        articulation_points=tuple(sorted(v for v in count if count[v] > 1)),
+        bridges=tuple(b for b in blocks if len(b) == 2),
     )
 
 
 def is_biconnected(u):
     """Connected with no cut vertex; K1 and K2 qualify, as does the empty
     graph by convention."""
-    raw, _aps, connected = _kernels.bcc(u.n, u.adj)
-    return connected and len(raw) <= 1
+    return len(_kernels.bcc(u.n, u.adj)) <= 1
 
 
 @memoized
@@ -102,8 +102,7 @@ def _strongly_biconnected_subset(g, und, sub):
     `und` must be underlying(g)."""
     if len(sub) <= 1:
         return True
-    blocks, _aps, connected = _kernels.bcc(g.n, und.adj, sub)
-    if not connected or len(blocks) != 1:
+    if len(_kernels.bcc(g.n, und.adj, sub)) != 1:
         return False
     count, _ = _kernels.scc_ids(g.n, g.out_adj, sub)
     return count == 1

@@ -94,9 +94,8 @@ def masked_sbc(n, out_adj, und_adj, classes):
     (`_finish` drops those), as tuples in no particular order.
 
     Every set on the worklist is an SCC class of the subgraph or of a
-    block, so it is strongly connected; one that is connected with a
-    single block is therefore strongly biconnected and is emitted without
-    another SCC call.
+    block, so it is strongly connected; one that is a single block is
+    therefore strongly biconnected and is emitted without another SCC call.
     """
     worklist = list(classes)
     emitted = []
@@ -105,8 +104,8 @@ def masked_sbc(n, out_adj, und_adj, classes):
         if len(s) == 1:
             emitted.append((s[0],))
             continue
-        blocks, _aps, connected = _kernels.bcc(n, und_adj, s)
-        if connected and len(blocks) == 1:
+        blocks = _kernels.bcc(n, und_adj, s)
+        if len(blocks) == 1:
             emitted.append(tuple(s))
             continue
         # Split along undirected blocks, then re-split every block along

@@ -276,8 +276,8 @@ def reference_cut_report(g):
     split = set()
     for x in range(n):
         rest = [v for v in range(n) if v != x]
-        blocks, _aps, connected = _kernels.bcc(n, und.adj, rest)
-        if not connected or len(blocks) > 1:
+        blocks = _kernels.bcc(n, und.adj, rest)
+        if len(blocks) > 1:
             points.add(x)
         # H - x may be a lone edge (n = 3), which is a bridge but leaves
         # H - x biconnected; collect 2-vertex blocks either way.

@@ -8,7 +8,7 @@ import pytest
 
 import sbgraph as sg
 from sbgraph import _kernels
-from helpers import brute_connected_components, brute_scc_partition, random_sb_corpus
+from helpers import brute_scc_partition, random_sb_corpus
 
 # conftest builds the compiled backend when it is not installed; these
 # tests skip only on a host without a C compiler or the Python headers.
@@ -91,15 +91,6 @@ def test_scc_matches_bruteforce(backend):
             assert sg.strongly_connected_components(g) == brute_scc_partition(g)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bcc_connectivity_matches_bruteforce(backend):
-    with _kernels.use_backend(backend):
-        for g in _random_digraphs(60, seed=34):
-            u = sg.underlying(g)
-            _, _, connected = _kernels.bcc(u.n, u.adj)
-            assert connected == (brute_connected_components(u.n, u.edges) <= 1)
-
-
 def _count_parts(adj, vertices):
     """Connected components of the graph induced on the set `vertices`."""
     count, left = 0, set(vertices)
@@ -117,10 +108,10 @@ def _count_parts(adj, vertices):
 
 
 def _brute_bcc(adj, active):
-    """Blocks, cut vertices and connectivity of the graph induced on the
-    set `active`, straight from the definitions: blocks are the maximal
-    sets of >= 2 vertices inducing a connected graph with no cut vertex,
-    plus isolated vertices as singletons."""
+    """Blocks, cut vertices and number of connected parts of the graph
+    induced on the set `active`, straight from the definitions: blocks
+    are the maximal sets of >= 2 vertices inducing a connected graph with
+    no cut vertex, plus isolated vertices as singletons."""
 
     def biconnected(vs):
         return _count_parts(adj, vs) == 1 and (
@@ -138,23 +129,62 @@ def _brute_bcc(adj, active):
     blocks += [{v} for v in members if not any(w in active for w in adj[v])]
     whole = _count_parts(adj, active)
     cut = [v for v in members if _count_parts(adj, active - {v}) > whole]
-    return sorted(tuple(sorted(b)) for b in blocks), cut, whole <= 1
+    return sorted(tuple(sorted(b)) for b in blocks), cut, whole
+
+
+def _random_subsets(count, seed):
+    """(graph, active) pairs: each of `count` random digraphs with all of
+    its vertices (None) and with a random subset in a random order."""
+    rng = sg.SplitMix64(seed)
+    for g in _random_digraphs(count, seed=seed):
+        sub = [v for v in range(g.n) if rng.below(4)]
+        rng.shuffle(sub)
+        yield g, None
+        yield g, sub
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_bcc_blocks_match_bruteforce(backend):
-    rng = sg.SplitMix64(36)
     with _kernels.use_backend(backend):
-        for g in _random_digraphs(150, seed=36):
+        for g, active in _random_subsets(150, seed=36):
             u = sg.underlying(g)
-            # A random subset, passed in a random order.
-            sub = [v for v in range(g.n) if rng.below(4)]
-            rng.shuffle(sub)
-            for active in (None, sub):
-                vertices = set(range(g.n)) if active is None else set(active)
-                blocks, aps, connected = _kernels.bcc(u.n, u.adj, active)
-                got = sorted(tuple(b) for b in blocks)
-                assert (got, aps, connected) == _brute_bcc(u.adj, vertices)
+            vertices = set(range(g.n)) if active is None else set(active)
+            blocks = _kernels.bcc(u.n, u.adj, active)
+            assert sorted(map(tuple, blocks)) == _brute_bcc(u.adj, vertices)[0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bcc_connectivity_matches_bruteforce(backend):
+    # What the callers read off the blocks: a disconnected set has two or
+    # more, one block means connected with no cut vertex, and the cut
+    # vertices are those in two or more blocks.
+    with _kernels.use_backend(backend):
+        for g, active in _random_subsets(60, seed=34):
+            u = sg.underlying(g)
+            vertices = set(range(g.n)) if active is None else set(active)
+            _, cut, parts = _brute_bcc(u.adj, vertices)
+            blocks = _kernels.bcc(u.n, u.adj, active)
+            assert len(blocks) >= parts
+            assert (len(blocks) == 1) == (parts == 1 and not cut)
+            h, _ = sg.induced_subgraph(g, vertices)
+            aps = sg.undirected_blocks(sg.underlying(h)).articulation_points
+            old = sorted(vertices)
+            assert [old[v] for v in aps] == cut
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bcc_reads_repeated_subset_vertices_once(backend):
+    # A sub longer than n, so a buffer sized by sub rather than by n
+    # would show.
+    rng = sg.SplitMix64(37)
+    with _kernels.use_backend(backend):
+        for g in _random_digraphs(80, seed=37):
+            u = sg.underlying(g)
+            repeated = [rng.below(g.n) for _ in range(3 * g.n)]
+            unique = list(dict.fromkeys(repeated))
+            assert _kernels.bcc(u.n, u.adj, repeated) == (
+                _kernels.bcc(u.n, u.adj, unique)
+            )
 
 
 def test_subset_restriction_equals_induced_subgraph():
@@ -191,7 +221,7 @@ except (ValueError, IndexError, TypeError) as exc:
     [
         # List rows read like tuple rows.
         ("kern.bcc(2, [[1], [0]]) == kern.bcc(2, ((1,), (0,)))", "True"),
-        ("kern.bcc(2, [[1], [0]])", "([[0, 1]], [], True)"),
+        ("kern.bcc(2, [[1], [0]])", "[[0, 1]]"),
         ("kern.scc_ids(3, [[1], [2], [0]], [2, 0, 1])"
          " == kern.scc_ids(3, ((1,), (2,), (0,)), [2, 0, 1])", "True"),
         ("kern.bcc(2, ((1,), (5,)))", "IndexError"),
