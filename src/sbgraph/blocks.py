@@ -33,30 +33,30 @@ pass over the triconnected components of H, the underlying graph (see
 its docstring for the characterizations).  Each family reads its set
 from there.  The graph keeps every derived fact it is asked for once
 (the strongly-connected and strongly-biconnected verdicts, the
-underlying graph, the strong cuts and the cut report), so the families
-of one graph share one cut pass and one verdict of each kind, whoever
-calls them.
+underlying graph, the strong cuts, the cut report and the split of
+each deletion), so the families of one graph share one cut pass and
+one verdict of each kind, whoever calls them.
 
 Every family runs one probe per deletion d, an arc (tail, head) or a
 vertex, and feeds its parts to `_intersect`.  A probe masks d out of the
-graph's adjacency instead of copying the graph (`_masked`): an arc
-probe drops one entry from one out-adjacency row, a vertex probe leaves
-d out of the vertices it visits.  `_scc_parts` gives the SCC split of
-G - d: a strong bridge or strong articulation point d splits G, and
-`_arc_splits` and `_vertex_splits` compute those splits once per graph
-and keep them on it; a family that probes only arcs never splits a
-vertex.  A split runs one SCC call over d's region alone, the vertices
-outside the SCC of vertex 0 in G - d, which `resilience._cut_region`
-reads off the dominator trees, and keeps only the region's classes;
-`_scc_parts` adds the class of 0, every vertex left outside them, when
-a probe reads it.  Vertex 0 is split by the SCC call over G - 0 that
-`_strong_cuts` makes to find whether it is a strong cut, and all of
-those classes are kept.  Every other d leaves G - d strongly
-connected, because the strong cut sets are exact, so its split is the
-one class of the vertices left, with no SCC call.  `_sbc_parts` refines
-that split into the raw strongly biconnected sets of G - d
-(`sbc.masked_sbc`), also masking the underlying edge of an arc with no
-antiparallel twin; `_intersect` reads only the parts, not their order.
+graph's adjacency instead of copying the graph
+(`resilience._masked_adj`): an arc probe drops one entry from one
+out-adjacency row, a vertex probe leaves d out of the vertices it
+visits.  `_scc_parts` gives the SCC split of G - d from one function of
+(g, d), `resilience._split`, kept on the graph per deletion, so a family
+that probes only arcs never splits a vertex.  A split runs one SCC call
+over d's region alone, the vertices outside the SCC of vertex 0 in
+G - d, which `resilience._cut_region` reads off the dominator trees, and
+keeps only the region's classes; `_scc_parts` adds the class of 0, every
+vertex left outside them, when it is not empty.  Vertex 0 is not
+special: its region is every other vertex, so its split is every class
+of G - 0, the one `_strong_cuts` reads to find whether it is a strong
+cut.  Any other d that is not a strong cut has an empty region, so its
+split costs no SCC call and the class of 0 holds every vertex left.
+`_sbc_parts` refines that split into the raw strongly biconnected sets
+of G - d (`sbc.masked_sbc`), also masking the underlying edge of an arc
+with no antiparallel twin; `_intersect` reads only the parts, not their
+order.
 """
 
 from __future__ import annotations
@@ -68,16 +68,15 @@ from .connectivity import (
     canonical_family,
     check_guard,
     is_strongly_connected,
-    scc_classes,
     undirected_blocks,
 )
 from .errors import NotStronglyConnectedError
-from .graph import UndirectedGraph, memoized, underlying
+from .graph import UndirectedGraph, underlying
 # Unused here; bound because the benchmark's tracer test
 # (perfbench/test_perfbench.py) reads blocks.remove_edge.
 from .graph import remove_edge  # noqa: F401
 from .resilience import (
-    _cut_region, _require_sb, _root_split, _strong_cuts, cut_report,
+    _masked_adj, _require_sb, _split, _strong_cuts, _without_arc, cut_report,
 )
 from .sbc import masked_sbc
 
@@ -141,62 +140,17 @@ def _intersect(n, partitions):
     return tuple(rows)
 
 
-def _without_arc(adj, tail, head):
-    """adj with head dropped from row tail; the other rows are shared."""
-    rows = list(adj)
-    rows[tail] = tuple(w for w in adj[tail] if w != head)
-    return rows
-
-
-def _masked(g, d):
-    """g's out-adjacency with deletion d, an arc (tail, head) or a vertex,
-    masked out, and the vertices left, ascending."""
-    if isinstance(d, tuple):
-        return _without_arc(g.out_adj, *d), range(g.n)
-    return g.out_adj, [v for v in range(g.n) if v != d]
-
-
-def _region_classes(g, d):
-    """SCC classes of g - d, for a strong cut d other than vertex 0, that
-    leave out the SCC of 0: the SCCs of d's region alone."""
-    return scc_classes(g.n, _masked(g, d)[0], _cut_region(g, d))
-
-
-@memoized
-def _arc_splits(g):
-    """{arc: region classes of g - arc} for every strong bridge of
-    strongly connected g, computed once per graph."""
-    return {arc: _region_classes(g, arc) for arc in _strong_cuts(g)[0]}
-
-
-@memoized
-def _vertex_splits(g):
-    """{z: region classes of g - z} for every strong articulation point z
-    of strongly connected g, computed once per graph; for z = 0, every
-    class of g - 0, as `_strong_cuts` found them."""
-    return {
-        z: _root_split(g) if z == 0 else _region_classes(g, z)
-        for z in _strong_cuts(g)[1]
-    }
-
-
 def _scc_parts(g, d):
     """SCC classes of strongly connected g minus the arc or vertex d,
-    ordered by first member.  Only a strong cut splits g (`_strong_cuts`
-    is exact), so any other d leaves the one class of the vertices left.
-    A strong cut's kept classes leave out the class of vertex 0, unless d
-    is 0: that class, always the first, is every vertex left outside
-    them."""
-    arc = isinstance(d, tuple)
-    classes = (_arc_splits(g) if arc else _vertex_splits(g)).get(d)
-    if classes is None:
-        return [list(_masked(g, d)[1])]
-    if d == 0:
-        return classes
+    ordered by first member: d's split, and before it the class of vertex
+    0, every vertex left outside the split, when it is not empty (it is
+    empty when d is 0)."""
+    classes = _split(g, d)
     outside = set(chain.from_iterable(classes))
-    if not arc:
+    if not isinstance(d, tuple):
         outside.add(d)
-    return [list(filterfalse(outside.__contains__, range(g.n))), *classes]
+    rest = list(filterfalse(outside.__contains__, range(g.n)))
+    return [rest, *classes] if rest else classes
 
 
 def _sbc_parts(g, d):
@@ -208,7 +162,7 @@ def _sbc_parts(g, d):
         # Without a twin arc the underlying edge goes too.
         tail, head = d
         und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
-    return masked_sbc(g.n, _masked(g, d)[0], und_adj, _scc_parts(g, d))
+    return masked_sbc(g.n, _masked_adj(g, d), und_adj, _scc_parts(g, d))
 
 
 def edge_relation(g):

@@ -8,14 +8,13 @@ fresh graphs.
 Because a graph never changes, every fact derived from it alone is
 computed once, on first use, and kept in the graph's memo: the underlying
 undirected graph, the strongly-connected and strongly-biconnected
-verdicts, the dominator trees of the graph and of its reverse, the SCC
-classes of the graph minus vertex 0, the strong cuts, the SCC classes
-that each strong bridge and each strong articulation point leaves
-outside the class of vertex 0 (two tables, so a caller that probes only
-arcs never splits a vertex), and the cut report (see `memoized`).  No
-caller modifies a kept value, and two threads that fill an entry at
-once store equal ones, so instances can be shared freely between
-concurrent computations.
+verdicts, the dominator trees of the graph and of its reverse, the
+strong cuts, the cut report, and, for each arc or vertex deleted, the
+SCC classes that the deletion leaves outside the class of vertex 0, one
+entry per deletion, so a caller that probes only arcs never splits a
+vertex (see `memoized`).  No caller modifies a kept value, and two
+threads that fill an entry at once store equal ones, so instances can
+be shared freely between concurrent computations.
 """
 
 from __future__ import annotations
@@ -113,15 +112,17 @@ class Digraph:
 
 
 def memoized(fn):
-    """Decorator for a function of one Digraph: compute fn(g) on the first
-    call and keep it in g's memo, keyed by the function's name."""
-    key = fn.__name__
+    """Decorator for a function of one Digraph and any further hashable
+    arguments: compute fn(g, *args) on the first call and keep it in g's
+    memo, keyed by the function's name and args."""
+    name = fn.__name__
 
     @functools.wraps(fn)
-    def cached(g):
+    def cached(g, *args):
         memo = g._memo
+        key = (name, args)
         if key not in memo:
-            memo[key] = fn(g)
+            memo[key] = fn(g, *args)
         return memo[key]
 
     return cached

@@ -17,30 +17,35 @@ trees with the simple Lengauer-Tarjan algorithm (TOPLAS 1979):
   dominates some other vertex in either tree; vertex 0 is one when G - 0
   has more than one SCC.
 
-The same trees bound what a strong cut separates (Georgiadis, Italiano,
+The same trees bound what a deletion separates (Georgiadis, Italiano,
 Laura and Parotsidis, SODA 2015).  Write D_F(v) and D_R(v) for v's
 subtree, the vertices v dominates, in the forward and the reverse tree.
-For a strong cut d other than 0, the region of d is the set of vertices
-outside the SCC of 0 in G - d (`_cut_region`):
+The region of an arc or a vertex d is the set of vertices outside the
+SCC of 0 in G - d (`_cut_region`):
 
 - if (a, b) is a flow-graph bridge (idom(b) = a), the vertices that 0
   cannot reach in G - ab are exactly D_F(b); if it is a reverse one
   (ridom(a) = b), the vertices that cannot reach 0 are exactly D_R(a).
-  A strong bridge's region is the union of the sets that apply.
-- for a strong articulation point z != 0 the same holds for
-  D_F(z) - z and D_R(z) - z, and its region is their union.
+  An arc's region is the union of the sets that apply, empty unless the
+  arc is a strong bridge.
+- for a vertex z != 0 the same holds for D_F(z) - z and D_R(z) - z, and
+  its region is their union, empty unless z dominates another vertex,
+  that is, unless z is a strong articulation point.
+- for z = 0 both subtrees are all of V, so the region is every vertex
+  but 0, and G - 0 has no SCC of 0.
 
 0 lies in no subtree of another vertex, so it is outside every region,
 and every vertex outside the region reaches 0 and is reached from it:
 the SCC of 0 is everything outside the region, d aside.  The other SCCs
 are the SCCs of the region alone, since a cycle through a vertex of the
 region and one outside it would put the first in the SCC of 0 too.  So
-one SCC call over the region splits G - d.  Each call costs O(region +
-arcs leaving the region's vertices) plus the kernel's O(n) arrays, in
-place of O(n + m) for the whole graph.  The worst case is still
-quadratic: on a directed cycle every arc and every vertex is a strong
-cut and G - d is a path, so each region holds all but one or two
-vertices, about 2n^2 over all cuts.
+one SCC call over the region splits G - d (`_split`), and a deletion
+with an empty region, one that is not a strong cut, needs none.  Each
+call costs O(region + arcs leaving the region's vertices) plus the
+kernel's O(n) arrays, in place of O(n + m) for the whole graph.  The
+worst case is still quadratic: on a directed cycle every arc and every
+vertex is a strong cut and G - d is a path, so each region holds all
+but one or two vertices, about 2n^2 over all cuts.
 
 The rest of each cut set comes from the triconnected components (the
 SPQR tree) of H, the underlying graph, which is biconnected:
@@ -64,7 +69,7 @@ LNCS 1984), in `_triconnected`.
 Cost: O(m log n) for the two dominator trees plus one SCC call, and
 O(n + m) for the triconnected components.
 
-The dominator trees, the SCC classes of G - 0, the strong cuts and the
+The dominator trees, the split of each deletion, the strong cuts and the
 cut report are kept on the graph, so `b_bridges`,
 `b_articulation_points`, the 2-edge / 2-vertex strongly biconnected
 predicates and the block families of `blocks` all read one pass.
@@ -264,12 +269,6 @@ def _dominators(g):
 
 
 @memoized
-def _root_split(g):
-    """SCC classes of g - 0, computed once per graph."""
-    return scc_classes(g.n, g.out_adj, range(1, g.n))
-
-
-@memoized
 def _strong_cuts(g):
     """Strong bridges and strong articulation points of strongly connected
     g: the arcs and the vertices whose deletion leaves it not strongly
@@ -280,8 +279,8 @@ def _strong_cuts(g):
     the flow-graph bridges of either side, the reverse side's read
     backwards.  A vertex other than the root is a strong articulation
     point exactly when it dominates some other vertex on either side; the
-    root is one when g - 0 has more than one SCC.  Computed once per
-    graph and kept on it.
+    root is one when its split, every SCC of g - 0, has more than one
+    class.  Computed once per graph and kept on it.
     """
     if g.n < 2:
         return (), ()
@@ -290,15 +289,16 @@ def _strong_cuts(g):
     arcs.update((v, reverse.idom[v]) for v in reverse.heads)
     points = set(forward.idom[1:]) | set(reverse.idom[1:])
     points.discard(0)
-    if len(_root_split(g)) > 1:
+    if len(_split(g, 0)) > 1:
         points.add(0)
     return tuple(sorted(arcs)), tuple(sorted(points))
 
 
 def _cut_region(g, d):
-    """Vertices outside the SCC of vertex 0 in g - d, ascending, for a
-    strong bridge or a strong articulation point d != 0 of strongly
-    connected g; the module docstring has the argument."""
+    """Vertices outside the SCC of vertex 0 in g - d, ascending, for an
+    arc or a vertex d of strongly connected g: every vertex but 0 when d
+    is 0, else empty exactly when d is not a strong cut.  The module
+    docstring has the argument."""
     forward, reverse = _dominators(g)
     if isinstance(d, tuple):
         tail, head = d
@@ -312,6 +312,31 @@ def _cut_region(g, d):
         region.update(reverse.subtree(d))
         region.discard(d)
     return sorted(region)
+
+
+def _without_arc(adj, tail, head):
+    """adj with head dropped from row tail; the other rows are shared."""
+    rows = list(adj)
+    rows[tail] = tuple(w for w in adj[tail] if w != head)
+    return rows
+
+
+def _masked_adj(g, d):
+    """g's out-adjacency with the arc d dropped from its row, or g's own
+    rows when d is a vertex, which the caller leaves out of the vertices
+    it visits."""
+    return _without_arc(g.out_adj, *d) if isinstance(d, tuple) else g.out_adj
+
+
+@memoized
+def _split(g, d):
+    """SCC classes of strongly connected g minus the arc or vertex d that
+    leave out the class of vertex 0, ordered by first member: the SCCs of
+    d's region alone, by one SCC call, or none when the region is empty.
+    For d = 0 they are every class of g - 0.  Computed once per graph and
+    deletion."""
+    region = _cut_region(g, d)
+    return scc_classes(g.n, _masked_adj(g, d), region) if region else []
 
 
 @dataclass(frozen=True)

@@ -104,26 +104,36 @@ def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
         assert sum(adj is g.out_adj for adj in whole) == 2
 
 
+def _patch_split(monkeypatch, wrap):
+    """Replace `resilience._split`, in both modules that call it, by
+    wrap(original)."""
+    split = wrap(resilience._split)
+    monkeypatch.setattr(resilience, "_split", split)
+    monkeypatch.setattr(blocks, "_split", split)
+
+
 def _count_cut_probes(monkeypatch, g):
     """Count, per deleted arc or vertex d of g, the `scc_ids` calls that
-    split g - d: those made inside `blocks._region_classes` for d, and
-    those over all that remains of g - d (g's adjacency with one vertex
-    left out of the subset, or with one arc dropped from one row over all
-    n vertices).  The call that `_strong_cuts` makes over every vertex
-    but 0 is of the second kind and counts for vertex 0.  The refinement
+    split g - d: those made inside `resilience._split` for d, and those
+    over all that remains of g - d (g's adjacency with one vertex left
+    out of the subset, or with one arc dropped from one row over all n
+    vertices).  The call that `_strong_cuts` makes over every vertex but
+    0 is of the first kind and counts for vertex 0.  The refinement
     inside a probe passes smaller subsets (a block of H - z has at most
     n - 2 vertices, one of H - e at most n - 1), so it is not counted."""
     probes = collections.Counter()
     splitting = []
     scc_ids = _kernels.scc_ids
-    region_classes = blocks._region_classes
 
-    def split(h, d):
-        splitting.append(d)
-        try:
-            return region_classes(h, d)
-        finally:
-            splitting.pop()
+    def wrap(original):
+        def split(h, d):
+            splitting.append(d)
+            try:
+                return original(h, d)
+            finally:
+                splitting.pop()
+
+        return split
 
     def counting(n, adj, sub=None):
         if splitting:
@@ -138,7 +148,7 @@ def _count_cut_probes(monkeypatch, g):
             probes[(tail, head)] += 1
         return scc_ids(n, adj, sub)
 
-    monkeypatch.setattr(blocks, "_region_classes", split)
+    _patch_split(monkeypatch, wrap)
     monkeypatch.setattr(_kernels, "scc_ids", counting)
     return probes
 
@@ -210,19 +220,21 @@ def test_no_split_visits_vertex_0(monkeypatch, fig1, fig2):
     # Vertex 0 lies in the SCC that every split leaves out, and a deleted
     # vertex is in no SCC.
     calls = []
-    region_classes = blocks._region_classes
     scc_ids = _kernels.scc_ids
 
-    def split(g, d):
-        def recording(n, adj, sub=None):
-            calls.append((d, sub))
-            return scc_ids(n, adj, sub)
+    def wrap(original):
+        def split(g, d):
+            def recording(n, adj, sub=None):
+                calls.append((d, sub))
+                return scc_ids(n, adj, sub)
 
-        with monkeypatch.context() as m:
-            m.setattr(_kernels, "scc_ids", recording)
-            return region_classes(g, d)
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "scc_ids", recording)
+                return original(g, d)
 
-    monkeypatch.setattr(blocks, "_region_classes", split)
+        return split
+
+    _patch_split(monkeypatch, wrap)
     shapes = [fig1, fig2, twin_bridge_graph(), ear_graph(34, 40)]
     shapes += [directed_cycle(6), glued(ear_graph(3, 20), ear_graph(34, 40))]
     for g in shapes:
@@ -233,6 +245,33 @@ def test_no_split_visits_vertex_0(monkeypatch, fig1, fig2):
         assert isinstance(d, tuple) or d not in sub
 
 
+def test_a_memoized_function_keeps_one_entry_per_argument(
+    monkeypatch, fig1
+):
+    g = _fresh(fig1)
+    # Finding the strong cuts splits vertex 0 on the way.
+    arcs, points = _strong_cuts(g)
+    arc, point = arcs[0], next(z for z in points if z != 0)
+    kept = set(g._memo)
+    calls = []
+    scc_ids = _kernels.scc_ids
+
+    def counting(n, adj, sub=None):
+        calls.append(sub)
+        return scc_ids(n, adj, sub)
+
+    monkeypatch.setattr(_kernels, "scc_ids", counting)
+    first = resilience._split(g, arc)
+    assert resilience._split(g, arc) is first
+    assert len(calls) == 1
+    second = resilience._split(g, point)
+    assert len(calls) == 2
+    assert resilience._split(g, arc) is first
+    assert resilience._split(g, point) is second
+    assert len(calls) == 2
+    assert set(g._memo) - kept == {("_split", (arc,)), ("_split", (point,))}
+
+
 def test_copies_keep_nothing_in_common(fig1):
     g = _fresh(fig1)
     assert sg.cut_report(g) is sg.cut_report(g)
@@ -240,6 +279,9 @@ def test_copies_keep_nothing_in_common(fig1):
     assert sg.cut_report(h) is not sg.cut_report(g)
     assert sg.cut_report(h) == sg.cut_report(g)
     assert sg.underlying(h) is not sg.underlying(g)
+    arc = _strong_cuts(g)[0][0]
+    assert resilience._split(h, arc) is not resilience._split(g, arc)
+    assert resilience._split(h, arc) == resilience._split(g, arc)
 
 
 def test_threads_filling_one_graph_agree(fig1):

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given
 
 import sbgraph as sg
-from sbgraph.blocks import _masked, _sbc_parts, _scc_parts
+from sbgraph.blocks import _sbc_parts, _scc_parts
 from sbgraph.connectivity import scc_classes
 from sbgraph.resilience import _cut_region, _strong_cuts
 from sbgraph.sbc import _finish
@@ -138,16 +138,30 @@ def test_filters_match_references_on_sb_corpus(fig1, fig2):
 
 
 def _assert_splits_match_masked_graph(g):
-    """Every strong cut's split, read off its dominator region, equals the
-    SCC classes of g with the cut masked out, over every vertex left; the
-    region is what lies outside the class of vertex 0."""
+    """The split of every arc and every vertex d, read off its dominator
+    region, equals the SCC classes of g with d masked out, over every
+    vertex left.  The region is what lies outside the class of vertex 0:
+    every vertex but 0 when d is 0, else empty exactly when d is not a
+    strong cut."""
     arcs, points = _strong_cuts(g)
-    for d in arcs + points:
-        adj, left = _masked(g, d)
+    cuts = set(arcs + points)
+    for d in list(g.edges) + list(range(g.n)):
+        if isinstance(d, tuple):
+            adj = [
+                tuple(w for w in row if (v, w) != d)
+                for v, row in enumerate(g.out_adj)
+            ]
+            left = range(g.n)
+        else:
+            adj, left = g.out_adj, [v for v in range(g.n) if v != d]
         reference = scc_classes(g.n, adj, left)
         assert _scc_parts(g, d) == reference
-        if d != 0:
-            assert _cut_region(g, d) == sorted(set(left) - set(reference[0]))
+        region = _cut_region(g, d)
+        if d == 0:
+            assert region == list(range(1, g.n))
+        else:
+            assert bool(region) == (d in cuts)
+            assert region == sorted(set(left) - set(reference[0]))
 
 
 def _glued_at_0(a, b):
