@@ -6,8 +6,7 @@ component for the 2-edge- and 2-strong-biconnected blocks, an SCC for
 the 2-edge and 2-strong blocks.  The relation is kept as one bit row per
 vertex (bit y of rows[x] relates x and y), and one loop, `_intersect`,
 builds it for all four families: each probe ANDs into every row the
-parts that hold its vertex.  A probe that leaves a single part relates
-every pair, so the loop skips it.
+parts that hold its vertex.
 
 Every family's blocks are the maximal cliques, of two or more vertices,
 of its relation, which is the paper's definition, and one search reads
@@ -38,31 +37,25 @@ each deletion), so the families of one graph share one cut pass and
 one verdict of each kind, whoever calls them.
 
 Every family runs one probe per deletion d, an arc (tail, head) or a
-vertex, and feeds its parts to `_intersect`.  A probe masks d out of the
-graph's adjacency instead of copying the graph
-(`resilience._masked_adj`): an arc probe drops one entry from one
-out-adjacency row, a vertex probe leaves d out of the vertices it
-visits.  `_scc_parts` gives the SCC split of G - d from one function of
-(g, d), `resilience._split`, kept on the graph per deletion, so a family
-that probes only arcs never splits a vertex.  A split runs one SCC call
-over d's region alone, the vertices outside the SCC of vertex 0 in
-G - d, which `resilience._cut_region` reads off the dominator trees, and
-keeps only the region's classes; `_scc_parts` adds the class of 0, every
-vertex left outside them, when it is not empty.  Vertex 0 is not
-special: its region is every other vertex, so its split is every class
-of G - 0, the one `_strong_cuts` reads to find whether it is a strong
-cut.  Any other d that is not a strong cut has an empty region, so its
-split costs no SCC call and the class of 0 holds every vertex left.
-`_sbc_parts` refines that split into the raw strongly biconnected sets
-of G - d (`sbc.masked_sbc`), also masking the underlying edge of an arc
-with no antiparallel twin; `_intersect` reads only the parts, not their
-order.
+vertex z, and hands `_intersect` the pair (z, parts), z None for an arc.
+A probe lists only some parts of G - d: every vertex in no listed part,
+z aside, shares one implicit part.  `resilience` owns the probes and
+masks d out of the graph's adjacency instead of copying the graph.  The
+2-edge and 2-strong blocks list d's split, `resilience._split`, the SCCs
+of G - d outside the class of vertex 0, which stays implicit; it is kept
+on the graph per deletion, so a family that probes only arcs never
+splits a vertex.  The 2-edge- and 2-strong-biconnected blocks list the
+raw strongly biconnected sets of G - d, `resilience._sbc_parts`, refined
+from the class of 0 and the same split; they cover every vertex but z,
+so their implicit part is empty, and a b-cut that is not a strong cut
+has an empty split, so it costs no SCC call.  `_intersect` reads only
+the parts, not their order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse
+from itertools import compress
 
 from .connectivity import (
     canonical_family,
@@ -70,15 +63,14 @@ from .connectivity import (
     is_strongly_connected,
     undirected_blocks,
 )
-from .errors import NotStronglyConnectedError
-from .graph import UndirectedGraph, underlying
+from .errors import NotStronglyConnectedError, VertexRangeError
+from .graph import UndirectedGraph
 # Unused here; bound because the benchmark's tracer test
 # (perfbench/test_perfbench.py) reads blocks.remove_edge.
 from .graph import remove_edge  # noqa: F401
 from .resilience import (
-    _masked_adj, _require_sb, _split, _strong_cuts, _without_arc, cut_report,
+    _require_sb, _sbc_parts, _split, _strong_cuts, cut_report,
 )
-from .sbc import masked_sbc
 
 
 def _require_sc(g, op):
@@ -98,6 +90,10 @@ class RelationMatrix:
     rows: tuple
 
     def co(self, x, y):
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise VertexRangeError(
+                f"vertex pair ({x}, {y}) out of range for n={self.n}"
+            )
         return bool(self.rows[x] >> y & 1)
 
 
@@ -111,20 +107,19 @@ def _bits(mask):
     return tuple(compress(range(len(flags)), flags))
 
 
-def _intersect(n, partitions):
-    """Bit rows of the pairs that share a part in every partition of
-    `partitions`, each a list of parts left by one deletion.
+def _intersect(n, probes):
+    """Bit rows of the pairs that share a part after every probe of
+    `probes`, each a pair (z, parts): z is the deleted vertex, or None
+    for an arc, and parts are the classes the probe lists.  Every vertex
+    in no listed part, z aside, shares one implicit part.
 
     Parts may overlap, so each vertex keeps the union of the parts that
-    hold it.  A vertex in no part, the deleted one, stays related to every
-    vertex: it constrains no pair it is not part of.  A deletion that
-    leaves a single part relates every pair, so it is skipped.
+    hold it.  z stays related to every vertex: it constrains no pair it
+    is not part of.
     """
     full = (1 << n) - 1
     rows = [full] * n
-    for parts in partitions:
-        if len(parts) <= 1:
-            continue
+    for z, parts in probes:
         keep = [0] * n
         covered = 0
         for part in parts:
@@ -133,36 +128,14 @@ def _intersect(n, partitions):
             covered |= mask
             for v in part:
                 keep[v] |= mask
-        # The deleted vertex, in no part, keeps its whole row and its bit
-        # in every other row.
-        spare = full & ~covered
-        rows = [row & (k | spare if k else full) for row, k in zip(rows, keep)]
+        spare = 0
+        if z is not None:
+            # z keeps its whole row and its bit in every other row.
+            spare = 1 << z
+            keep[z] = full
+        rest = full & ~covered  # the implicit part, and z
+        rows = [row & (k | spare if k else rest) for row, k in zip(rows, keep)]
     return tuple(rows)
-
-
-def _scc_parts(g, d):
-    """SCC classes of strongly connected g minus the arc or vertex d,
-    ordered by first member: d's split, and before it the class of vertex
-    0, every vertex left outside the split, when it is not empty (it is
-    empty when d is 0)."""
-    classes = _split(g, d)
-    outside = set(chain.from_iterable(classes))
-    if not isinstance(d, tuple):
-        outside.add(d)
-    rest = list(filterfalse(outside.__contains__, range(g.n)))
-    return [rest, *classes] if rest else classes
-
-
-def _sbc_parts(g, d):
-    """Raw strongly biconnected sets of strongly connected g minus the arc
-    or vertex d (see `masked_sbc`), with g's vertex ids, refined from its
-    SCC split."""
-    und_adj = underlying(g).adj
-    if isinstance(d, tuple) and not g.has_edge(d[1], d[0]):
-        # Without a twin arc the underlying edge goes too.
-        tail, head = d
-        und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
-    return masked_sbc(g.n, _masked_adj(g, d), und_adj, _scc_parts(g, d))
 
 
 def edge_relation(g):
@@ -174,7 +147,7 @@ def edge_relation(g):
     """
     _require_sb(g, "edge_relation")
     bridges = cut_report(g).b_bridges
-    rows = _intersect(g.n, (_sbc_parts(g, b) for b in bridges))
+    rows = _intersect(g.n, ((None, _sbc_parts(g, b)) for b in bridges))
     return RelationMatrix(n=g.n, rows=rows)
 
 
@@ -297,7 +270,7 @@ def vertex_relation(g):
     """
     _require_sb(g, "vertex_relation")
     points = cut_report(g).b_articulation_points
-    rows = _intersect(g.n, (_sbc_parts(g, z) for z in points))
+    rows = _intersect(g.n, ((z, _sbc_parts(g, z)) for z in points))
     return RelationMatrix(n=g.n, rows=rows)
 
 
@@ -317,7 +290,7 @@ def two_edge_blocks(g):
     """
     _require_sc(g, "two_edge_blocks")
     arcs = _strong_cuts(g)[0]
-    rows = _intersect(g.n, (_scc_parts(g, arc) for arc in arcs))
+    rows = _intersect(g.n, ((None, _split(g, a)) for a in arcs))
     return canonical_family(_max_cliques(rows))
 
 
@@ -329,5 +302,5 @@ def two_strong_blocks(g):
     """
     _require_sc(g, "two_strong_blocks")
     points = _strong_cuts(g)[1]
-    rows = _intersect(g.n, (_scc_parts(g, z) for z in points))
+    rows = _intersect(g.n, ((z, _split(g, z)) for z in points))
     return canonical_family(_max_cliques(rows))

@@ -69,6 +69,11 @@ LNCS 1984), in `_triconnected`.
 Cost: O(m log n) for the two dominator trees plus one SCC call, and
 O(n + m) for the triconnected components.
 
+Every single-deletion probe is made here, with d masked out of g's
+adjacency instead of a copy of g (`_masked_adj`): `_split(g, d)`, and
+`_sbc_parts(g, d)`, the raw strongly biconnected sets of G - d refined
+from the class of 0 and the split.  `blocks` and the 2vsb step read them.
+
 The dominator trees, the split of each deletion, the strong cuts and the
 cut report are kept on the graph, so `b_bridges`,
 `b_articulation_points`, the 2-edge / 2-vertex strongly biconnected
@@ -97,7 +102,8 @@ otherwise:
   the biconnected C - uv has a u-v path avoiding x.  Having no b-bridge
   survives adding arcs back, so kept sets are 2esb in g.
 - 2vsb: for the least b-articulation point x of T, search D + x for each
-  SBC D of T - x; a 2vsb set C in T lies in one, as C - x is SB.
+  SBC D of T - x; a 2vsb set C in T lies in one, as C - x is SB.  T - x
+  is probed in place (`_sbc_parts`) on the dominator trees of T's cuts.
 
 Sets of two branches share at most one (2esb) or two (2vsb) vertices, so
 no kept set lies in another, and no arc is deleted twice: 2esb splits at
@@ -110,7 +116,7 @@ SBC pass, O(m log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse
+from itertools import chain, compress, filterfalse
 
 from ._triconnected import triconnected_components
 from .connectivity import (
@@ -339,6 +345,24 @@ def _split(g, d):
     return scc_classes(g.n, _masked_adj(g, d), region) if region else []
 
 
+def _sbc_parts(g, d):
+    """Raw strongly biconnected sets of strongly connected g minus the arc
+    or vertex d (see `masked_sbc`), with g's vertex ids; they cover every
+    vertex but d.  The refinement starts from the class of vertex 0, every
+    vertex left outside d's split, when it is not empty, and the split."""
+    split = _split(g, d)
+    # An arc d matches no vertex, so only a deleted vertex is left out.
+    outside = set(chain([d], *split))
+    root = list(filterfalse(outside.__contains__, range(g.n)))
+    und_adj = underlying(g).adj
+    if isinstance(d, tuple) and not g.has_edge(d[1], d[0]):
+        # Without a twin arc the underlying edge goes too.
+        tail, head = d
+        und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
+    classes = [root, *split] if root else split
+    return masked_sbc(g.n, _masked_adj(g, d), und_adj, classes)
+
+
 @dataclass(frozen=True)
 class CutReport:
     """All single-failure weak points of one strongly biconnected graph:
@@ -424,14 +448,6 @@ def is_2_vertex_strongly_biconnected(g):
     return not cut_report(g).b_articulation_points
 
 
-def _sb_parts(h, sub, least):
-    """SBCs of h's subgraph on `sub` (all of h when None) with at least
-    `least` >= 2 vertices."""
-    classes = scc_classes(h.n, h.out_adj, sub)
-    parts = masked_sbc(h.n, h.out_adj, underlying(h).adj, classes)
-    return [c for c in parts if len(c) >= least]
-
-
 def _peeled(h):
     """Vertices of h left, ascending, once every vertex with fewer than
     two in- or out-neighbours among those left is dropped, repeatedly."""
@@ -457,7 +473,10 @@ def _components(g, split):
     stack = [(g, range(g.n))]
     while stack:
         h, names = stack.pop()
-        for c in _sb_parts(h, _peeled(h), 3):
+        classes = scc_classes(h.n, h.out_adj, _peeled(h))
+        for c in masked_sbc(h.n, h.out_adj, underlying(h).adj, classes):
+            if len(c) < 3:
+                continue
             sub, index = induced_subgraph(h, c)
             ids = [names[v] for v in index]
             children = split(sub)
@@ -479,8 +498,8 @@ def _split_at_b_articulation_point(h):
     points = cut_report(h).b_articulation_points
     if points:
         x = points[0]
-        rest = [v for v in range(h.n) if v != x]
-        return [induced_subgraph(h, (x, *d)) for d in _sb_parts(h, rest, 2)]
+        parts = _sbc_parts(h, x)
+        return [induced_subgraph(h, (x, *d)) for d in parts if len(d) >= 2]
 
 
 def components_2esb(g):

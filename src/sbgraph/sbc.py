@@ -7,20 +7,20 @@ all of V, so singletons appear for vertices in no larger component.
 
 `masked_sbc(n, out_adj, und_adj, classes)` refines the SCC classes of a
 subgraph into its strongly biconnected components: worklist sets are
-emitted when strongly biconnected, otherwise split along undirected blocks
-and re-split along strongly connected components.  It reads the arcs and
-the underlying edges as given, so a caller probes a deletion by masking:
-starting from the SCC classes of G - z, which leave z out, deletes vertex
-z, and passing adjacency rows with one entry dropped deletes an arc.  The
-caller supplies the starting classes, so a probe whose SCC split is
-already known (the block families share one per strong cut) costs no SCC
-call for it.  It returns the raw emitted sets, in no particular order and
-with possible repeated or covered singletons: a probe only needs the
-parts.  `strongly_biconnected_components(g)` runs the same loop from the
-SCC classes of all of g and finishes the result (`_finish`: canonical
-order).  `sbc_oracle` recomputes the same decomposition by exhaustive
-search over the vertex subsets of all of V, largest first, and exists
-purely to validate the refinement.
+emitted when strongly biconnected, otherwise split along undirected
+blocks and re-split along strongly connected components.  It reads the
+arcs and the underlying edges as given, so a caller probes a deletion by
+masking: starting from the SCC classes of G - z, which leave z out,
+deletes vertex z, and passing adjacency rows with one entry dropped
+deletes an arc.  The caller supplies the starting classes, so a probe
+(`resilience._sbc_parts`) starts from the deletion's kept split and
+makes no SCC call over all it leaves.  It returns the raw emitted sets, in no
+particular order and with possible repeated or covered singletons: a
+probe only needs the parts.  `strongly_biconnected_components(g)` runs
+the same loop from the SCC classes of all of g and finishes the result
+(`_finish`: canonical order).  `sbc_oracle` recomputes the same
+decomposition by exhaustive search over the vertex subsets of all of V,
+largest first, and exists purely to validate the refinement.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import _kernels
 from .connectivity import (
     _strongly_biconnected_subset, check_guard, maximal_subsets, scc_classes,
 )
+from .errors import VertexRangeError
 from .graph import underlying
 
 
@@ -122,12 +123,13 @@ def masked_sbc(n, out_adj, und_adj, classes):
 
 
 def same_sbc(decomposition, x, y):
-    """True when some component contains both vertices (reflexively true)."""
-    if x == y:
-        return True
-    return bool(
-        decomposition.component_ids(x) & decomposition.component_ids(y)
-    )
+    """True when some component contains both vertices (reflexively true).
+    A vertex in no component is not a vertex of the decomposed graph."""
+    ids = [decomposition.component_ids(v) for v in (x, y)]
+    for v, held in zip((x, y), ids):
+        if not held:
+            raise VertexRangeError(f"vertex {v} lies in no component")
+    return x == y or bool(ids[0] & ids[1])
 
 
 def sbc_oracle(g, guard=12):

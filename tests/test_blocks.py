@@ -334,11 +334,42 @@ def test_two_edge_biconnected_blocks_memory_is_subquadratic():
     assert peak < 1_000_000
 
 
+def _rows(*related):
+    return tuple(sum(1 << v for v in s) for s in related)
+
+
 def test_intersect_unites_overlapping_parts_and_spares_the_deleted_vertex():
-    # Per deletion, its parts: vertex 4 deleted, so in no part, with vertex
-    # 1 in two parts; an arc deletion, whose parts cover every vertex; and
-    # a single part, which relates every pair.
-    partitions = [[[0, 1], [1, 2], [3]], [[0, 1, 2, 4], [3]], [[0, 2, 3]]]
-    rows = _intersect(5, iter(partitions))
-    related = [{0, 1, 4}, {0, 1, 2, 4}, {1, 2, 4}, {3}, {0, 1, 2, 4}]
-    assert rows == tuple(sum(1 << v for v in s) for s in related)
+    # Vertex 4 deleted, vertex 1 in two parts, and no implicit part.
+    vertex = (4, [[0, 1], [1, 2], [3]])
+    assert _intersect(5, [vertex]) == _rows(
+        {0, 1, 4}, {0, 1, 2, 4}, {1, 2, 4}, {3, 4}, range(5)
+    )
+    # An arc probe: 0 and 2, in no part, share the implicit part.
+    arc = (None, [[3], [1, 4]])
+    assert _intersect(5, [arc]) == _rows(
+        {0, 2}, {1, 4}, {0, 2}, {3}, {1, 4}
+    )
+    # Vertex 2 deleted and 0, 1 implicit: 2 stays related to every
+    # vertex, and 0, 1 to each other and to 2 but to no listed vertex.
+    both = (2, [[3, 4], [4, 5]])
+    assert _intersect(6, [both]) == _rows(
+        {0, 1, 2}, {0, 1, 2}, range(6), {2, 3, 4}, {2, 3, 4, 5}, {2, 4, 5}
+    )
+    # Probes intersect: each row is the AND of the rows of each probe.
+    assert _intersect(5, iter([vertex, arc])) == _rows(
+        {0}, {1, 4}, {2}, {3}, {1, 4}
+    )
+
+
+def test_relation_and_same_sbc_reject_vertices_outside_the_graph():
+    g = c3()
+    rel = sg.edge_relation(g)
+    for x, y in ((-1, 0), (0, -1), (0, 3), (3, 0)):
+        with pytest.raises(sg.VertexRangeError):
+            rel.co(x, y)
+    assert rel.co(2, 2) and not rel.co(0, 2)
+    d = sg.strongly_biconnected_components(g)
+    for x, y in ((7, 7), (0, 7), (7, 0), (-1, 0)):
+        with pytest.raises(sg.VertexRangeError):
+            sg.same_sbc(d, x, y)
+    assert sg.same_sbc(d, 2, 2) and sg.same_sbc(d, 2, 0)

@@ -6,9 +6,8 @@ import numpy as np
 from hypothesis import given
 
 import sbgraph as sg
-from sbgraph.blocks import _sbc_parts, _scc_parts
 from sbgraph.connectivity import scc_classes
-from sbgraph.resilience import _cut_region, _strong_cuts
+from sbgraph.resilience import _cut_region, _sbc_parts, _split, _strong_cuts
 from sbgraph.sbc import _finish
 from helpers import (
     bidirected,
@@ -48,6 +47,18 @@ def test_glued_shapes_are_sc_not_sb():
         assert not sg.is_strongly_biconnected(g)
 
 
+def _split_and_rest(g, d):
+    """SCC classes of g - d, ordered by first member, read off d's split:
+    the class of vertex 0, every vertex outside the split (d aside), when
+    it is not empty, then the split."""
+    split = _split(g, d)
+    outside = {v for c in split for v in c}
+    if not isinstance(d, tuple):
+        outside.add(d)
+    rest = [v for v in range(g.n) if v not in outside]
+    return [rest, *split] if rest else split
+
+
 def _assert_probes_match_copies(g):
     """The masked probes on every arc and every vertex, not only the cuts:
     also on deletions that keep g strongly (bi)connected, and on arcs with
@@ -63,7 +74,7 @@ def _assert_probes_match_copies(g):
         else:
             h, old_to_new = sg.remove_vertex(g, d)
             back = sorted(old_to_new)
-        assert _scc_parts(g, d) == [
+        assert _split_and_rest(g, d) == [
             [back[v] for v in c] for c in sg.strongly_connected_components(h)
         ]
         assert _finish(_sbc_parts(g, d)).components == tuple(
@@ -155,7 +166,7 @@ def _assert_splits_match_masked_graph(g):
         else:
             adj, left = g.out_adj, [v for v in range(g.n) if v != d]
         reference = scc_classes(g.n, adj, left)
-        assert _scc_parts(g, d) == reference
+        assert _split_and_rest(g, d) == reference
         region = _cut_region(g, d)
         if d == 0:
             assert region == list(range(1, g.n))

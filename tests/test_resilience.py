@@ -131,6 +131,40 @@ def test_components_2vsb_trivial():
     assert sg.components_2vsb(two_triangles()) == []
 
 
+def test_split_at_b_articulation_point_matches_a_copy(fig1, fig2):
+    """The 2vsb step probes the least b-articulation point x in place and
+    returns, per SBC D of two or more vertices of a copy of h - x, the
+    subgraph of h induced by x and D.  The corpus has x = 0, whose region
+    is every other vertex, and an x that is not a strong articulation
+    point, whose region is empty."""
+    corpus = [fig1, fig2] + random_sb_corpus(30, seed_base=1000, nmax=10)
+    corpus += [ear_graph(seed, 30) for seed in range(4)]
+    seen = set()
+    for h in corpus:
+        cuts = sg.cut_report(h)
+        children = resilience._split_at_b_articulation_point(h)
+        if not cuts.b_articulation_points:
+            assert children is None
+            continue
+        x = cuts.b_articulation_points[0]
+        copy, old_to_new = sg.remove_vertex(h, x)
+        back = sorted(old_to_new)
+        expected = [
+            sg.induced_subgraph(h, (x, *(back[v] for v in c)))
+            for c in sg.strongly_biconnected_components(copy).components
+            if len(c) >= 2
+        ]
+        assert sorted(children, key=lambda c: sorted(c[1])) == sorted(
+            expected, key=lambda c: sorted(c[1])
+        )
+        if x == 0:
+            seen.add("root")
+        elif not resilience._cut_region(h, x):
+            assert x not in cuts.strong_articulation_points
+            seen.add("empty region")
+    assert seen == {"root", "empty region"}
+
+
 def test_components_2vsb_fig1(fig1):
     assert sg.components_2vsb(fig1) == [
         one_based(9, 10, 11, 12, 13, 14)
