@@ -5,7 +5,8 @@ built from the hand-written `_ckern.c`) and a pure-Python fallback
 (`pure`), with the same contracts and traversal order.  The compiled
 backend is preferred when importable; set SBGRAPH_KERNELS=pure or
 SBGRAPH_KERNELS=c to force a choice (forcing an unavailable backend is an
-error, not a silent downgrade).
+error, not a silent downgrade).  That variable is the one process-wide
+switch; `use_backend` switches for the body of a with-statement only.
 """
 
 import contextlib
@@ -45,25 +46,20 @@ def available_backends():
     return sorted(_BACKENDS)
 
 
-def set_backend(name):
-    """Switch the active backend (not thread-safe; meant for benchmarks)."""
+@contextlib.contextmanager
+def use_backend(name):
+    """Switch the active backend for the body of a with-statement (not
+    thread-safe; meant for benchmarks and tests)."""
     global _active
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
         )
-    _active = _BACKENDS[name]
-
-
-@contextlib.contextmanager
-def use_backend(name):
-    """Temporarily switch backends."""
-    previous = backend_name()
-    set_backend(name)
+    previous, _active = _active, _BACKENDS[name]
     try:
         yield
     finally:
-        set_backend(previous)
+        _active = previous
 
 
 def scc_ids(n, adj, sub=None):

@@ -8,13 +8,13 @@ a minimal witness that still mismatches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .blocks import (
     oracle_two_edge_biconnected_blocks,
     two_edge_biconnected_blocks,
 )
 from .connectivity import check_guard, is_strongly_biconnected
-from .errors import GraphError
 from .graph import remove_edge, remove_vertex
 from .sbc import sbc_oracle, strongly_biconnected_components
 
@@ -50,31 +50,17 @@ def _blocks_mismatch(g, guard):
 
 
 def _minimize(g, mismatch):
-    """Greedily drop edges, then vertices, while the mismatch persists."""
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for e in list(g.edges):
-            try:
-                h = remove_edge(g, e)
-                if mismatch(h):
-                    g = h
-                    shrunk = True
-                    break
-            except GraphError:
-                continue
-        if shrunk:
-            continue
-        for v in range(g.n):
-            try:
-                h, _ = remove_vertex(g, v)
-                if mismatch(h):
-                    g = h
-                    shrunk = True
-                    break
-            except GraphError:
-                continue
-    return g
+    """Shrink g by one edge, else one vertex, while the mismatch persists,
+    trying edges first again after each shrink."""
+    while True:
+        shrinks = chain(
+            (remove_edge(g, e) for e in g.edges),
+            (remove_vertex(g, v)[0] for v in range(g.n)),
+        )
+        h = next(filter(mismatch, shrinks), None)
+        if h is None:
+            return g
+        g = h
 
 
 def oracle_check(g, guard=12):

@@ -1,5 +1,9 @@
 """Command-line interface.
 
+A file argument and stdin (`-`) are both read as bytes and decoded by
+`parse_edge_list`, so one input gives one result or one error either way.
+The kernel backend is chosen by SBGRAPH_KERNELS alone (see `_kernels`).
+
 Exit codes: 0 success, 1 analysis precondition failure or failed check,
 2 parse error or a file that cannot be opened, 3 guard or resource error.
 """
@@ -51,12 +55,15 @@ def _open(path, mode, **kwargs):
     try:
         return open(path, mode, **kwargs)
     except OSError as exc:
-        raise _PathError(f"cannot open {path!r}: {exc.strerror}") from None
+        reason = exc.strerror
+    except ValueError as exc:  # e.g. an embedded NUL byte
+        reason = str(exc)
+    raise _PathError(f"cannot open {path!r}: {reason}")
 
 
 def _read_graph(path):
     if path == "-":
-        return parse_edge_list(sys.stdin.read())
+        return parse_edge_list(sys.stdin.buffer)
     with _open(path, "rb") as handle:
         return parse_edge_list(handle)
 
@@ -239,11 +246,6 @@ def build_parser():
         description="Connectivity analysis for strongly biconnected "
         "directed graphs",
     )
-    backends = _kernels.available_backends()
-    parser.add_argument(
-        "--kernels", choices=backends,
-        help="force a kernel backend (default: compiled when available)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="connectivity predicates for one graph")
@@ -281,7 +283,8 @@ def build_parser():
     p = sub.add_parser("bench", help="time the block pipeline per backend")
     p.add_argument("--sizes", type=_bench_sizes, default="50,100,200")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--backends", default="all", choices=("all", *backends))
+    p.add_argument("--backends", default="all",
+                   choices=("all", *_kernels.available_backends()))
     p.add_argument("--repeat", type=_at_least(1), default=3)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_bench)
@@ -302,8 +305,6 @@ def main(argv=None):
         parser.error(
             f"oracle --nmax ({args.nmax}) must be >= --nmin ({args.nmin})"
         )
-    if args.kernels:
-        _kernels.set_backend(args.kernels)
     try:
         return args.func(args)
     except EdgeListParseError as exc:
@@ -315,9 +316,6 @@ def main(argv=None):
     except (GuardError, GenerationBudgetError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except _PathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -121,11 +121,16 @@ def maximal_subsets(regions, min_size, keep):
     """Subsets of each region with at least `min_size` members that satisfy
     `keep` and lie in no larger such subset, as tuples in region order.
     Tries subsets largest first and skips, without calling `keep`, those
-    inside one already kept.  Exponential in the region size."""
+    inside one already kept; a region that is kept whole ends there.
+    Exponential in the region size."""
     found = []
     for region in regions:
+        region = tuple(region)
+        if len(region) >= min_size and keep(region):
+            found.append(region)
+            continue
         kept = []
-        for size in range(len(region), min_size - 1, -1):
+        for size in range(len(region) - 1, min_size - 1, -1):
             for comb in itertools.combinations(region, size):
                 cs = set(comb)
                 if any(cs <= k for k in kept):

@@ -112,13 +112,8 @@ def masked_sbc(n, out_adj, und_adj, classes):
         # Split along undirected blocks, then re-split every block along
         # its strongly connected components.  Every part is strictly
         # smaller than s, so the worklist terminates.
-        parts = []
         for b in blocks:
-            if len(b) == 1:
-                parts.append(b)
-            else:
-                parts.extend(scc_classes(n, out_adj, b))
-        worklist.extend(parts)
+            worklist.extend(scc_classes(n, out_adj, b))
     return emitted
 
 

@@ -36,3 +36,18 @@ def test_oracle_check_reports_and_minimizes_mismatch(monkeypatch):
     assert report.failure == "sbc refinement vs enumeration oracle"
     assert report.witness.m == 3
     assert "MISMATCH" in report.describe()
+
+
+def test_minimize_drops_edges_then_vertices():
+    witness = checks._minimize(sg.gen_random_sb(7, 0.8, 3), lambda h: h.n >= 4)
+    assert (witness.n, witness.m) == (4, 0)
+
+
+def test_oracle_check_reports_blocks_mismatch(monkeypatch):
+    monkeypatch.setattr(
+        checks, "two_edge_biconnected_blocks", lambda h: ["wrong"]
+    )
+    report = checks.oracle_check(c3())
+    assert not report.passed
+    assert report.failure == "maximal-clique blocks vs helper-graph oracle"
+    assert report.witness == c3()

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 
 import sbgraph as sg
+from sbgraph import connectivity
 from helpers import (
     bidirected_complete,
     brute_connected_components,
@@ -155,3 +158,22 @@ def test_is_strongly_biconnected_fig1(fig1):
 
 def test_is_strongly_biconnected_fig2(fig2):
     assert sg.is_strongly_biconnected(fig2)
+
+
+def test_maximal_subsets_ends_a_region_kept_whole(monkeypatch):
+    # No subset of a region kept whole is enumerated; a region that is not
+    # kept whole is searched from the next size down.
+    sizes = []
+    combinations = itertools.combinations
+
+    def counting(region, size):
+        sizes.append(size)
+        return combinations(region, size)
+
+    monkeypatch.setattr(connectivity.itertools, "combinations", counting)
+    found = connectivity.maximal_subsets(
+        [range(6), range(6, 9)], 2,
+        lambda s: s == (0, 1, 2, 3, 4, 5) or (len(s) == 2 and s[0] >= 6),
+    )
+    assert found == [(0, 1, 2, 3, 4, 5), (6, 7), (6, 8), (7, 8)]
+    assert sizes == [2]

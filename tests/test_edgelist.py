@@ -1,9 +1,11 @@
 import io
+import sys
 
 import pytest
 from hypothesis import given
 
 import sbgraph as sg
+from sbgraph.cli import main
 from helpers import c3, digraphs, run_cli_capped
 
 
@@ -14,8 +16,10 @@ def test_parse_cycle():
 
 def test_parse_accepts_bytes_and_streams():
     text = "2 1\n0 1\n"
-    assert sg.parse_edge_list(text.encode()) == sg.parse_edge_list(text)
-    assert sg.parse_edge_list(io.StringIO(text)) == sg.parse_edge_list(text)
+    g = sg.parse_edge_list(text)
+    assert sg.parse_edge_list(text.encode()) == g
+    assert sg.parse_edge_list(io.StringIO(text)) == g
+    assert sg.parse_edge_list(io.BytesIO(text.encode())) == g
 
 
 def test_parse_comments_and_blank_lines():
@@ -43,12 +47,22 @@ def test_parse_out_of_range_reports_line():
         ("2 2\n0 1\n0 1\n", "duplicate"),
         ("2 1\n0 1\n1 0\n", "more than the declared"),
         ("2 2\n0 1\n", "found 1"),
+        (b"3 1\n0 \xff\n", "line 2: invalid UTF-8"),
     ],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, tmp_path, monkeypatch, capsys):
     with pytest.raises(sg.EdgeListParseError) as exc:
         sg.parse_edge_list(text)
     assert fragment in str(exc.value)
+    assert (exc.value.line is None) == (text == "")
+    # A file argument and stdin read the same bytes to the same error.
+    data = text if isinstance(text, bytes) else text.encode()
+    path = tmp_path / "input.edges"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    for source in (str(path), "-"):
+        assert main(["check", source]) == 2
+        assert capsys.readouterr().err == f"parse error: {exc.value}\n"
 
 
 def test_fixture_files_parse(fig1, fig2):

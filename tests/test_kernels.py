@@ -32,8 +32,11 @@ def test_pure_backend_always_available():
 
 
 def test_set_backend_rejects_unknown():
+    before = _kernels.backend_name()
     with pytest.raises(ValueError):
-        _kernels.set_backend("turbo")
+        with _kernels.use_backend("turbo"):
+            pass
+    assert _kernels.backend_name() == before
 
 
 def test_use_backend_restores():

@@ -131,6 +131,27 @@ def test_components_2vsb_trivial():
     assert sg.components_2vsb(two_triangles()) == []
 
 
+def _k4_ring(k, links):
+    """k bidirected K4s on {4i, ..., 4i + 3}, joined by the arcs `links`."""
+    k4 = bidirected_complete(4).edges
+    edges = [(t + 4 * i, h + 4 * i) for i in range(k) for t, h in k4]
+    return sg.build_digraph(4 * k, edges + links)
+
+
+@pytest.mark.parametrize(
+    "k,links", [(2, [(0, 4), (5, 1)]), (3, [(0, 4), (5, 8), (9, 1)])]
+)
+def test_components_split_at_b_bridges(k, links):
+    # The links are the only b-bridges of a strongly biconnected graph, so
+    # the 2esb search must delete them and keep each K4 it leaves.
+    g = _k4_ring(k, links)
+    assert sg.is_strongly_biconnected(g)
+    assert sg.b_bridges(g) == sorted(links)
+    k4s = [tuple(range(4 * i, 4 * i + 4)) for i in range(k)]
+    assert sg.components_2esb(g) == k4s == reference_components_2esb(g)
+    assert sg.components_2vsb(g) == k4s == reference_components_2vsb(g)
+
+
 def test_split_at_b_articulation_point_matches_a_copy(fig1, fig2):
     """The 2vsb step probes the least b-articulation point x in place and
     returns, per SBC D of two or more vertices of a copy of h - x, the

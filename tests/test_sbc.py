@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sbgraph as sg
-from sbgraph import _kernels
+from sbgraph import _kernels, sbc
 from helpers import (
     bidirected_complete,
     bidirected_cycle,
@@ -92,6 +92,21 @@ def test_oracle_guard():
         sg.sbc_oracle(g)
     # explicit override allows it
     assert sg.sbc_oracle(g, guard=13).components
+
+
+def test_oracle_tests_a_strongly_biconnected_graph_once(monkeypatch, fig1):
+    # The whole vertex set is kept first, so no smaller subset is tried.
+    calls = []
+    subset = sbc._strongly_biconnected_subset
+
+    def counting(g, und, s):
+        calls.append(s)
+        return subset(g, und, s)
+
+    monkeypatch.setattr(sbc, "_strongly_biconnected_subset", counting)
+    g = sg.gen_random_sb(10, 0.6, 1)
+    assert sg.sbc_oracle(g).components == (tuple(range(10)),)
+    assert calls == [tuple(range(10))]
 
 
 def test_refinement_matches_oracle_on_corpus():
