@@ -2,10 +2,11 @@
 
 The hot traversal kernels exist twice: a compiled extension (`_ckern`,
 built from the hand-written `_ckern.c`) and a pure-Python fallback
-(`pure`), with the same contracts and traversal order.  The compiled
-backend is preferred when importable; set SBGRAPH_KERNELS=pure or
-SBGRAPH_KERNELS=c to force a choice (forcing an unavailable backend is an
-error, not a silent downgrade).  That variable is the one process-wide
+(`pure`), with the same contracts and traversal order.  Both kernels walk
+the vertex list `sub` they are given; a whole-graph call passes range(n).
+The compiled backend is preferred when importable; set SBGRAPH_KERNELS=pure
+or SBGRAPH_KERNELS=c to force a choice (forcing an unavailable backend is
+an error, not a silent downgrade).  That variable is the one process-wide
 switch; `use_backend` switches for the body of a with-statement only.
 """
 
@@ -62,9 +63,9 @@ def use_backend(name):
         _active = previous
 
 
-def scc_ids(n, adj, sub=None):
+def scc_ids(n, adj, sub):
     return _active.scc_ids(n, adj, sub)
 
 
-def bcc(n, adj, sub=None):
+def bcc(n, adj, sub):
     return _active.bcc(n, adj, sub)

@@ -16,7 +16,7 @@
 
 /* The rows of the active vertices, flattened: the neighbours of an active
  * vertex v are indices[indptr[v] .. indptr[v + 1]); inactive rows are
- * empty.  order lists the roots in the caller's order: sub, or 0..n-1. */
+ * empty.  order is sub: the roots, in the caller's order. */
 typedef struct {
     int n;
     Py_ssize_t *indptr;
@@ -82,32 +82,20 @@ graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub)
     g->indptr = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
     if (g->active == NULL || g->indptr == NULL)
         goto nomem;
-    if (sub == Py_None) {
-        g->order = PyMem_Malloc(((size_t)n + 1) * sizeof(int));
-        if (g->order == NULL)
-            goto nomem;
-        for (v = 0; v < n; v++) {
-            g->order[v] = v;
-            g->active[v] = 1;
-        }
-        g->order_len = n;
-    }
-    else {
-        seq = PySequence_Fast(sub, "sub must be an iterable of vertices");
-        if (seq == NULL)
+    seq = PySequence_Fast(sub, "sub must be an iterable of vertices");
+    if (seq == NULL)
+        goto fail;
+    g->order_len = PySequence_Fast_GET_SIZE(seq);
+    g->order = PyMem_Malloc(((size_t)g->order_len + 1) * sizeof(int));
+    if (g->order == NULL)
+        goto nomem;
+    for (i = 0; i < g->order_len; i++) {
+        if (read_int(PySequence_Fast_GET_ITEM(seq, i), n, "sub vertex",
+                     PyExc_IndexError, &g->order[i]) < 0)
             goto fail;
-        g->order_len = PySequence_Fast_GET_SIZE(seq);
-        g->order = PyMem_Malloc(((size_t)g->order_len + 1) * sizeof(int));
-        if (g->order == NULL)
-            goto nomem;
-        for (i = 0; i < g->order_len; i++) {
-            if (read_int(PySequence_Fast_GET_ITEM(seq, i), n, "sub vertex",
-                         PyExc_IndexError, &g->order[i]) < 0)
-                goto fail;
-            g->active[g->order[i]] = 1;
-        }
-        Py_CLEAR(seq);
+        g->active[g->order[i]] = 1;
     }
+    Py_CLEAR(seq);
     g->indptr[0] = 0;
     for (v = 0; v < n; v++) {
         if (g->active[v]) {
@@ -176,20 +164,20 @@ compare_ints(const void *a, const void *b)
 static char *kwlist[] = {"n", "adj", "sub", NULL};
 
 PyDoc_STRVAR(scc_ids_doc,
-"scc_ids(n, adj, sub=None)\n--\n\n"
+"scc_ids(n, adj, sub)\n--\n\n"
 "Strongly connected components, Tarjan's algorithm; see the pure backend.");
 
 static PyObject *
 scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *n_obj, *adj, *sub = Py_None, *comps, *result = NULL;
+    PyObject *n_obj, *adj, *sub, *comps, *result = NULL;
     int *work = NULL, *index, *low, *comp, *stack, *dfs_v;
     Py_ssize_t *dfs_i = NULL, ri;
     unsigned char *on_stack = NULL;
     int n, v, ncomp = 0, counter = 0, sp = 0;
     Graph g;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O:scc_ids", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:scc_ids", kwlist,
                                      &n_obj, &adj, &sub))
         return NULL;
     if (graph_init(&g, n_obj, adj, sub) < 0)
@@ -273,20 +261,20 @@ done:
 }
 
 PyDoc_STRVAR(bcc_doc,
-"bcc(n, adj, sub=None)\n--\n\n"
+"bcc(n, adj, sub)\n--\n\n"
 "Biconnected components, Hopcroft-Tarjan with a vertex stack; see the\n"
 "pure backend.");
 
 static PyObject *
 bcc(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *n_obj, *adj, *sub = Py_None, *blocks = NULL, *result = NULL;
+    PyObject *n_obj, *adj, *sub, *blocks = NULL, *result = NULL;
     int *work = NULL, *disc, *low, *pos, *vstack, *dfs_v, *members;
     Py_ssize_t *dfs_i = NULL, ri;
     int n, v, counter = 0, sp = 0;
     Graph g;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O:bcc", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:bcc", kwlist,
                                      &n_obj, &adj, &sub))
         return NULL;
     if (graph_init(&g, n_obj, adj, sub) < 0)

@@ -1,34 +1,39 @@
 """Pure-Python traversal kernels (fallback backend).
 
-Both kernels accept an optional vertex subset and then behave exactly as if
-they were run on the induced subgraph, without materializing it.  DFS uses
-explicit stacks so deep graphs cannot overflow the interpreter stack.  A
-vertex id outside 0..n-1, in a row read or in the subset, raises
-IndexError, as in the compiled kernels: a negative id is checked
-explicitly, since list indexing would read it from the end.
+Both kernels take the vertices to walk, `sub`, and behave exactly as if
+they were run on the subgraph induced on it, without materializing it; a
+whole-graph call passes range(n).  DFS uses explicit stacks so deep
+graphs cannot overflow the interpreter stack.  A vertex id outside
+0..n-1, in a row read or in the subset, raises IndexError, as in the
+compiled kernels: a negative id is checked explicitly, since list
+indexing would read it from the end.
 """
 
 
-def scc_ids(n, adj, sub=None):
+def _active(n, sub):
+    """The vertices of `sub` as a list, in order, and a bytearray marking
+    them among 0..n-1."""
+    order = list(sub)
+    active = bytearray(n)
+    for v in order:
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
+        active[v] = 1
+    return order, active
+
+
+def scc_ids(n, adj, sub):
     """Strongly connected components, Tarjan's algorithm.
 
     adj: per-vertex sequences of out-neighbours.
-    sub: iterable of active vertices, or None for all of them.
+    sub: iterable of the active vertices; the DFS roots are tried in its
+    order.
 
     Returns (count, ids) where ids[v] is the component id of v, or -1 for
     inactive vertices.  Ids are assigned in completion order (reverse
     topological order of the condensation).
     """
-    if sub is None:
-        active = None
-        order = range(n)
-    else:
-        order = list(sub)
-        active = bytearray(n)
-        for v in order:
-            if v < 0:
-                raise IndexError(f"vertex {v} out of range")
-            active[v] = 1
+    order, active = _active(n, sub)
     index = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)
@@ -55,7 +60,7 @@ def scc_ids(n, adj, sub=None):
                 i += 1
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
-                if active is not None and not active[w]:
+                if not active[w]:
                     continue
                 if index[w] == -1:
                     dfs_i[-1] = i
@@ -88,11 +93,12 @@ def scc_ids(n, adj, sub=None):
     return ncomp, comp
 
 
-def bcc(n, adj, sub=None):
+def bcc(n, adj, sub):
     """Biconnected components of an undirected graph, Hopcroft-Tarjan.
 
     adj: per-vertex sequences of neighbours (each undirected edge listed in
-    both directions).  sub: active vertex subset or None.
+    both directions).  sub: iterable of the active vertices, as for
+    scc_ids.
 
     Returns the blocks: sorted vertex lists, one per biconnected
     component.  Isolated active vertices yield singleton blocks, so the
@@ -106,16 +112,7 @@ def bcc(n, adj, sub=None):
     its parent p included: that can lower low[v] only to disc[p], which
     still passes the test at p and cannot lower low[p].
     """
-    if sub is None:
-        active = None
-        order = range(n)
-    else:
-        order = list(sub)
-        active = bytearray(n)
-        for v in order:
-            if v < 0:
-                raise IndexError(f"vertex {v} out of range")
-            active[v] = 1
+    order, active = _active(n, sub)
     disc = [-1] * n
     low = [0] * n
     pos = [0] * n  # index of a vertex on the vertex stack
@@ -139,7 +136,7 @@ def bcc(n, adj, sub=None):
                 i += 1
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
-                if active is not None and not active[w]:
+                if not active[w]:
                     continue
                 d = disc[w]
                 if d == -1:

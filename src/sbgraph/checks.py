@@ -72,17 +72,13 @@ def oracle_check(g, guard=12):
     mismatch the witness graph is shrunk to a minimal failing example.
     """
     check_guard("oracle_check", g.n, guard)
-    if _sbc_mismatch(g, guard):
-        witness = _minimize(g, lambda h: _sbc_mismatch(h, guard))
-        return OracleCheckReport(
-            passed=False, failure="sbc refinement vs enumeration oracle",
-            witness=witness,
-        )
-    if _blocks_mismatch(g, guard):
-        witness = _minimize(g, lambda h: _blocks_mismatch(h, guard))
-        return OracleCheckReport(
-            passed=False,
-            failure="maximal-clique blocks vs helper-graph oracle",
-            witness=witness,
-        )
+    for failure, mismatch in (
+        ("sbc refinement vs enumeration oracle", _sbc_mismatch),
+        ("maximal-clique blocks vs helper-graph oracle", _blocks_mismatch),
+    ):
+        if mismatch(g, guard):
+            witness = _minimize(g, lambda h: mismatch(h, guard))
+            return OracleCheckReport(
+                passed=False, failure=failure, witness=witness
+            )
     return OracleCheckReport(passed=True)

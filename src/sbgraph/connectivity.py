@@ -25,13 +25,13 @@ def canonical_family(sets):
     return fam
 
 
-def scc_classes(n, adj, sub=None):
-    """Strongly connected classes of the subgraph induced on `sub`, or of
-    the whole graph when sub is None, as lists in `sub` order, ordered by
+def scc_classes(n, adj, sub):
+    """Strongly connected classes of the subgraph induced on `sub` (pass
+    range(n) for the whole graph), as lists in `sub` order, ordered by
     first member."""
     ids = _kernels.scc_ids(n, adj, sub)[1]
     groups = {}
-    for v in range(n) if sub is None else sub:
+    for v in sub:
         groups.setdefault(ids[v], []).append(v)
     return sorted(groups.values(), key=lambda c: c[0])
 
@@ -39,7 +39,7 @@ def scc_classes(n, adj, sub=None):
 def strongly_connected_components(g):
     """Partition of V into maximal strongly connected classes,
     ordered by smallest member."""
-    return [tuple(c) for c in scc_classes(g.n, g.out_adj)]
+    return [tuple(c) for c in scc_classes(g.n, g.out_adj, range(g.n))]
 
 
 @memoized
@@ -50,7 +50,7 @@ def is_strongly_connected(g):
     """
     if g.n <= 1:
         return True
-    ncomp, _ = _kernels.scc_ids(g.n, g.out_adj)
+    ncomp, _ = _kernels.scc_ids(g.n, g.out_adj, range(g.n))
     return ncomp == 1
 
 
@@ -72,7 +72,7 @@ def undirected_blocks(u):
     those edges.  The articulation points are read off the blocks: the
     vertices that lie in two or more of them.
     """
-    blocks = canonical_family(_kernels.bcc(u.n, u.adj))
+    blocks = canonical_family(_kernels.bcc(u.n, u.adj, range(u.n)))
     count = Counter(itertools.chain.from_iterable(blocks))
     return BlockDecomposition(
         blocks=tuple(blocks),
@@ -84,7 +84,7 @@ def undirected_blocks(u):
 def is_biconnected(u):
     """Connected with no cut vertex; K1 and K2 qualify, as does the empty
     graph by convention."""
-    return len(_kernels.bcc(u.n, u.adj)) <= 1
+    return len(_kernels.bcc(u.n, u.adj, range(u.n))) <= 1
 
 
 @memoized

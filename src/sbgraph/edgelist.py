@@ -3,7 +3,9 @@
 UTF-8 text.  First non-comment line: "n m".  Then exactly m lines "u v"
 with 0-based endpoints.  Lines starting with '#' (after optional
 whitespace) and blank lines are ignored.  Parse errors, including a byte
-that is not UTF-8, carry the 1-based line number.  The arcs go straight
+that is not UTF-8, carry the 1-based line number, with one exception: a
+text-mode stream decodes before the parser sees any line, so its invalid
+UTF-8 is an error with no line.  The arcs go straight
 to `Digraph`, the one place that checks their range, self-loops and
 duplicates; its errors come back with the line of the offending arc.
 """
@@ -56,7 +58,10 @@ def _pair(kind, names, line, lineno):
 def parse_edge_list(source):
     """Parse an edge list from a str, UTF-8 bytes, or readable file object."""
     if hasattr(source, "read"):
-        source = source.read()
+        try:
+            source = source.read()
+        except UnicodeDecodeError as exc:
+            raise EdgeListParseError(f"invalid UTF-8 ({exc.reason})") from None
     if isinstance(source, bytes):
         source = _decode(source)
     lines = _data_lines(source)

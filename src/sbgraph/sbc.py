@@ -2,8 +2,13 @@
 
 A strongly biconnected component is a maximal vertex subset whose induced
 subgraph is strongly connected with a biconnected underlying graph.
-Components may overlap (observed overlap is at most one vertex) and cover
-all of V, so singletons appear for vertices in no larger component.
+Components cover all of V, so singletons appear for vertices in no larger
+component.  Two components share at most one vertex.  Were C and D to
+share vertices x != y, the subgraph induced on C | D would be strongly
+connected (two strongly connected subgraphs meeting in x), and its
+underlying graph would stay connected after deleting any one vertex (what
+is left of C and of D is connected, and both keep x or y), so C | D
+would be strongly biconnected, against the maximality of C and D.
 
 `masked_sbc(n, out_adj, und_adj, classes)` refines the SCC classes of a
 subgraph into its strongly biconnected components: worklist sets are
@@ -77,7 +82,7 @@ def strongly_biconnected_components(g):
     SCC classes, so the decomposition applies per SCC.
     """
     n = g.n
-    classes = scc_classes(n, g.out_adj)
+    classes = scc_classes(n, g.out_adj, range(n))
     return _finish(masked_sbc(n, g.out_adj, underlying(g).adj, classes))
 
 

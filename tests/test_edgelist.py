@@ -65,6 +65,17 @@ def test_parse_errors(text, fragment, tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == f"parse error: {exc.value}\n"
 
 
+def test_parse_text_stream_with_invalid_utf8(tmp_path):
+    # The stream decodes before the parser sees a line, so none is named.
+    path = tmp_path / "input.edges"
+    path.write_bytes(b"3 1\n0 \xff\n")
+    with open(path, encoding="utf-8") as stream:
+        with pytest.raises(sg.EdgeListParseError) as exc:
+            sg.parse_edge_list(stream)
+    assert exc.value.line is None
+    assert str(exc.value).startswith("invalid UTF-8 (")
+
+
 def test_fixture_files_parse(fig1, fig2):
     assert (fig1.n, fig1.m) == (16, 29)
     assert (fig2.n, fig2.m) == (20, 32)

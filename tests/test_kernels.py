@@ -50,11 +50,12 @@ def test_use_backend_restores():
 def test_backends_agree_on_scc_and_bcc():
     for g in _random_digraphs(150, seed=31):
         u = sg.underlying(g)
-        pure_scc = _kernels.pure.scc_ids(g.n, g.out_adj)
-        c_scc = _kernels._ckern.scc_ids(g.n, g.out_adj)
+        whole = range(g.n)
+        pure_scc = _kernels.pure.scc_ids(g.n, g.out_adj, whole)
+        c_scc = _kernels._ckern.scc_ids(g.n, g.out_adj, whole)
         assert pure_scc == c_scc
-        pure_bcc = _kernels.pure.bcc(u.n, u.adj)
-        c_bcc = _kernels._ckern.bcc(u.n, u.adj)
+        pure_bcc = _kernels.pure.bcc(u.n, u.adj, whole)
+        c_bcc = _kernels._ckern.bcc(u.n, u.adj, whole)
         assert pure_bcc == c_bcc
 
 
@@ -137,12 +138,12 @@ def _brute_bcc(adj, active):
 
 def _random_subsets(count, seed):
     """(graph, active) pairs: each of `count` random digraphs with all of
-    its vertices (None) and with a random subset in a random order."""
+    its vertices (range(n)) and with a random subset in a random order."""
     rng = sg.SplitMix64(seed)
     for g in _random_digraphs(count, seed=seed):
         sub = [v for v in range(g.n) if rng.below(4)]
         rng.shuffle(sub)
-        yield g, None
+        yield g, range(g.n)
         yield g, sub
 
 
@@ -151,7 +152,7 @@ def test_bcc_blocks_match_bruteforce(backend):
     with _kernels.use_backend(backend):
         for g, active in _random_subsets(150, seed=36):
             u = sg.underlying(g)
-            vertices = set(range(g.n)) if active is None else set(active)
+            vertices = set(active)
             blocks = _kernels.bcc(u.n, u.adj, active)
             assert sorted(map(tuple, blocks)) == _brute_bcc(u.adj, vertices)[0]
 
@@ -164,7 +165,7 @@ def test_bcc_connectivity_matches_bruteforce(backend):
     with _kernels.use_backend(backend):
         for g, active in _random_subsets(60, seed=34):
             u = sg.underlying(g)
-            vertices = set(range(g.n)) if active is None else set(active)
+            vertices = set(active)
             _, cut, parts = _brute_bcc(u.adj, vertices)
             blocks = _kernels.bcc(u.n, u.adj, active)
             assert len(blocks) >= parts
@@ -196,7 +197,7 @@ def test_subset_restriction_equals_induced_subgraph():
         sub = sorted(v for v in range(g.n) if rng.below(2))
         h, old_to_new = sg.induced_subgraph(g, sub)
         count_sub, ids_sub = _kernels.scc_ids(g.n, g.out_adj, sub)
-        count_ind, ids_ind = _kernels.scc_ids(h.n, h.out_adj)
+        count_ind, ids_ind = _kernels.scc_ids(h.n, h.out_adj, range(h.n))
         assert count_sub == count_ind
         # partitions agree through the re-index map
         pairs = {(ids_sub[v], ids_ind[old_to_new[v]]) for v in sub}
@@ -218,22 +219,38 @@ except (ValueError, IndexError, TypeError) as exc:
 """
 
 
+def _case(call, expected, name):
+    """A case whose id writes its call without the vertex list, `name`,
+    so the id stays the one it had before `sub` was required."""
+    return pytest.param(call, expected, id=f"{name}-{expected}")
+
+
+# Every call passes all of its vertices, so each case fails for the
+# reason it names and not for a missing argument.
 @needs_compiled
 @pytest.mark.parametrize(
     "call,expected",
     [
         # List rows read like tuple rows.
-        ("kern.bcc(2, [[1], [0]]) == kern.bcc(2, ((1,), (0,)))", "True"),
-        ("kern.bcc(2, [[1], [0]])", "[[0, 1]]"),
+        _case("kern.bcc(2, [[1], [0]], [0, 1])"
+              " == kern.bcc(2, ((1,), (0,)), [0, 1])", "True",
+              "kern.bcc(2, [[1], [0]]) == kern.bcc(2, ((1,), (0,)))"),
+        _case("kern.bcc(2, [[1], [0]], [0, 1])", "[[0, 1]]",
+              "kern.bcc(2, [[1], [0]])"),
         ("kern.scc_ids(3, [[1], [2], [0]], [2, 0, 1])"
          " == kern.scc_ids(3, ((1,), (2,), (0,)), [2, 0, 1])", "True"),
-        ("kern.bcc(2, ((1,), (5,)))", "IndexError"),
+        _case("kern.bcc(2, ((1,), (5,)), [0, 1])", "IndexError",
+              "kern.bcc(2, ((1,), (5,)))"),
         ("kern.scc_ids(2, ((1,), (0,)), [0, 7])", "IndexError"),
-        ("kern.bcc(2, ((1,), (0.0,)))", "TypeError"),
+        _case("kern.bcc(2, ((1,), (0.0,)), [0, 1])", "TypeError",
+              "kern.bcc(2, ((1,), (0.0,)))"),
         ("kern.scc_ids(2, ((1,), (0,)), ['0'])", "TypeError"),
-        ("kern.scc_ids(2, (1, 0))", "TypeError"),
-        ("kern.bcc(3, ((1,), (0,)))", "ValueError"),
-        ("kern.scc_ids(-1, ())", "ValueError"),
+        _case("kern.scc_ids(2, (1, 0), [0, 1])", "TypeError",
+              "kern.scc_ids(2, (1, 0))"),
+        _case("kern.bcc(3, ((1,), (0,)), [0, 1, 2])", "ValueError",
+              "kern.bcc(3, ((1,), (0,)))"),
+        _case("kern.scc_ids(-1, (), [])", "ValueError",
+              "kern.scc_ids(-1, ())"),
     ],
 )
 def test_compiled_kernels_reject_bad_input(call, expected):
@@ -251,9 +268,11 @@ def test_compiled_kernels_reject_bad_input(call, expected):
 @pytest.mark.parametrize(
     "call",
     [
-        "kern.scc_ids(2, ((1,), (-1,)))",
+        pytest.param("kern.scc_ids(2, ((1,), (-1,)), [0, 1])",
+                     id="kern.scc_ids(2, ((1,), (-1,)))"),
         "kern.scc_ids(2, ((1,), (0,)), [-1, 0])",
-        "kern.bcc(2, ((1,), (-1,)))",
+        pytest.param("kern.bcc(2, ((1,), (-1,)), [0, 1])",
+                     id="kern.bcc(2, ((1,), (-1,)))"),
         "kern.bcc(2, ((1,), (0,)), [-1, 0])",
         "kern.bcc(3, ((1,), (0, -1), (1,)), [0, 1, -1])",
     ],
@@ -262,3 +281,14 @@ def test_kernels_reject_negative_ids(backend, call):
     # List indexing would read a negative id from the end.
     with pytest.raises(IndexError):
         eval(call, {"kern": _kernels._BACKENDS[backend]})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernels_require_a_vertex_list(backend):
+    # A whole-graph call passes range(n); there is no default.
+    with _kernels.use_backend(backend):
+        for kern in (_kernels._BACKENDS[backend], _kernels):
+            with pytest.raises(TypeError):
+                kern.scc_ids(2, ((1,), (0,)))
+            with pytest.raises(TypeError):
+                kern.bcc(2, ((1,), (0,)))

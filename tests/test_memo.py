@@ -49,9 +49,9 @@ def test_one_cut_sweep_per_graph(monkeypatch, fig1, run):
         passes.append(n)
         return triconnected(n, edges)
 
-    def counting(n, adj, sub=None):
+    def counting(n, adj, sub):
         # One vertex masked out of H: a vertex probe.
-        if adj is und_adj and sub is not None and len(sub) == n - 1:
+        if adj is und_adj and len(sub) == n - 1:
             masked.append(sub)
         return bcc(n, adj, sub)
 
@@ -72,8 +72,8 @@ def test_cut_report_masks_no_vertex(monkeypatch, fig1, fig2):
     masked = []
     bcc = _kernels.bcc
 
-    def counting(n, adj, sub=None):
-        if sub is not None:
+    def counting(n, adj, sub):
+        if len(sub) != n:
             masked.append(sub)
         return bcc(n, adj, sub)
 
@@ -87,8 +87,8 @@ def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
     whole = []
     scc_ids = _kernels.scc_ids
 
-    def counting(n, adj, sub=None):
-        if sub is None:
+    def counting(n, adj, sub):
+        if len(sub) == n:
             whole.append(adj)
         return scc_ids(n, adj, sub)
 
@@ -135,14 +135,14 @@ def _count_cut_probes(monkeypatch, g):
 
         return split
 
-    def counting(n, adj, sub=None):
+    def counting(n, adj, sub):
         if splitting:
             probes[splitting[-1]] += 1
         elif adj is g.out_adj:
-            if sub is not None and len(sub) == n - 1:
+            if len(sub) == n - 1:
                 (z,) = set(range(n)) - set(sub)
                 probes[z] += 1
-        elif sub is None or len(sub) == n:
+        elif len(sub) == n:
             (tail,) = [t for t in range(n) if adj[t] is not g.out_adj[t]]
             (head,) = set(g.out_adj[tail]) - set(adj[tail])
             probes[(tail, head)] += 1
@@ -189,10 +189,10 @@ def test_arc_families_split_no_vertex(monkeypatch, fig1, run):
         masked = []
         scc_ids = _kernels.scc_ids
 
-        def counting(n, adj, sub=None):
+        def counting(n, adj, sub):
             # A vertex probe passes g's own rows over a subset; an arc
             # probe and its refinement pass rows with the arc dropped.
-            if adj is g.out_adj and sub is not None:
+            if adj is g.out_adj and len(sub) != n:
                 masked.append(sub)
             return scc_ids(n, adj, sub)
 
@@ -224,7 +224,7 @@ def test_no_split_visits_vertex_0(monkeypatch, fig1, fig2):
 
     def wrap(original):
         def split(g, d):
-            def recording(n, adj, sub=None):
+            def recording(n, adj, sub):
                 calls.append((d, sub))
                 return scc_ids(n, adj, sub)
 
@@ -256,7 +256,7 @@ def test_a_memoized_function_keeps_one_entry_per_argument(
     calls = []
     scc_ids = _kernels.scc_ids
 
-    def counting(n, adj, sub=None):
+    def counting(n, adj, sub):
         calls.append(sub)
         return scc_ids(n, adj, sub)
 

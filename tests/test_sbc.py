@@ -30,7 +30,7 @@ def test_strongly_biconnected_input_makes_one_scc_call(monkeypatch, fig1):
     calls = []
     scc_ids = _kernels.scc_ids
 
-    def counting(n, adj, sub=None):
+    def counting(n, adj, sub):
         calls.append(sub)
         return scc_ids(n, adj, sub)
 
