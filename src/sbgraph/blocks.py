@@ -32,9 +32,10 @@ pass over the triconnected components of H, the underlying graph (see
 its docstring for the characterizations).  Each family reads its set
 from there.  The graph keeps every derived fact it is asked for once
 (the strongly-connected and strongly-biconnected verdicts, the
-underlying graph, the strong cuts, the cut report and the split of
-each deletion), so the families of one graph share one cut pass and
-one verdict of each kind, whoever calls them.
+underlying graph, the strong cuts, the cut report, the split of each
+deletion and the refinement of the class of vertex 0 it leaves), so the
+families of one graph share one cut pass and one verdict of each kind,
+whoever calls them.
 
 Every family runs one probe per deletion d, an arc (tail, head) or a
 vertex z, and hands `_intersect` the pair (z, parts), z None for an arc.
@@ -48,8 +49,13 @@ splits a vertex.  The 2-edge- and 2-strong-biconnected blocks list the
 raw strongly biconnected sets of G - d, `resilience._sbc_parts`, refined
 from the class of 0 and the same split; they cover every vertex but z,
 so their implicit part is empty, and a b-cut that is not a strong cut
-has an empty split, so it costs no SCC call.  `_intersect` reads only
-the parts, not their order.
+has an empty split, so it costs no SCC call.  The class of 0 is refined
+once per set of vertices it leaves out, shared by arc and vertex
+probes, and not at all when that set is one vertex that the
+triconnected components place in no separation pair (`resilience` has
+the argument); a b-bridge that is no strong bridge leaves all of V,
+which is refined on the masked adjacency.  `_intersect` reads only the
+parts, not their order.
 """
 
 from __future__ import annotations

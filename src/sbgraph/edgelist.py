@@ -4,13 +4,15 @@ UTF-8 text.  First non-comment line: "n m".  Then exactly m lines "u v"
 with 0-based endpoints.  Lines starting with '#' (after optional
 whitespace) and blank lines are ignored.  Parse errors, including a byte
 that is not UTF-8, carry the 1-based line number, with one exception: a
-text-mode stream decodes before the parser sees any line, so its invalid
-UTF-8 is an error with no line.  The arcs go straight
+text-mode stream decodes before the parser sees any line, so its decode
+error names the stream's codec and no line.  The arcs go straight
 to `Digraph`, the one place that checks their range, self-loops and
 duplicates; its errors come back with the line of the offending arc.
 """
 
 from __future__ import annotations
+
+import codecs
 
 from .errors import (
     DuplicateEdgeError,
@@ -30,6 +32,16 @@ def _decode(data):
         raise EdgeListParseError(
             f"invalid UTF-8 ({exc.reason})", line=line
         ) from None
+
+
+def _codec(stream, exc):
+    """Name of the codec a text stream failed to decode with, spelt UTF-8
+    for any spelling of UTF-8."""
+    name = getattr(stream, "encoding", None) or getattr(exc, "encoding", "")
+    try:
+        return "UTF-8" if codecs.lookup(name).name == "utf-8" else name
+    except LookupError:
+        return name or "text"
 
 
 def _data_lines(text):
@@ -60,8 +72,11 @@ def parse_edge_list(source):
     if hasattr(source, "read"):
         try:
             source = source.read()
-        except UnicodeDecodeError as exc:
-            raise EdgeListParseError(f"invalid UTF-8 ({exc.reason})") from None
+        except UnicodeError as exc:
+            reason = getattr(exc, "reason", exc)
+            raise EdgeListParseError(
+                f"invalid {_codec(source, exc)} ({reason})"
+            ) from None
     if isinstance(source, bytes):
         source = _decode(source)
     lines = _data_lines(source)

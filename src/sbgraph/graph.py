@@ -6,15 +6,23 @@ allowed.  Derived views (edge/vertex deletion, induced subgraphs) allocate
 fresh graphs.
 
 Because a graph never changes, every fact derived from it alone is
-computed once, on first use, and kept in the graph's memo: the underlying
-undirected graph, the strongly-connected and strongly-biconnected
-verdicts, the dominator trees of the graph and of its reverse, the
-strong cuts, the cut report, and, for each arc or vertex deleted, the
-SCC classes that the deletion leaves outside the class of vertex 0, one
-entry per deletion, so a caller that probes only arcs never splits a
-vertex (see `memoized`).  No caller modifies a kept value, and two
-threads that fill an entry at once store equal ones, so instances can
-be shared freely between concurrent computations.
+computed once, on first use, and kept in the graph's memo (see
+`memoized`):
+
+- the underlying undirected graph and the strongly-connected and
+  strongly-biconnected verdicts;
+- the dominator trees of the graph and of its reverse, the strong cuts,
+  the vertices and edges of the underlying graph whose deletion leaves
+  it not biconnected, and the cut report;
+- for each arc or vertex deleted, the SCC classes that the deletion
+  leaves outside the class of vertex 0, one entry per deletion, so a
+  caller that probes only arcs never splits a vertex;
+- for each set of vertices a deletion leaves outside that class, whether
+  the class is one strongly biconnected set, or else its parts.
+
+No caller modifies a kept value, and two threads that fill an entry at
+once store equal ones, so instances can be shared freely between
+concurrent computations.
 """
 
 from __future__ import annotations

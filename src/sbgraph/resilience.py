@@ -67,17 +67,35 @@ Comput. 1973) with the corrections of Gutwenger and Mutzel (GD 2000,
 LNCS 1984), in `_triconnected`.
 
 Cost: O(m log n) for the two dominator trees plus one SCC call, and
-O(n + m) for the triconnected components.
+O(n + m) for the triconnected components (`_separations`).
 
 Every single-deletion probe is made here, with d masked out of g's
 adjacency instead of a copy of g (`_masked_adj`): `_split(g, d)`, and
 `_sbc_parts(g, d)`, the raw strongly biconnected sets of G - d refined
 from the class of 0 and the split.  `blocks` and the 2vsb step read them.
+The split is refined on the masked adjacency.  The class of 0 is V minus
+a set `gone`, the split's vertices, with d when d is a vertex:
 
-The dominator trees, the split of each deletion, the strong cuts and the
-cut report are kept on the graph, so `b_bridges`,
-`b_articulation_points`, the 2-edge / 2-vertex strongly biconnected
-predicates and the block families of `blocks` all read one pass.
+- when gone is not empty, G - d keeps every arc of G inside the class,
+  as a non-empty arc region holds an end of its arc (b in D_F(b), a in
+  D_R(a)).  So the class is refined on g's own rows, once per graph and
+  set (`_root_split`), and every arc or vertex deletion that leaves the
+  same class shares the result.
+- when gone is one vertex x, G is strongly biconnected and n >= 4, H - x
+  is biconnected exactly when x is in no separation pair (above), so
+  V - x is one strongly biconnected set and no `bcc` runs.  No such
+  certificate covers two or more vertices: H - {x, y} can have a cut
+  vertex though neither x nor y is in a separation pair, so each such
+  set pays one `bcc` over V - gone, O(n + m).
+- an arc that is no strong cut leaves gone empty: its class of 0 is all
+  of V and holds the arc, so it is refined on the masked adjacency.
+
+The dominator trees, the split of each deletion, the strong cuts, the
+vertices and edges whose deletion leaves H not biconnected, the
+refinement of each set gone and the cut report are kept on the graph,
+so `b_bridges`, `b_articulation_points`, the 2-edge / 2-vertex strongly
+biconnected predicates and the block families of `blocks` all read one
+pass.
 
 The maximal 2-edge / 2-vertex strongly biconnected sets (2esb / 2vsb: SB,
 three or more vertices, no b-bridge / no b-articulation point) come from
@@ -345,22 +363,78 @@ def _split(g, d):
     return scc_classes(g.n, _masked_adj(g, d), region) if region else []
 
 
+@memoized
+def _separations(g):
+    """The vertices x of H, the underlying graph of strongly biconnected
+    g, with H - x not biconnected, and the edges uv (u < v) with H - uv
+    not biconnected, each as a frozenset, read off one pass over the
+    triconnected components of H: the poles of every virtual edge and
+    the vertices of every S-node with four or more vertices, and the real
+    edges of the S-nodes.  At n <= 2 the pass is skipped, as H has no
+    such x or uv; the module docstring has the argument.  Computed once
+    per graph and kept on it."""
+    points = set()
+    edges = set()
+    if g.n >= 3:
+        for kind, real, virtual in triconnected_components(
+            g.n, underlying(g).edges
+        ):
+            for a, b in virtual:
+                points.update((a, b))
+            if kind == "S":
+                edges.update(real)
+                if len(real) + len(virtual) >= 4:
+                    points.update(v for edge in real + virtual for v in edge)
+    return frozenset(points), frozenset(edges)
+
+
+@memoized
+def _root_split(g, gone):
+    """Raw strongly biconnected sets of g[V - gone], or None when it is
+    one strongly biconnected set, for a non-empty frozenset `gone` that
+    leaves the class of vertex 0 of some g - d: d's split, with d when d
+    is a vertex.  That class is strongly connected, and g - d holds every
+    arc of g inside it (an arc d has an end in its own region), so the
+    refinement reads g's own rows and serves every deletion that leaves
+    the same class.
+
+    When gone is one vertex x of strongly biconnected g with n >= 4, H - x
+    is biconnected exactly when x is in no separation pair of H, so V - x
+    is one set with no `bcc` call.  Computed once per graph and set; only
+    the verdict or the parts are kept."""
+    if len(gone) == 1 and g.n >= 4 and is_strongly_biconnected(g):
+        (x,) = gone
+        if x not in _separations(g)[0]:
+            return None
+    root = list(filterfalse(gone.__contains__, range(g.n)))
+    parts = masked_sbc(g.n, g.out_adj, underlying(g).adj, [root])
+    return parts if len(parts) > 1 else None
+
+
 def _sbc_parts(g, d):
     """Raw strongly biconnected sets of strongly connected g minus the arc
     or vertex d (see `masked_sbc`), with g's vertex ids; they cover every
-    vertex but d.  The refinement starts from the class of vertex 0, every
-    vertex left outside d's split, when it is not empty, and the split."""
+    vertex but d.  The split is refined on the masked adjacency.  The
+    class of vertex 0, every vertex left outside the split and d, comes
+    from `_root_split`, shared by every deletion that leaves the same
+    class, unless d is an arc that is no strong cut: then that class is
+    all of V and holds the arc, so it is refined on the masked
+    adjacency too."""
     split = _split(g, d)
-    # An arc d matches no vertex, so only a deleted vertex is left out.
-    outside = set(chain([d], *split))
-    root = list(filterfalse(outside.__contains__, range(g.n)))
     und_adj = underlying(g).adj
     if isinstance(d, tuple) and not g.has_edge(d[1], d[0]):
         # Without a twin arc the underlying edge goes too.
         tail, head = d
         und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
-    classes = [root, *split] if root else split
-    return masked_sbc(g.n, _masked_adj(g, d), und_adj, classes)
+    out_adj = _masked_adj(g, d)
+    if isinstance(d, tuple) and not split:
+        return masked_sbc(g.n, out_adj, und_adj, [list(range(g.n))])
+    parts = masked_sbc(g.n, out_adj, und_adj, split)
+    gone = frozenset(chain(*split, [] if isinstance(d, tuple) else [d]))
+    if len(gone) < g.n:
+        root = _root_split(g, gone)
+        parts += root or [tuple(filterfalse(gone.__contains__, range(g.n)))]
+    return parts
 
 
 @dataclass(frozen=True)
@@ -384,27 +458,13 @@ def cut_report(g):
 
     The strong cuts come from `_strong_cuts`, in O(m log n).  The rest is
     read off the triconnected components of the underlying graph H
-    (Hopcroft-Tarjan with Gutwenger-Mutzel's corrections), in O(n + m):
-    the poles of every virtual edge and the vertices of every S-node with
-    four or more vertices are the x with H - x not biconnected, and the
-    real edges of the S-nodes are the uv with H - uv not biconnected.  At
-    n <= 2 the pass is skipped, as H has no such x or uv; the module
-    docstring has the argument.
+    (Hopcroft-Tarjan with Gutwenger-Mutzel's corrections), in O(n + m),
+    by `_separations`: the x with H - x not biconnected are b-articulation
+    points, and the uv with H - uv not biconnected give b-bridges.
     """
     _require_sb(g, "cut_report")
     strong_arcs, strong_points = _strong_cuts(g)
-    points = set(strong_points)
-    split = set()  # edges (a, b), a < b, with H - ab not biconnected
-    if g.n >= 3:
-        for kind, real, virtual in triconnected_components(
-            g.n, underlying(g).edges
-        ):
-            for a, b in virtual:
-                points.update((a, b))
-            if kind == "S":
-                split.update(real)
-                if len(real) + len(virtual) >= 4:
-                    points.update(v for edge in real + virtual for v in edge)
+    separating, split = _separations(g)
     # A split edge is a b-bridge when H has it from one arc only.
     bridges = set(strong_arcs)
     for a, b in split:
@@ -413,7 +473,7 @@ def cut_report(g):
             bridges.add((a, b) if forward else (b, a))
     return CutReport(
         b_bridges=tuple(sorted(bridges)),
-        b_articulation_points=tuple(sorted(points)),
+        b_articulation_points=tuple(sorted(separating.union(strong_points))),
         strong_bridges=strong_arcs,
         strong_articulation_points=strong_points,
     )

@@ -387,6 +387,17 @@ def twin_bridge_graph():
     )
 
 
+def root_cut_graph():
+    """Strongly biconnected on 6 vertices.  Vertex 5 is a strong
+    articulation point whose deletion cuts off vertex 1 alone; neither 1
+    nor 5 lies in a separation pair of H, the underlying graph, but
+    H - {1, 5} is the path 0-2-4-3."""
+    return sg.build_digraph(6, [
+        (0, 2), (0, 5), (1, 0), (1, 2), (1, 3), (2, 0), (2, 4), (3, 4),
+        (4, 2), (4, 3), (5, 1), (5, 3),
+    ])
+
+
 def reference_vertex_relation(g):
     """Pairs in one strongly biconnected component of G - z for every z."""
     n = g.n

@@ -76,6 +76,22 @@ def test_parse_text_stream_with_invalid_utf8(tmp_path):
     assert str(exc.value).startswith("invalid UTF-8 (")
 
 
+@pytest.mark.parametrize("encoding, reason", [
+    ("ascii", "ordinal not in range(128)"),
+    ("cp1252", "character maps to <undefined>"),
+    ("utf-16", "UTF-16 stream does not start with BOM"),
+])
+def test_parse_text_stream_names_its_codec(encoding, reason):
+    # Valid UTF-8 that the stream's own codec cannot decode: the error
+    # names that codec, not UTF-8.
+    data = "# caf\u00e9\u0081\n2 1\n0 1\n".encode()
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+    with pytest.raises(sg.EdgeListParseError) as exc:
+        sg.parse_edge_list(stream)
+    assert exc.value.line is None
+    assert str(exc.value) == f"invalid {encoding} ({reason})"
+
+
 def test_fixture_files_parse(fig1, fig2):
     assert (fig1.n, fig1.m) == (16, 29)
     assert (fig2.n, fig2.m) == (20, 32)

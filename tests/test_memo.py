@@ -104,12 +104,12 @@ def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
         assert sum(adj is g.out_adj for adj in whole) == 2
 
 
-def _patch_split(monkeypatch, wrap):
-    """Replace `resilience._split`, in both modules that call it, by
-    wrap(original)."""
-    split = wrap(resilience._split)
-    monkeypatch.setattr(resilience, "_split", split)
-    monkeypatch.setattr(blocks, "_split", split)
+def _patch(monkeypatch, name, wrap):
+    """Replace the `resilience` function `name`, in both modules that call
+    it, by wrap(original)."""
+    fn = wrap(getattr(resilience, name))
+    monkeypatch.setattr(resilience, name, fn)
+    monkeypatch.setattr(blocks, name, fn)
 
 
 def _count_cut_probes(monkeypatch, g):
@@ -148,7 +148,7 @@ def _count_cut_probes(monkeypatch, g):
             probes[(tail, head)] += 1
         return scc_ids(n, adj, sub)
 
-    _patch_split(monkeypatch, wrap)
+    _patch(monkeypatch, "_split", wrap)
     monkeypatch.setattr(_kernels, "scc_ids", counting)
     return probes
 
@@ -183,23 +183,61 @@ def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
     "run", [sg.two_edge_biconnected_blocks, sg.two_edge_blocks]
 )
 def test_arc_families_split_no_vertex(monkeypatch, fig1, run):
+    # Every split and every SBC probe names its deletion, so an arc-only
+    # family must name arcs alone.
     for g in (fig1, twin_bridge_graph(), ear_graph(34, 40)):
         g = _fresh(g)
         assert _strong_cuts(g)[1]
-        masked = []
-        scc_ids = _kernels.scc_ids
+        probed = []
 
-        def counting(n, adj, sub):
-            # A vertex probe passes g's own rows over a subset; an arc
-            # probe and its refinement pass rows with the arc dropped.
-            if adj is g.out_adj and len(sub) != n:
-                masked.append(sub)
-            return scc_ids(n, adj, sub)
+        def wrap(original):
+            def probe(h, d):
+                probed.append(d)
+                return original(h, d)
 
-        monkeypatch.setattr(_kernels, "scc_ids", counting)
+            return probe
+
+        for name in ("_split", "_sbc_parts"):
+            _patch(monkeypatch, name, wrap)
         run(g)
         monkeypatch.undo()
-        assert masked == []
+        assert probed
+        assert all(isinstance(d, tuple) for d in probed)
+
+
+def test_each_root_class_is_refined_once(monkeypatch, fig1):
+    # The class of vertex 0 left by a probe is refined on g's own rows,
+    # once per set of vertices it leaves out, whichever probes share it.
+    for g in (fig1, ear_graph(34, 40)):
+        g = _fresh(g)
+        probed = []
+        refined = collections.Counter()
+        sbc_parts = resilience._sbc_parts
+        masked_sbc = resilience.masked_sbc
+
+        def probe(h, d):
+            probed.append(d)
+            return sbc_parts(h, d)
+
+        def counting(n, out_adj, und_adj, classes):
+            if out_adj is g.out_adj:
+                refined.update(frozenset(c) for c in classes if 0 in c)
+            return masked_sbc(n, out_adj, und_adj, classes)
+
+        monkeypatch.setattr(blocks, "_sbc_parts", probe)
+        monkeypatch.setattr(resilience, "masked_sbc", counting)
+        sg.analyze(g)
+        monkeypatch.undo()
+        roots = collections.Counter()
+        for d in probed:
+            gone = {v for c in resilience._split(g, d) for v in c}
+            if not isinstance(d, tuple):
+                gone.add(d)
+            if 0 < len(gone) < g.n:
+                roots[frozenset(range(g.n)) - gone] += 1
+        assert max(roots.values()) > 1
+        assert set(refined) <= set(roots)
+        assert set(refined.values()) == {1}
 
 
 def test_shared_splits_serve_graphs_that_are_not_sb(monkeypatch):
@@ -234,7 +272,7 @@ def test_no_split_visits_vertex_0(monkeypatch, fig1, fig2):
 
         return split
 
-    _patch_split(monkeypatch, wrap)
+    _patch(monkeypatch, "_split", wrap)
     shapes = [fig1, fig2, twin_bridge_graph(), ear_graph(34, 40)]
     shapes += [directed_cycle(6), glued(ear_graph(3, 20), ear_graph(34, 40))]
     for g in shapes:

@@ -3,9 +3,11 @@ of resilience and blocks give the same answers as probing every single
 deletion."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 
 import sbgraph as sg
+from sbgraph import _kernels
 from sbgraph.connectivity import scc_classes
 from sbgraph.resilience import _cut_region, _sbc_parts, _split, _strong_cuts
 from sbgraph.sbc import _finish
@@ -27,6 +29,7 @@ from helpers import (
     reference_two_edge_blocks,
     reference_two_strong_blocks,
     reference_vertex_relation,
+    root_cut_graph,
     strongly_connected_digraphs,
     twin_bridge_graph,
     two_triangles,
@@ -132,7 +135,7 @@ def test_filters_match_references_on_sc_not_sb_shapes():
         _assert_sc_families_match(g)
 
 
-def test_filters_match_references_on_sb_corpus(fig1, fig2):
+def _sb_corpus(fig1, fig2):
     # Every vertex probe of a bidirected cycle leaves one SCC, so
     # two_strong_blocks skips all of them.
     cycles = [bidirected_cycle(k) for k in (5, 7, 9)]
@@ -143,9 +146,27 @@ def test_filters_match_references_on_sb_corpus(fig1, fig2):
         directed_cycle(5),
     ]
     corpus = random_sb_corpus(12, seed_base=800, nmax=10)
-    for g in [fig1, fig2, twin_bridge_graph()] + small + cycles + corpus:
+    shapes = [fig1, fig2, twin_bridge_graph(), root_cut_graph()]
+    return shapes + small + cycles + corpus
+
+
+def test_filters_match_references_on_sb_corpus(fig1, fig2):
+    for g in _sb_corpus(fig1, fig2):
         _assert_sc_families_match(g)
         _assert_sb_families_match(g)
+
+
+BACKENDS = ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_probes_match_copies_on_sb_corpus_on_each_backend(
+    backend, fig1, fig2
+):
+    with _kernels.use_backend(backend):
+        for g in _sb_corpus(fig1, fig2):
+            # A fresh graph: nothing kept from a run on another backend.
+            _assert_probes_match_copies(sg.build_digraph(g.n, g.edges))
 
 
 def _assert_splits_match_masked_graph(g):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 import sbgraph as sg
-from sbgraph import resilience
+from sbgraph import _kernels, resilience
+from sbgraph.sbc import _finish
 from helpers import (
     bidirected,
     bidirected_complete,
@@ -18,6 +19,7 @@ from helpers import (
     random_sb_corpus,
     reference_components_2esb,
     reference_components_2vsb,
+    root_cut_graph,
     run_cli_capped,
     single_arc,
     two_triangles,
@@ -184,6 +186,62 @@ def test_split_at_b_articulation_point_matches_a_copy(fig1, fig2):
             assert x not in cuts.strong_articulation_points
             seen.add("empty region")
     assert seen == {"root", "empty region"}
+
+
+def test_root_split_certifies_vertices_in_no_separation_pair(
+    monkeypatch, fig1
+):
+    """V - x, for an x that is no strong articulation point, is one SBC
+    with no `bcc` call over it exactly when x lies in no separation pair
+    of H; otherwise its parts are those of a copy of g - x."""
+    g = sg.build_digraph(fig1.n, fig1.edges)
+    separating = resilience._separations(g)[0]
+    strong = sg.cut_report(g).strong_articulation_points
+    visited = []
+    und_adj = sg.underlying(g).adj
+    bcc = _kernels.bcc
+
+    def recording(n, adj, sub):
+        if adj is und_adj:
+            visited.append(frozenset(sub))
+        return bcc(n, adj, sub)
+
+    monkeypatch.setattr(_kernels, "bcc", recording)
+    kinds = set()
+    for x in range(1, g.n):
+        if x in strong:
+            continue
+        root = frozenset(range(g.n)) - {x}
+        parts = resilience._root_split(g, frozenset([x]))
+        copy, old_to_new = sg.remove_vertex(g, x)
+        back = sorted(old_to_new)
+        expected = tuple(
+            tuple(back[v] for v in c)
+            for c in sg.strongly_biconnected_components(copy).components
+        )
+        if x in separating:
+            assert root in visited
+            assert _finish(parts).components == expected
+        else:
+            assert root not in visited
+            assert parts is None and expected == (tuple(sorted(root)),)
+        kinds.add(x in separating)
+    assert kinds == {True, False}
+
+
+def test_root_split_refines_two_vertex_sets():
+    # Neither vertex of the set lies in a separation pair, so no
+    # one-vertex certificate may stand in for the refinement.
+    g = root_cut_graph()
+    assert sg.is_strongly_biconnected(g)
+    assert not {1, 5} & resilience._separations(g)[0]
+    assert resilience._split(g, 5) == [[1]]
+    parts = resilience._root_split(g, frozenset([1, 5]))
+    assert parts is not None
+    assert _finish(parts).components == ((0, 2), (2, 4), (3, 4))
+    assert _finish(resilience._sbc_parts(g, 5)).components == (
+        (0, 2), (1,), (2, 4), (3, 4)
+    )
 
 
 def test_components_2vsb_fig1(fig1):
