@@ -5,7 +5,8 @@ A file argument and stdin (`-`) are both read as bytes and decoded by
 The kernel backend is chosen by SBGRAPH_KERNELS alone (see `_kernels`).
 
 Exit codes: 0 success, 1 analysis precondition failure or failed check,
-2 parse error or a file that cannot be opened, 3 guard or resource error.
+2 parse error or a file that cannot be opened, 3 guard or resource error,
+running out of memory included.
 """
 
 from __future__ import annotations
@@ -315,6 +316,9 @@ def main(argv=None):
         return EXIT_PRECONDITION
     except (GuardError, GenerationBudgetError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
         return EXIT_GUARD
     except _PathError as exc:
         print(f"error: {exc}", file=sys.stderr)

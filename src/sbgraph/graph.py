@@ -17,8 +17,9 @@ computed once, on first use, and kept in the graph's memo (see
 - for each arc or vertex deleted, the SCC classes that the deletion
   leaves outside the class of vertex 0, one entry per deletion, so a
   caller that probes only arcs never splits a vertex;
-- for each set of vertices a deletion leaves outside that class, whether
-  the class is one strongly biconnected set, or else its parts.
+- for each set of vertices a deletion leaves outside that class, the
+  parts the class splits into, or none when it is one strongly
+  biconnected set.
 
 No caller modifies a kept value, and two threads that fill an entry at
 once store equal ones, so instances can be shared freely between

@@ -72,15 +72,19 @@ O(n + m) for the triconnected components (`_separations`).
 Every single-deletion probe is made here, with d masked out of g's
 adjacency instead of a copy of g (`_masked_adj`): `_split(g, d)`, and
 `_sbc_parts(g, d)`, the raw strongly biconnected sets of G - d refined
-from the class of 0 and the split.  `blocks` and the 2vsb step read them.
-The split is refined on the masked adjacency.  The class of 0 is V minus
-a set `gone`, the split's vertices, with d when d is a vertex:
+from the split and the class of 0.  Both keep one contract: they list
+only the parts that d separates, and every vertex in no listed part, d
+aside, shares one implicit part.  `blocks` reads them as they are; the
+2vsb step adds the implicit part as one more.  The split is refined on
+the masked adjacency.  The class of 0 is V minus a set `gone`, the
+split's vertices, with d when d is a vertex:
 
 - when gone is not empty, G - d keeps every arc of G inside the class,
   as a non-empty arc region holds an end of its arc (b in D_F(b), a in
   D_R(a)).  So the class is refined on g's own rows, once per graph and
   set (`_root_split`), and every arc or vertex deletion that leaves the
-  same class shares the result.
+  same class shares the result: its parts when it splits, else none, so
+  the class is the implicit part.
 - when gone is one vertex x, G is strongly biconnected and n >= 4, H - x
   is biconnected exactly when x is in no separation pair (above), so
   V - x is one strongly biconnected set and no `bcc` runs.  No such
@@ -88,7 +92,8 @@ a set `gone`, the split's vertices, with d when d is a vertex:
   vertex though neither x nor y is in a separation pair, so each such
   set pays one `bcc` over V - gone, O(n + m).
 - an arc that is no strong cut leaves gone empty: its class of 0 is all
-  of V and holds the arc, so it is refined on the masked adjacency.
+  of V and holds the arc, so it is refined on the masked adjacency and
+  every part is listed, which leaves the implicit part empty.
 
 The dominator trees, the split of each deletion, the strong cuts, the
 vertices and edges whose deletion leaves H not biconnected, the
@@ -126,8 +131,9 @@ otherwise:
 Sets of two branches share at most one (2esb) or two (2vsb) vertices, so
 no kept set lies in another, and no arc is deleted twice: 2esb splits at
 most m times and keeps at most m/3 sets.  Each 2vsb step shrinks the set,
-so its depth is below n; the number of 2vsb sets searched has no proved
-bound here.  Each set searched costs one peel, one cut report and one
+so its depth is below n; `_components` checks that every step shrinks
+what it splits.  The number of 2vsb sets searched has no proved bound
+here.  Each set searched costs one peel, one cut report and one
 SBC pass, O(m log n).
 """
 
@@ -390,36 +396,41 @@ def _separations(g):
 
 @memoized
 def _root_split(g, gone):
-    """Raw strongly biconnected sets of g[V - gone], or None when it is
-    one strongly biconnected set, for a non-empty frozenset `gone` that
+    """Raw strongly biconnected sets of g[V - gone], or () when it is one
+    strongly biconnected set, for a non-empty frozenset `gone` that
     leaves the class of vertex 0 of some g - d: d's split, with d when d
     is a vertex.  That class is strongly connected, and g - d holds every
     arc of g inside it (an arc d has an end in its own region), so the
     refinement reads g's own rows and serves every deletion that leaves
-    the same class.
+    the same class.  A probe lists these sets; () lists none, so the
+    whole class is the probe's implicit part.
 
     When gone is one vertex x of strongly biconnected g with n >= 4, H - x
     is biconnected exactly when x is in no separation pair of H, so V - x
     is one set with no `bcc` call.  Computed once per graph and set; only
-    the verdict or the parts are kept."""
+    the parts are kept."""
     if len(gone) == 1 and g.n >= 4 and is_strongly_biconnected(g):
         (x,) = gone
         if x not in _separations(g)[0]:
-            return None
+            return ()
     root = list(filterfalse(gone.__contains__, range(g.n)))
     parts = masked_sbc(g.n, g.out_adj, underlying(g).adj, [root])
-    return parts if len(parts) > 1 else None
+    return tuple(parts) if len(parts) > 1 else ()
 
 
 def _sbc_parts(g, d):
-    """Raw strongly biconnected sets of strongly connected g minus the arc
-    or vertex d (see `masked_sbc`), with g's vertex ids; they cover every
-    vertex but d.  The split is refined on the masked adjacency.  The
-    class of vertex 0, every vertex left outside the split and d, comes
-    from `_root_split`, shared by every deletion that leaves the same
-    class, unless d is an arc that is no strong cut: then that class is
-    all of V and holds the arc, so it is refined on the masked
-    adjacency too."""
+    """The parts of the probe of the arc or vertex d of strongly connected
+    g: raw strongly biconnected sets of g - d (see `masked_sbc`), with g's
+    vertex ids.  Like `_split`, they list only what d separates: every
+    vertex in no listed part, d aside, shares one implicit part, the
+    class of vertex 0 when it is one strongly biconnected set.
+
+    The split is refined on the masked adjacency.  The class of vertex 0,
+    every vertex left outside the split and d, is listed by `_root_split`,
+    shared by every deletion that leaves the same class, unless d is an
+    arc that is no strong cut: then that class is all of V and holds the
+    arc, so it is refined on the masked adjacency too and every part is
+    listed."""
     split = _split(g, d)
     und_adj = underlying(g).adj
     if isinstance(d, tuple) and not g.has_edge(d[1], d[0]):
@@ -432,8 +443,7 @@ def _sbc_parts(g, d):
     parts = masked_sbc(g.n, out_adj, und_adj, split)
     gone = frozenset(chain(*split, [] if isinstance(d, tuple) else [d]))
     if len(gone) < g.n:
-        root = _root_split(g, gone)
-        parts += root or [tuple(filterfalse(gone.__contains__, range(g.n)))]
+        parts += _root_split(g, gone)
     return parts
 
 
@@ -528,7 +538,9 @@ def _peeled(h):
 
 def _components(g, split):
     """Sets kept by the iteration of the module docstring.  split(h[T]) is
-    None to keep T, else the (graph, id map) pairs to search next."""
+    None to keep T, else the (graph, id map) pairs to search next, each
+    with fewer vertices or fewer arcs than h[T]; a child as large as its
+    parent raises RuntimeError, where the search would never end."""
     found = []
     stack = [(g, range(g.n))]
     while stack:
@@ -542,8 +554,11 @@ def _components(g, split):
             children = split(sub)
             if children is None:
                 found.append(ids)
-            else:
-                stack += [(k, [ids[v] for v in old]) for k, old in children]
+                continue
+            for k, old in children:
+                if (k.n, k.m) == (sub.n, sub.m):
+                    raise RuntimeError(f"a split of {ids} kept all of it")
+                stack.append((k, [ids[v] for v in old]))
     return canonical_family(found)
 
 
@@ -559,6 +574,8 @@ def _split_at_b_articulation_point(h):
     if points:
         x = points[0]
         parts = _sbc_parts(h, x)
+        listed = {x, *chain(*parts)}
+        parts.append(list(filterfalse(listed.__contains__, range(h.n))))
         return [induced_subgraph(h, (x, *d)) for d in parts if len(d) >= 2]
 
 

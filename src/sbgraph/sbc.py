@@ -19,11 +19,15 @@ masking: starting from the SCC classes of G - z, which leave z out,
 deletes vertex z, and passing adjacency rows with one entry dropped
 deletes an arc.  The caller supplies the starting classes, so a probe
 (`resilience._sbc_parts`) starts from the deletion's kept split and
-makes no SCC call over all it leaves.  It returns the raw emitted sets, in no
-particular order and with possible repeated or covered singletons: a
-probe only needs the parts.  `strongly_biconnected_components(g)` runs
-the same loop from the SCC classes of all of g and finishes the result
-(`_finish`: canonical order).  `sbc_oracle` recomputes the same
+makes no SCC call over all it leaves.  A probe lists only the parts its
+deletion separates: every vertex in no listed part, the deleted vertex
+aside, shares one implicit part.  So the class of vertex 0 is refined
+apart, once per set of vertices it leaves out, and listed only when it
+splits.  `masked_sbc` returns the raw emitted sets, in no particular
+order and with possible repeated or covered singletons: a probe only
+needs the parts.  `strongly_biconnected_components(g)` runs the same
+loop from the SCC classes of all of g and finishes the result (`_finish`:
+canonical order).  `sbc_oracle` recomputes the same
 decomposition by exhaustive search over the vertex subsets of all of V,
 largest first, and exists purely to validate the refinement.
 """

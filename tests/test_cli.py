@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import sbgraph as sg
-from sbgraph import _kernels
+from sbgraph import _kernels, cli
 from sbgraph.cli import main
 from sbgraph.report import FAMILIES
 from helpers import bidirected_complete, c3, glued, one_based
@@ -180,6 +180,17 @@ def test_gen_budget_exit_code(capsys):
     )
     assert code == 3
     assert "resource error" in err
+
+
+def test_out_of_memory_is_a_resource_error(capsys, monkeypatch, fig1_path):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._BY_KIND, "2e", exhausted)
+    code, out, err = run_cli(capsys, "blocks", "--kind", "2e", fig1_path)
+    assert code == 3
+    assert out == ""
+    assert err == "resource error: out of memory\n"
 
 
 def test_gen_bad_parameters_exit_code(capsys):

@@ -50,16 +50,17 @@ def test_glued_shapes_are_sc_not_sb():
         assert not sg.is_strongly_biconnected(g)
 
 
-def _split_and_rest(g, d):
-    """SCC classes of g - d, ordered by first member, read off d's split:
-    the class of vertex 0, every vertex outside the split (d aside), when
-    it is not empty, then the split."""
-    split = _split(g, d)
-    outside = {v for c in split for v in c}
+def _with_rest(g, d, parts):
+    """The parts of a probe of g - d, each as a tuple, with its implicit
+    part made explicit: every vertex in no listed part, d aside, first
+    when it is not empty, then the listed parts.  For d's split, ordered
+    by first member, these are the SCC classes of g - d in order."""
+    listed = {v for c in parts for v in c}
     if not isinstance(d, tuple):
-        outside.add(d)
-    rest = [v for v in range(g.n) if v not in outside]
-    return [rest, *split] if rest else split
+        listed.add(d)
+    rest = tuple(v for v in range(g.n) if v not in listed)
+    parts = [tuple(c) for c in parts]
+    return [rest, *parts] if rest else parts
 
 
 def _assert_probes_match_copies(g):
@@ -67,8 +68,8 @@ def _assert_probes_match_copies(g):
     also on deletions that keep g strongly (bi)connected, and on arcs with
     an antiparallel twin, which must leave their underlying edge in place.
     They agree with the decompositions of a copy of g - d, its ids mapped
-    back to g's.  The SBC probe returns raw sets; finished, they are the
-    decomposition."""
+    back to g's.  The SBC probe returns raw sets; with its implicit part
+    and finished, they are the decomposition."""
     # Deleting the only vertex of K1 leaves nothing to decompose.
     deletions = list(g.edges) + (list(range(g.n)) if g.n > 1 else [])
     for d in deletions:
@@ -77,10 +78,11 @@ def _assert_probes_match_copies(g):
         else:
             h, old_to_new = sg.remove_vertex(g, d)
             back = sorted(old_to_new)
-        assert _split_and_rest(g, d) == [
-            [back[v] for v in c] for c in sg.strongly_connected_components(h)
+        assert _with_rest(g, d, _split(g, d)) == [
+            tuple(back[v] for v in c)
+            for c in sg.strongly_connected_components(h)
         ]
-        assert _finish(_sbc_parts(g, d)).components == tuple(
+        assert _finish(_with_rest(g, d, _sbc_parts(g, d))).components == tuple(
             tuple(back[v] for v in c)
             for c in sg.strongly_biconnected_components(h).components
         )
@@ -156,6 +158,32 @@ def test_filters_match_references_on_sb_corpus(fig1, fig2):
         _assert_sb_families_match(g)
 
 
+def test_sbc_probes_leave_a_whole_root_class_implicit(fig1, fig2):
+    """A probe lists only what its deletion separates.  When the class of
+    vertex 0 in g - d, every vertex outside d's split with d aside, is
+    one strongly biconnected set, no part of the SBC probe holds a
+    vertex of it.  An arc that is no strong cut leaves that class all of
+    V, holding the arc, and its probe lists every part, so it is not
+    checked here."""
+    whole = 0
+    for g in _sb_corpus(fig1, fig2):
+        deletions = list(g.edges) + (list(range(g.n)) if g.n > 1 else [])
+        for d in deletions:
+            gone = {v for c in _split(g, d) for v in c}
+            if not isinstance(d, tuple):
+                gone.add(d)
+            root = [v for v in range(g.n) if v not in gone]
+            if not gone or not root:
+                continue
+            h, _ = sg.induced_subgraph(g, root)
+            if len(sg.strongly_biconnected_components(h).components) > 1:
+                continue
+            whole += 1
+            listed = {v for c in _sbc_parts(g, d) for v in c}
+            assert not listed.intersection(root), (g.n, g.edges, d)
+    assert whole
+
+
 BACKENDS = ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
 
 
@@ -187,7 +215,7 @@ def _assert_splits_match_masked_graph(g):
         else:
             adj, left = g.out_adj, [v for v in range(g.n) if v != d]
         reference = scc_classes(g.n, adj, left)
-        assert _split_and_rest(g, d) == reference
+        assert _with_rest(g, d, _split(g, d)) == [tuple(c) for c in reference]
         region = _cut_region(g, d)
         if d == 0:
             assert region == list(range(1, g.n))

@@ -191,9 +191,10 @@ def test_split_at_b_articulation_point_matches_a_copy(fig1, fig2):
 def test_root_split_certifies_vertices_in_no_separation_pair(
     monkeypatch, fig1
 ):
-    """V - x, for an x that is no strong articulation point, is one SBC
-    with no `bcc` call over it exactly when x lies in no separation pair
-    of H; otherwise its parts are those of a copy of g - x."""
+    """V - x, for an x that is no strong articulation point, is one SBC,
+    listed as no parts, with no `bcc` call over it exactly when x lies in
+    no separation pair of H; otherwise its parts are those of a copy of
+    g - x."""
     g = sg.build_digraph(fig1.n, fig1.edges)
     separating = resilience._separations(g)[0]
     strong = sg.cut_report(g).strong_articulation_points
@@ -224,9 +225,18 @@ def test_root_split_certifies_vertices_in_no_separation_pair(
             assert _finish(parts).components == expected
         else:
             assert root not in visited
-            assert parts is None and expected == (tuple(sorted(root)),)
+            assert parts == () and expected == (tuple(sorted(root)),)
         kinds.add(x in separating)
     assert kinds == {True, False}
+
+
+def test_components_stops_at_a_split_that_keeps_its_set():
+    # A split step that hands back its own set would be searched again
+    # forever; the search names the set and stops instead.
+    with pytest.raises(RuntimeError, match=r"\[0, 1, 2, 3\] kept all"):
+        resilience._components(
+            bidirected_complete(4), lambda h: [(h, range(h.n))]
+        )
 
 
 def test_root_split_refines_two_vertex_sets():
@@ -237,7 +247,7 @@ def test_root_split_refines_two_vertex_sets():
     assert not {1, 5} & resilience._separations(g)[0]
     assert resilience._split(g, 5) == [[1]]
     parts = resilience._root_split(g, frozenset([1, 5]))
-    assert parts is not None
+    assert parts != ()
     assert _finish(parts).components == ((0, 2), (2, 4), (3, 4))
     assert _finish(resilience._sbc_parts(g, 5)).components == (
         (0, 2), (1,), (2, 4), (3, 4)
