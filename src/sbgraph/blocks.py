@@ -41,21 +41,23 @@ Every family runs one probe per deletion d, an arc (tail, head) or a
 vertex z, and hands `_intersect` the pair (z, parts), z None for an arc.
 Every probe keeps one contract: it lists only the parts that d
 separates, and every vertex in no listed part, z aside, shares one
-implicit part.  `resilience` owns the probes and masks d out of the
-graph's adjacency instead of copying the graph.  The 2-edge and 2-strong
-blocks list d's split, `resilience._split`, the SCCs of G - d outside
-the class of vertex 0; it is kept on the graph per deletion, so a family
-that probes only arcs never splits a vertex.  The 2-edge- and
-2-strong-biconnected blocks list `resilience._sbc_parts`, the raw
-strongly biconnected sets refined from the same split and, when it is
-not one strongly biconnected set, from the class of 0; a b-cut that is
-not a strong cut has an empty split, so it costs no SCC call.  The class
-of 0 is refined once per set of vertices it leaves out, shared by arc
-and vertex probes, and not at all when that set is one vertex that the
-triconnected components place in no separation pair (`resilience` has
-the argument); a b-bridge that is no strong bridge leaves all of V,
-which is refined on the masked adjacency and listed whole.  `_intersect`
-reads only the parts, not their order.
+implicit part.  `resilience` owns the probes and reads g's own
+adjacency instead of copying the graph.  The 2-edge and 2-strong blocks
+list d's split, `resilience._split`, the SCCs of G - d outside the class
+of vertex 0, with an arc d dropped from its row; it is kept on the graph
+per deletion, so a family that probes only arcs never splits a vertex.
+The 2-edge- and 2-strong-biconnected blocks list `resilience._sbc_parts`:
+the strongly biconnected components of G - d are the blocks of the
+underlying graph of each SCC class, so they are the blocks of H inside
+each class of the same split and, when it is not one block, inside the
+class of 0; a b-cut that is not a strong cut has an empty split, so it
+costs no SCC call.  The class of 0 is refined once per set of vertices
+it leaves out, shared by arc and vertex probes, and not at all when
+that set is one vertex that the triconnected components place in no
+separation pair (`resilience` has the argument); a b-bridge that is no
+strong bridge leaves all of V, whose blocks are read with the bridge's
+edge out of H when it has no twin, and listed whole.  `_intersect` reads
+only the parts, not their order.
 """
 
 from __future__ import annotations

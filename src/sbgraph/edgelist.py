@@ -1,18 +1,23 @@
 """Edge-list file format.
 
 UTF-8 text.  First non-comment line: "n m".  Then exactly m lines "u v"
-with 0-based endpoints.  Lines starting with '#' (after optional
-whitespace) and blank lines are ignored.  Parse errors, including a byte
-that is not UTF-8, carry the 1-based line number, with one exception: a
-text-mode stream decodes before the parser sees any line, so its decode
-error names the stream's codec and no line.  The arcs go straight
-to `Digraph`, the one place that checks their range, self-loops and
-duplicates; its errors come back with the line of the offending arc.
+with 0-based endpoints.  Both kinds of line hold two ASCII decimal
+integers, optionally negative, separated by spaces or tabs; whitespace
+around a line is ignored.  Lines end at LF, CRLF or a lone CR, and
+nowhere else.  Lines starting with '#' (after optional whitespace) and
+blank lines are ignored.  Parse errors, including a byte that is not
+UTF-8, carry the 1-based line number, with one exception: a text-mode
+stream decodes before the parser sees any line, so its decode error
+names the stream's codec and no line.  The arcs go straight to
+`Digraph`, the one place that checks their range (a negative id
+included), self-loops and duplicates; its errors come back with the line
+of the offending arc.
 """
 
 from __future__ import annotations
 
 import codecs
+import re
 
 from .errors import (
     DuplicateEdgeError,
@@ -23,12 +28,23 @@ from .errors import (
 from .graph import Digraph
 
 
+# A character that no header or arc line holds.
+_FOREIGN = re.compile(r"[^0-9 \t-]")
+
+
+def _lines(text):
+    """text split at LF, CRLF and a lone CR: str.splitlines would also
+    split at form feeds, other control characters and Unicode line
+    separators."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _decode(data):
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # A sentinel after the valid prefix lands on the bad byte's line.
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = len(_lines(data[:exc.start].decode("utf-8") + "x"))
         raise EdgeListParseError(
             f"invalid UTF-8 ({exc.reason})", line=line
         ) from None
@@ -45,7 +61,7 @@ def _codec(stream, exc):
 
 
 def _data_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -55,16 +71,17 @@ def _data_lines(text):
 def _pair(kind, names, line, lineno):
     """The two integers of a header ("n m") or arc ("u v") line."""
     parts = line.split()
-    if len(parts) != 2:
-        raise EdgeListParseError(
-            f"malformed {kind} {line!r}, expected {names!r}", line=lineno
-        )
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise EdgeListParseError(
-            f"malformed {kind} {line!r}, expected two integers", line=lineno
-        ) from None
+    if len(parts) == 2 and _FOREIGN.search(line) is None:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:  # a misplaced minus, or too many digits
+            pass
+    two = len(re.split("[ \t]+", line)) == 2
+    raise EdgeListParseError(
+        f"malformed {kind} {line!r}, expected "
+        + ("two integers" if two else repr(names)),
+        line=lineno,
+    )
 
 
 def parse_edge_list(source):

@@ -69,31 +69,38 @@ LNCS 1984), in `_triconnected`.
 Cost: O(m log n) for the two dominator trees plus one SCC call, and
 O(n + m) for the triconnected components (`_separations`).
 
-Every single-deletion probe is made here, with d masked out of g's
-adjacency instead of a copy of g (`_masked_adj`): `_split(g, d)`, and
-`_sbc_parts(g, d)`, the raw strongly biconnected sets of G - d refined
-from the split and the class of 0.  Both keep one contract: they list
-only the parts that d separates, and every vertex in no listed part, d
-aside, shares one implicit part.  `blocks` reads them as they are; the
-2vsb step adds the implicit part as one more.  The split is refined on
-the masked adjacency.  The class of 0 is V minus a set `gone`, the
-split's vertices, with d when d is a vertex:
+Every single-deletion probe is made here, on g's adjacency instead of a
+copy of g: `_split(g, d)`, with an arc d dropped from its row, and
+`_sbc_parts(g, d)`, the strongly biconnected components of G - d.  Both
+keep one contract: they list only the parts that d separates, and every
+vertex in no listed part, d aside, shares one implicit part.  `blocks`
+reads them as they are; the 2vsb step adds the implicit part as one
+more.  The strongly biconnected components of G - d are the blocks of
+the underlying graph of each SCC class of G - d (`sbc`), so
+`_sbc_parts` reads the blocks of each class of the split, and of the
+class of 0, V minus a set `gone`, the split's vertices, with d when d is
+a vertex.  No class holds d, and when d is a strong cut no class holds
+both ends of an arc d either: were both ends in one class, putting the
+arc back would join no classes, and G would not be strongly connected.
+So inside every class the underlying graph of G - d is H's, and no
+class reads a masked edge:
 
-- when gone is not empty, G - d keeps every arc of G inside the class,
-  as a non-empty arc region holds an end of its arc (b in D_F(b), a in
-  D_R(a)).  So the class is refined on g's own rows, once per graph and
-  set (`_root_split`), and every arc or vertex deletion that leaves the
-  same class shares the result: its parts when it splits, else none, so
-  the class is the implicit part.
+- when gone is not empty, the class of 0 holds only H's edges inside
+  V - gone, so its blocks are read once per graph and set
+  (`_root_split`), and every arc or vertex deletion that leaves the same
+  class shares the result.  The class splits exactly when H[V - gone]
+  is not biconnected; it lists its blocks then, else none, so the class
+  is the implicit part.
 - when gone is one vertex x, G is strongly biconnected and n >= 4, H - x
   is biconnected exactly when x is in no separation pair (above), so
   V - x is one strongly biconnected set and no `bcc` runs.  No such
   certificate covers two or more vertices: H - {x, y} can have a cut
   vertex though neither x nor y is in a separation pair, so each such
   set pays one `bcc` over V - gone, O(n + m).
-- an arc that is no strong cut leaves gone empty: its class of 0 is all
-  of V and holds the arc, so it is refined on the masked adjacency and
-  every part is listed, which leaves the implicit part empty.
+- an arc that is no strong cut leaves gone empty: its one class, all of
+  V, holds both ends of the arc, so an arc with no antiparallel twin
+  takes its edge out of H, the one masked edge of any probe, and every
+  block is listed, which leaves the implicit part empty.
 
 The dominator trees, the split of each deletion, the strong cuts, the
 vertices and edges whose deletion leaves H not biconnected, the
@@ -351,13 +358,6 @@ def _without_arc(adj, tail, head):
     return rows
 
 
-def _masked_adj(g, d):
-    """g's out-adjacency with the arc d dropped from its row, or g's own
-    rows when d is a vertex, which the caller leaves out of the vertices
-    it visits."""
-    return _without_arc(g.out_adj, *d) if isinstance(d, tuple) else g.out_adj
-
-
 @memoized
 def _split(g, d):
     """SCC classes of strongly connected g minus the arc or vertex d that
@@ -366,7 +366,10 @@ def _split(g, d):
     For d = 0 they are every class of g - 0.  Computed once per graph and
     deletion."""
     region = _cut_region(g, d)
-    return scc_classes(g.n, _masked_adj(g, d), region) if region else []
+    if not region:
+        return []
+    adj = _without_arc(g.out_adj, *d) if isinstance(d, tuple) else g.out_adj
+    return scc_classes(g.n, adj, region)
 
 
 @memoized
@@ -396,13 +399,13 @@ def _separations(g):
 
 @memoized
 def _root_split(g, gone):
-    """Raw strongly biconnected sets of g[V - gone], or () when it is one
-    strongly biconnected set, for a non-empty frozenset `gone` that
+    """Strongly biconnected components of g[V - gone], or () when it is
+    one strongly biconnected set, for a non-empty frozenset `gone` that
     leaves the class of vertex 0 of some g - d: d's split, with d when d
-    is a vertex.  That class is strongly connected, and g - d holds every
-    arc of g inside it (an arc d has an end in its own region), so the
-    refinement reads g's own rows and serves every deletion that leaves
-    the same class.  A probe lists these sets; () lists none, so the
+    is a vertex.  That class is strongly connected and holds H's edges
+    inside it (an arc d has an end in its own region), so its components
+    are the blocks of H[V - gone], which serve every deletion that leaves
+    the same class.  A probe lists these blocks; () lists none, so the
     whole class is the probe's implicit part.
 
     When gone is one vertex x of strongly biconnected g with n >= 4, H - x
@@ -414,33 +417,34 @@ def _root_split(g, gone):
         if x not in _separations(g)[0]:
             return ()
     root = list(filterfalse(gone.__contains__, range(g.n)))
-    parts = masked_sbc(g.n, g.out_adj, underlying(g).adj, [root])
+    parts = masked_sbc(g.n, underlying(g).adj, [root])
     return tuple(parts) if len(parts) > 1 else ()
 
 
 def _sbc_parts(g, d):
     """The parts of the probe of the arc or vertex d of strongly connected
-    g: raw strongly biconnected sets of g - d (see `masked_sbc`), with g's
-    vertex ids.  Like `_split`, they list only what d separates: every
-    vertex in no listed part, d aside, shares one implicit part, the
-    class of vertex 0 when it is one strongly biconnected set.
+    g: strongly biconnected components of g - d (see `masked_sbc`), with
+    g's vertex ids.  Like `_split`, they list only what d separates:
+    every vertex in no listed part, d aside, shares one implicit part,
+    the class of vertex 0 when it is one strongly biconnected set.
 
-    The split is refined on the masked adjacency.  The class of vertex 0,
-    every vertex left outside the split and d, is listed by `_root_split`,
-    shared by every deletion that leaves the same class, unless d is an
-    arc that is no strong cut: then that class is all of V and holds the
-    arc, so it is refined on the masked adjacency too and every part is
-    listed."""
+    They are the blocks of H inside each class of the split and inside
+    the class of vertex 0, every vertex left outside the split and d,
+    which `_root_split` lists, shared by every deletion that leaves the
+    same class.  If d is an arc that is no strong cut, that class is all
+    of V and holds the arc: its blocks are read with the arc's edge out
+    of H, unless the arc has a twin, and every part is listed."""
     split = _split(g, d)
     und_adj = underlying(g).adj
-    if isinstance(d, tuple) and not g.has_edge(d[1], d[0]):
-        # Without a twin arc the underlying edge goes too.
-        tail, head = d
-        und_adj = _without_arc(_without_arc(und_adj, tail, head), head, tail)
-    out_adj = _masked_adj(g, d)
     if isinstance(d, tuple) and not split:
-        return masked_sbc(g.n, out_adj, und_adj, [list(range(g.n))])
-    parts = masked_sbc(g.n, out_adj, und_adj, split)
+        # The one class, all of V, holds both ends of the arc: without a
+        # twin arc, the underlying edge goes too.
+        tail, head = d
+        if not g.has_edge(head, tail):
+            und_adj = _without_arc(und_adj, tail, head)
+            und_adj = _without_arc(und_adj, head, tail)
+        return masked_sbc(g.n, und_adj, [list(range(g.n))])
+    parts = masked_sbc(g.n, und_adj, split)
     gone = frozenset(chain(*split, [] if isinstance(d, tuple) else [d]))
     if len(gone) < g.n:
         parts += _root_split(g, gone)
@@ -546,7 +550,7 @@ def _components(g, split):
     while stack:
         h, names = stack.pop()
         classes = scc_classes(h.n, h.out_adj, _peeled(h))
-        for c in masked_sbc(h.n, h.out_adj, underlying(h).adj, classes):
+        for c in masked_sbc(h.n, underlying(h).adj, classes):
             if len(c) < 3:
                 continue
             sub, index = induced_subgraph(h, c)

@@ -10,26 +10,32 @@ underlying graph would stay connected after deleting any one vertex (what
 is left of C and of D is connected, and both keep x or y), so C | D
 would be strongly biconnected, against the maximality of C and D.
 
-`masked_sbc(n, out_adj, und_adj, classes)` refines the SCC classes of a
-subgraph into its strongly biconnected components: worklist sets are
-emitted when strongly biconnected, otherwise split along undirected
-blocks and re-split along strongly connected components.  It reads the
-arcs and the underlying edges as given, so a caller probes a deletion by
-masking: starting from the SCC classes of G - z, which leave z out,
-deletes vertex z, and passing adjacency rows with one entry dropped
-deletes an arc.  The caller supplies the starting classes, so a probe
+Every strongly biconnected set lies in one SCC and, as its underlying
+graph is biconnected, in one block of that SCC's underlying graph.
+Conversely, in a strongly connected digraph D every block B of the
+underlying graph induces a strongly connected subgraph: a simple path
+between two vertices of a block never leaves the block, so for an arc
+(u, v) inside B, D's simple path from v back to u stays in B and closes
+a cycle through (u, v) in D[B]; every arc of D[B] lies on a cycle and
+D[B] is connected, so it is strongly connected.  So D[B] is strongly
+biconnected, and the strongly biconnected components of any digraph are
+the blocks of the underlying graph of each SCC class with two or more
+vertices, plus each one-vertex class.
+
+`masked_sbc(n, und_adj, classes)` reads them off with one `bcc` call per
+class of two or more vertices and none for a one-vertex class.  It
+reads only the underlying edges inside each class, so a caller probes a
+deletion by masking: starting from the SCC classes of G - z, which leave
+z out, deletes vertex z, and dropping an underlying edge deletes it.
+The caller supplies the starting classes, so a probe
 (`resilience._sbc_parts`) starts from the deletion's kept split and
 makes no SCC call over all it leaves.  A probe lists only the parts its
 deletion separates: every vertex in no listed part, the deleted vertex
-aside, shares one implicit part.  So the class of vertex 0 is refined
-apart, once per set of vertices it leaves out, and listed only when it
-splits.  `masked_sbc` returns the raw emitted sets, in no particular
-order and with possible repeated or covered singletons: a probe only
-needs the parts.  `strongly_biconnected_components(g)` runs the same
-loop from the SCC classes of all of g and finishes the result (`_finish`:
-canonical order).  `sbc_oracle` recomputes the same
+aside, shares one implicit part.  `strongly_biconnected_components(g)`
+starts from the SCC classes of all of g and orders the result
+canonically (`_finish`).  `sbc_oracle` recomputes the same
 decomposition by exhaustive search over the vertex subsets of all of V,
-largest first, and exists purely to validate the refinement.
+largest first, and exists purely to validate `masked_sbc`.
 """
 
 from __future__ import annotations
@@ -55,74 +61,42 @@ class SbcDecomposition:
         return frozenset(i for i, c in enumerate(self.components) if v in c)
 
 
-def _finish(raw_sets):
-    """Order canonically the refinement's strongly biconnected sets, or
-    the oracle's maximal sets plus uncovered singletons.
-
-    Sets of two or more vertices are already maximal and distinct: every
-    maximal strongly biconnected component stays inside one part at every
-    split (one block, then one SCC), so the worklist set that holds an
-    emitted set also holds the maximal component around it, and the two
-    are equal.  Only singletons can repeat or lie inside a larger set, so
-    only they are filtered: O(total size).
-    """
-    covered = set()
-    kept = []
-    for c in raw_sets:
-        if len(c) > 1:
-            kept.append(c)
-            covered.update(c)
-    kept.extend({
-        c for c in raw_sets if len(c) == 1 and c[0] not in covered
-    })
-    kept.sort(key=lambda c: (c[0], len(c), c))
-    return SbcDecomposition(components=tuple(kept))
+def _finish(sets):
+    """Order canonically the strongly biconnected components, as
+    `masked_sbc` or the oracle leaves them: each set once, no singleton
+    inside a larger set."""
+    return SbcDecomposition(
+        components=tuple(sorted(sets, key=lambda c: (c[0], len(c), c)))
+    )
 
 
 def strongly_biconnected_components(g):
     """Decompose a digraph into its strongly biconnected components.
 
-    The input need not be strongly connected; the worklist starts from the
-    SCC classes, so the decomposition applies per SCC.
+    The input need not be strongly connected: the decomposition is taken
+    per SCC.
     """
     n = g.n
     classes = scc_classes(n, g.out_adj, range(n))
-    return _finish(masked_sbc(n, g.out_adj, underlying(g).adj, classes))
+    return _finish(masked_sbc(n, underlying(g).adj, classes))
 
 
-def masked_sbc(n, out_adj, und_adj, classes):
-    """Raw strongly biconnected sets of the subgraph whose SCC classes are
-    `classes`.
+def masked_sbc(n, und_adj, classes):
+    """Strongly biconnected components of the subgraph whose SCC classes
+    are `classes`, as tuples in no particular order: each class of one
+    vertex, and the blocks of every other class (module docstring).
 
-    out_adj: out-neighbours per vertex; und_adj: neighbours per vertex in
-    the underlying graph of the same arcs.  Vertex ids stay those of the
-    full graph.  `classes` are the SCC classes of the probed subgraph
-    under out_adj, each a list of vertices; they are not modified.
-
-    Returns every strongly biconnected component of two or more vertices
-    once, plus singletons that may repeat or lie inside a larger set
-    (`_finish` drops those), as tuples in no particular order.
-
-    Every set on the worklist is an SCC class of the subgraph or of a
-    block, so it is strongly connected; one that is a single block is
-    therefore strongly biconnected and is emitted without another SCC call.
+    und_adj: neighbours per vertex in the underlying graph of the probed
+    subgraph; only the edges inside each class are read.  Vertex ids stay
+    those of the full graph.  `classes` are lists of vertices; they are
+    not modified.
     """
-    worklist = list(classes)
     emitted = []
-    while worklist:
-        s = worklist.pop()
-        if len(s) == 1:
-            emitted.append((s[0],))
-            continue
-        blocks = _kernels.bcc(n, und_adj, s)
-        if len(blocks) == 1:
-            emitted.append(tuple(s))
-            continue
-        # Split along undirected blocks, then re-split every block along
-        # its strongly connected components.  Every part is strictly
-        # smaller than s, so the worklist terminates.
-        for b in blocks:
-            worklist.extend(scc_classes(n, out_adj, b))
+    for c in classes:
+        if len(c) == 1:
+            emitted.append((c[0],))
+        else:
+            emitted.extend(map(tuple, _kernels.bcc(n, und_adj, c)))
     return emitted
 
 

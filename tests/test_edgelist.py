@@ -12,6 +12,8 @@ from helpers import c3, digraphs, run_cli_capped
 def test_parse_cycle():
     g = sg.parse_edge_list("3 3\n0 1\n1 2\n2 0\n")
     assert g == c3()
+    assert sg.parse_edge_list(b"3 3\r\n0 1\r\n1 2\r\n2 0\r\n") == g
+    assert sg.parse_edge_list("3 3\r0 1\r1 2\r\n2 0") == g
 
 
 def test_parse_accepts_bytes_and_streams():
@@ -48,6 +50,16 @@ def test_parse_out_of_range_reports_line():
         ("2 1\n0 1\n1 0\n", "more than the declared"),
         ("2 2\n0 1\n", "found 1"),
         (b"3 1\n0 \xff\n", "line 2: invalid UTF-8"),
+        # Lines end at LF, CRLF or a lone CR only, for the parser and the
+        # decoder alike.
+        (b"2 2\n0 1\x0c\n1 x\n", "line 3: malformed arc"),
+        (b"3 3\n0 1\xe2\x80\xa81 2\n2 0\n", "line 2: malformed arc"),
+        (b"2 1\n\x0c\n0 \xff\n", "line 3: invalid UTF-8"),
+        (b"3 3\r\n\r\n0 1\r1 x\r\n", "line 4: malformed arc"),
+        # Fields are ASCII decimal, with no sign but a minus.
+        ("2 1\n0 +1\n", "line 2: malformed arc '0 +1', expected two"),
+        ("3 1\n1 \u0662\n", "line 2: malformed arc"),
+        ("11 1\n0 1_0\n", "line 2: malformed arc '0 1_0', expected two"),
     ],
 )
 def test_parse_errors(text, fragment, tmp_path, monkeypatch, capsys):

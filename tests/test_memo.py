@@ -36,35 +36,62 @@ def _each_family(g):
     sg.two_strong_biconnected_blocks(g)
 
 
+def _count_root_refinements(monkeypatch, g):
+    """The `bcc` calls over all of the class of vertex 0 left by a probe
+    of g (`resilience._root_split`), as the set `gone` each one leaves
+    out, in call order.  Each must read g's own underlying rows."""
+    und_adj = sg.underlying(g).adj
+    rooting = []
+    refined = []
+    root_split = resilience._root_split
+    bcc = _kernels.bcc
+
+    def rooted(h, gone):
+        rooting.append(gone if h is g else None)
+        try:
+            return root_split(h, gone)
+        finally:
+            rooting.pop()
+
+    def counting(n, adj, sub):
+        # The verdict on g, which a refinement may ask first, walks all
+        # of V and is no refinement.
+        gone = rooting[-1] if rooting else None
+        if gone is not None and len(sub) == n - len(gone) < n:
+            assert adj is und_adj
+            assert gone.isdisjoint(sub)
+            refined.append(gone)
+        return bcc(n, adj, sub)
+
+    monkeypatch.setattr(resilience, "_root_split", rooted)
+    monkeypatch.setattr(_kernels, "bcc", counting)
+    return refined
+
+
 @pytest.mark.parametrize("run", [_each_family, sg.analyze])
 def test_one_cut_sweep_per_graph(monkeypatch, fig1, run):
     g = _fresh(fig1)
-    und_adj = sg.underlying(g).adj
     passes = []
-    masked = []
-    bcc = _kernels.bcc
     triconnected = resilience.triconnected_components
 
     def counting_pass(n, edges):
         passes.append(n)
         return triconnected(n, edges)
 
-    def counting(n, adj, sub):
-        # One vertex masked out of H: a vertex probe.
-        if adj is und_adj and len(sub) == n - 1:
-            masked.append(sub)
-        return bcc(n, adj, sub)
-
     monkeypatch.setattr(resilience, "triconnected_components", counting_pass)
-    monkeypatch.setattr(_kernels, "bcc", counting)
+    refined = _count_root_refinements(monkeypatch, g)
     run(g)
+    monkeypatch.undo()
     cuts = sg.cut_report(g)
     assert passes == [g.n]
-    # The probes of the b-articulation points whose deletion leaves one
-    # SCC: the others split first.
+    # One vertex masked out of H: the probes of the b-articulation points
+    # whose deletion leaves one SCC, which the separation pairs do not
+    # certify.  The others split first.
+    masked = [gone for gone in refined if len(gone) == 1]
     weak = set(cuts.b_articulation_points) - set(
         cuts.strong_articulation_points
     )
+    assert sorted(masked) == sorted(frozenset([z]) for z in weak)
     assert len(masked) == len(weak) == 2
 
 
@@ -211,23 +238,19 @@ def test_each_root_class_is_refined_once(monkeypatch, fig1):
     for g in (fig1, ear_graph(34, 40)):
         g = _fresh(g)
         probed = []
-        refined = collections.Counter()
         sbc_parts = resilience._sbc_parts
-        masked_sbc = resilience.masked_sbc
 
         def probe(h, d):
             probed.append(d)
             return sbc_parts(h, d)
 
-        def counting(n, out_adj, und_adj, classes):
-            if out_adj is g.out_adj:
-                refined.update(frozenset(c) for c in classes if 0 in c)
-            return masked_sbc(n, out_adj, und_adj, classes)
-
         monkeypatch.setattr(blocks, "_sbc_parts", probe)
-        monkeypatch.setattr(resilience, "masked_sbc", counting)
+        refining = _count_root_refinements(monkeypatch, g)
         sg.analyze(g)
         monkeypatch.undo()
+        refined = collections.Counter(
+            frozenset(range(g.n)) - gone for gone in refining
+        )
         roots = collections.Counter()
         for d in probed:
             gone = {v for c in resilience._split(g, d) for v in c}

@@ -9,6 +9,7 @@ from helpers import (
     bidirected_cycle,
     c3,
     digraphs,
+    glued,
     one_based,
     random_sb_corpus,
     reference_sbc,
@@ -25,21 +26,52 @@ def test_strongly_biconnected_input_is_single_component(fig1):
 
 
 def test_strongly_biconnected_input_makes_one_scc_call(monkeypatch, fig1):
-    # The worklist holds SCC classes only, so a set with one block is
-    # emitted without rechecking its strong connectivity.
+    # The components are the blocks of each SCC class, so one SCC call
+    # over V and one `bcc` call per class of two or more vertices give
+    # them all, strongly biconnected input or not; a one-vertex class
+    # costs no call.
     calls = []
+    bcc_calls = []
     scc_ids = _kernels.scc_ids
+    bcc = _kernels.bcc
 
     def counting(n, adj, sub):
         calls.append(sub)
         return scc_ids(n, adj, sub)
 
+    def counting_bcc(n, adj, sub):
+        bcc_calls.append(sub)
+        return bcc(n, adj, sub)
+
     monkeypatch.setattr(_kernels, "scc_ids", counting)
-    for g in (fig1, bidirected_cycle(6)):
+    monkeypatch.setattr(_kernels, "bcc", counting_bcc)
+    tail = sg.build_digraph(6, [*two_triangles().edges, (4, 5)])
+    cases = [(g, (tuple(range(g.n)),)) for g in (fig1, bidirected_cycle(6))]
+    cases += [
+        (two_triangles(), ((0, 1, 2), (2, 3, 4))),
+        (glued(bidirected_complete(4), c3()), ((0, 1, 2, 3), (3, 4, 5))),
+        (tail, ((0, 1, 2), (2, 3, 4), (5,))),
+    ]
+    for g, components in cases:
         calls.clear()
+        bcc_calls.clear()
         d = sg.strongly_biconnected_components(sg.build_digraph(g.n, g.edges))
-        assert d.components == (tuple(range(g.n)),)
+        assert d.components == components
         assert len(calls) == 1
+        classes = sg.strongly_connected_components(g)
+        assert len(bcc_calls) == sum(len(c) >= 2 for c in classes)
+
+
+@given(digraphs(max_n=8))
+def test_blocks_of_each_scc_are_strongly_connected(g):
+    # The lemma behind the refinement, checked on copies: every block of
+    # the underlying graph of an SCC class induces a strongly connected
+    # subgraph.
+    for c in sg.strongly_connected_components(g):
+        h, _ = sg.induced_subgraph(g, c)
+        for b in sg.undirected_blocks(sg.underlying(h)).blocks:
+            block, _ = sg.induced_subgraph(g, [c[v] for v in b])
+            assert sg.is_strongly_connected(block)
 
 
 def test_two_triangles_components():
