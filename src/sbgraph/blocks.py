@@ -1,18 +1,40 @@
 """2-block families of strongly (bi)connected digraphs.
 
-Every family is read off a pair relation: x and y are related when they
+Every family is defined by a pair relation: x and y are related when they
 stay inside one part after each probed deletion, a strongly biconnected
 component for the 2-edge- and 2-strong-biconnected blocks, an SCC for
-the 2-edge and 2-strong blocks.  The relation is kept as one bit row per
-vertex (bit y of rows[x] relates x and y), and one loop, `_intersect`,
-builds it for all four families: each probe ANDs into every row the
-parts that hold its vertex.
+the 2-edge and 2-strong blocks.  A family's blocks are the maximal
+cliques, of two or more vertices, of its relation, which is the paper's
+definition.  One loop, `_blocks`, reads all four families straight off
+the probes, with no pair relation and no clique search, by this lemma.
 
-Every family's blocks are the maximal cliques, of two or more vertices,
-of its relation, which is the paper's definition, and one search reads
-them all (`_max_cliques`); the blocks of the helper graph that joins
-related pairs serve only as the independent oracle of the
-2-edge-biconnected blocks.
+Lemma.  At every probe, a set C of vertices whose pairs all share a part
+lies inside one part.  So C is a clique of the relation exactly when
+every probe keeps C, its deleted vertex z aside, inside one part, and
+the blocks are the maximal such sets of two or more vertices.
+
+Proof.  A probe's parts are either disjoint SCC classes, or the blocks of
+an undirected graph inside each SCC class: the underlying graph H, or H
+less the masked edge of an arc.  A vertex in no listed part shares only
+the implicit part, which meets no listed one.  Disjoint parts give the
+claim at once, and blocks inside different classes are disjoint, so it
+remains to show it for the blocks of one undirected graph.  There, the
+blocks holding a vertex x, with x's own node when x is a cut vertex,
+form a subtree T_x of the block-cut tree, and x and y share a block
+exactly when T_x and T_y meet.  Subtrees of a tree that meet pairwise
+have a common node (the Helly property of subtrees), and for two or
+more vertices it is no cut-vertex node, which lies only in its own
+vertex's subtree: it is a block holding all of C.  A pair with z is not
+constrained by z's probe, and every other pair of C shares a part, so
+C minus z lies inside one part.
+
+`_blocks` starts from V and splits every set at each probe, so every
+set it keeps is a clique and every clique stays inside a set it keeps.
+The relation itself, one bit row per vertex built by `_intersect`, is
+read only by the public `edge_relation` and `vertex_relation` and by
+the independent oracle of the 2-edge-biconnected blocks, the blocks of
+the helper graph that joins related pairs; the oracle shares only the
+probes with the fast path.
 
 Each family probes only the deletions that can change its answer, and
 each probe set is exact:
@@ -38,7 +60,7 @@ families of one graph share one cut pass and one verdict of each kind,
 whoever calls them.
 
 Every family runs one probe per deletion d, an arc (tail, head) or a
-vertex z, and hands `_intersect` the pair (z, parts), z None for an arc.
+vertex z, and hands `_blocks` the pair (z, parts), z None for an arc.
 Every probe keeps one contract: it lists only the parts that d
 separates, and every vertex in no listed part, z aside, shares one
 implicit part.  `resilience` owns the probes and reads g's own
@@ -56,8 +78,8 @@ it leaves out, shared by arc and vertex probes, and not at all when
 that set is one vertex that the triconnected components place in no
 separation pair (`resilience` has the argument); a b-bridge that is no
 strong bridge leaves all of V, whose blocks are read with the bridge's
-edge out of H when it has no twin, and listed whole.  `_intersect` reads
-only the parts, not their order.
+edge out of H when it has no twin, and listed whole.  `_blocks` and
+`_intersect` read only the parts, not their order.
 """
 
 from __future__ import annotations
@@ -146,6 +168,58 @@ def _intersect(n, probes):
     return tuple(rows)
 
 
+def _blocks(n, probes):
+    """The maximal sets of two or more vertices that every probe of
+    `probes` keeps inside one part, its deleted vertex aside, as
+    frozensets in no fixed order.  When each probe's parts have the
+    Helly property, as every family's do (see the lemma above), these
+    are the blocks of the relation `_intersect` builds from the same
+    probes.
+
+    Starts from the one set V and, at each probe (z, parts), splits every
+    set that holds a listed vertex into its intersections with each
+    listed part and with the implicit part, z kept in every piece, and
+    drops pieces of fewer than two vertices; last, drops every set that
+    lies inside another, which also keeps equal sets once.  Per probe
+    this costs O(current sets + listed vertices) Python steps, plus, for
+    each set s the probe hits, O(|s & listed|) steps and one C-level set
+    difference; the last filter is quadratic in the number of sets.
+    """
+    sets = [frozenset(range(n))] if n >= 2 else []
+    for z, parts in probes:
+        owner = {}
+        for i, part in enumerate(parts):
+            for v in part:
+                owner.setdefault(v, []).append(i)
+        listed = set(owner)
+        kept = []
+        for s in sets:
+            if s.isdisjoint(listed):
+                kept.append(s)
+                continue
+            spare = [z] if z in s else []
+            pieces = {}
+            for v in s & listed:
+                for i in owner[v]:
+                    pieces.setdefault(i, spare.copy()).append(v)
+            pieces = [s - listed, *map(frozenset, pieces.values())]
+            kept += (piece for piece in pieces if len(piece) >= 2)
+        sets = kept
+    out = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s <= t for t in out):
+            out.append(s)
+    return out
+
+
+def _b_bridge_probes(g):
+    return ((None, _sbc_parts(g, b)) for b in cut_report(g).b_bridges)
+
+
+def _b_point_probes(g):
+    return ((z, _sbc_parts(g, z)) for z in cut_report(g).b_articulation_points)
+
+
 def edge_relation(g):
     """Pair relation under single-arc deletions.
 
@@ -154,9 +228,7 @@ def edge_relation(g):
     cannot separate anything and are skipped.
     """
     _require_sb(g, "edge_relation")
-    bridges = cut_report(g).b_bridges
-    rows = _intersect(g.n, ((None, _sbc_parts(g, b)) for b in bridges))
-    return RelationMatrix(n=g.n, rows=rows)
+    return RelationMatrix(n=g.n, rows=_intersect(g.n, _b_bridge_probes(g)))
 
 
 def helper_graph(relation):
@@ -171,93 +243,10 @@ def helper_graph(relation):
 
 def two_edge_biconnected_blocks(g):
     """All 2-edge-biconnected blocks, canonically ordered: the maximal
-    cliques of size >= 2 of the edge relation (V when no arc separates)."""
+    cliques of size >= 2 of the edge relation (V when no arc separates),
+    read off the b-bridge probes."""
     _require_sb(g, "two_edge_biconnected_blocks")
-    return canonical_family(_max_cliques(edge_relation(g).rows))
-
-
-def _max_cliques(rows):
-    """Maximal cliques of size >= 2 of a symmetric relation given as bit
-    rows (the diagonal is ignored), Bron-Kerbosch with pivoting on twin
-    classes.
-
-    Vertices with equal closed rows (row | 1 << v) are true twins: they
-    are related to each other and lie in exactly the same maximal cliques.
-    So the search runs on one representative per class, over the
-    quotient relation, and expands each clique found to the union of its
-    classes; a single class is kept when it alone is maximal and holds
-    two or more vertices.  The search is exponential in the number of
-    distinct rows, not in n.
-
-    On two of the relations it reads, the search stays small:
-
-    - The 2-edge relation is an equivalence, so the quotient has no
-      edges: every class is a clique by itself, and no search runs.
-    - The helper graph of the 2-edge-biconnected relation is a block
-      graph: each of its blocks is a 2-edge-biconnected block, hence a
-      clique (Jaberi's theorem).  True twins merge the non-cut vertices
-      of each block into one class.  Below depth 1, p | x lies inside
-      one block, so a frame branches at most once, or not at all when x
-      already holds a class of that block.
-
-    Depth-first with an explicit stack of [r, p, x, branches] frames, so
-    a clique of any size cannot overflow the interpreter stack; r, p and
-    x are bit sets of classes.  The pivot is the first class (by smallest
-    member) of p | x with the most neighbours in p; a class whose degree
-    bound cannot beat the best so far is not intersected.
-    """
-    classes = {}
-    for v, row in enumerate(rows):
-        classes.setdefault(row | 1 << v, []).append(v)
-    members = list(classes.values())
-    # A class is represented by its first member: `reps` is the bit set
-    # of representatives and `index` maps each to its class.
-    index = {c[0]: i for i, c in enumerate(members)}
-    reps = sum(1 << v for v in index)
-    neighbours = []
-    for c, closed in zip(members, classes):
-        others = closed & reps & ~(1 << c[0])
-        neighbours.append(
-            sum(1 << index[u] for u in _bits(others)) if others else 0
-        )
-    degree = [row.bit_count() for row in neighbours]
-    # A class with no neighbour is a maximal clique by itself, so only
-    # the other classes enter the search, and each clique it finds holds
-    # two or more classes.
-    out = [
-        tuple(c) for c, row in zip(members, neighbours)
-        if not row and len(c) >= 2
-    ]
-    linked = sum(1 << i for i, row in enumerate(neighbours) if row)
-    frames = []
-
-    def enter(r, p, x):
-        if not p and not x:
-            out.append(tuple(sorted(v for i in _bits(r) for v in members[i])))
-            return
-        best, pivot = -1, None
-        size_p = p.bit_count()
-        for u in _bits(p | x):
-            if min(degree[u], size_p - (p >> u & 1)) <= best:
-                continue
-            size = (p & neighbours[u]).bit_count()
-            if size > best:
-                best, pivot = size, u
-        frames.append([r, p, x, iter(_bits(p & ~neighbours[pivot]))])
-
-    if linked:
-        enter(0, linked, 0)
-    while frames:
-        frame = frames[-1]
-        r, p, x, branches = frame
-        v = next(branches, None)
-        if v is None:
-            frames.pop()
-            continue
-        enter(r | 1 << v, p & neighbours[v], x & neighbours[v])
-        frame[1] = p & ~(1 << v)
-        frame[2] = x | 1 << v
-    return out
+    return canonical_family(_blocks(g.n, _b_bridge_probes(g)))
 
 
 def oracle_two_edge_biconnected_blocks(g, guard=24):
@@ -277,16 +266,15 @@ def vertex_relation(g):
     Only b-articulation points z are probed.
     """
     _require_sb(g, "vertex_relation")
-    points = cut_report(g).b_articulation_points
-    rows = _intersect(g.n, ((z, _sbc_parts(g, z)) for z in points))
-    return RelationMatrix(n=g.n, rows=rows)
+    return RelationMatrix(n=g.n, rows=_intersect(g.n, _b_point_probes(g)))
 
 
 def two_strong_biconnected_blocks(g):
     """All 2-strong-biconnected blocks: maximal cliques of size >= 2 of
-    the vertex relation; distinct blocks may share up to two vertices."""
+    the vertex relation, read off the b-articulation point probes;
+    distinct blocks may share up to two vertices."""
     _require_sb(g, "two_strong_biconnected_blocks")
-    return canonical_family(_max_cliques(vertex_relation(g).rows))
+    return canonical_family(_blocks(g.n, _b_point_probes(g)))
 
 
 def two_edge_blocks(g):
@@ -298,8 +286,7 @@ def two_edge_blocks(g):
     """
     _require_sc(g, "two_edge_blocks")
     arcs = _strong_cuts(g)[0]
-    rows = _intersect(g.n, ((None, _split(g, a)) for a in arcs))
-    return canonical_family(_max_cliques(rows))
+    return canonical_family(_blocks(g.n, ((None, _split(g, a)) for a in arcs)))
 
 
 def two_strong_blocks(g):
@@ -310,5 +297,4 @@ def two_strong_blocks(g):
     """
     _require_sc(g, "two_strong_blocks")
     points = _strong_cuts(g)[1]
-    rows = _intersect(g.n, ((z, _split(g, z)) for z in points))
-    return canonical_family(_max_cliques(rows))
+    return canonical_family(_blocks(g.n, ((z, _split(g, z)) for z in points)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sbgraph as sg
-from sbgraph.blocks import _intersect, _max_cliques
+from sbgraph.blocks import _blocks, _intersect
 from sbgraph.connectivity import canonical_family
 from helpers import (
     bidirected_complete,
@@ -14,6 +14,7 @@ from helpers import (
     c3,
     dense,
     ear_graph,
+    glued,
     max_cliques_of_sets,
     neighbour_sets,
     one_based,
@@ -204,51 +205,55 @@ def test_helper_graph_edges_match_relation(fig1):
         assert heb.has_edge(x, y) == bool(rel.co(x, y) and rel.co(y, x))
 
 
-def test_max_cliques_of_a_large_clique_does_not_recurse():
-    # Each clique vertex v has a private partner n + v, so no two rows are
-    # equal, no twin class merges anything, and the search still goes n
-    # frames deep into the clique.
-    n = 1100
-    clique = (1 << n) - 1
-    rows = [clique | 1 << (n + v) for v in range(n)]
-    rows += [1 << v for v in range(n)]
-    expected = [tuple(range(n))] + [(v, n + v) for v in range(n)]
-    assert canonical_family(_max_cliques(rows)) == canonical_family(expected)
+def _family(n, probes):
+    return canonical_family(_blocks(n, probes))
 
 
-def _blown_up(rng, n, p):
-    """A random symmetric relation on n vertices in which each vertex is
-    blown up into 1-4 true twins, as a boolean table with a true
-    diagonal."""
-    copies = [rng.randint(1, 4) for _ in range(n)]
-    owner = [x for x, k in enumerate(copies) for _ in range(k)]
-    base = np.eye(n, dtype=bool)
-    for x, y in itertools.combinations(range(n), 2):
-        base[x, y] = base[y, x] = rng.random() < p
-    return base[np.ix_(owner, owner)]
+def _cliques(n, probes):
+    """The maximal cliques of the relation `_intersect` builds from
+    `probes`, by the set-based search over its dense table."""
+    cells = dense(sg.RelationMatrix(n, _intersect(n, probes)))
+    return canonical_family(max_cliques_of_sets(neighbour_sets(cells)))
+
+
+def _forest_of_cliques(rng, vertices):
+    """Parts with the Helly property: the blocks of a random graph whose
+    blocks are cliques.  Each vertex starts a block alone, joins a block,
+    or starts a block with one vertex placed before it."""
+    parts, placed = [], []
+    for v in vertices:
+        roll = rng.random()
+        if not parts or roll < 0.3:
+            parts.append([v])
+        elif roll < 0.6:
+            rng.choice(parts).append(v)
+        else:
+            parts.append([rng.choice(placed), v])
+        placed.append(v)
+    return parts
+
+
+def _random_probe(rng, n):
+    """A probe (z, parts) in the form the families give: z a vertex or
+    None, and on a random subset of the other vertices either disjoint
+    classes or the blocks of a forest of cliques; every other vertex is
+    in the implicit part."""
+    z = rng.choice([None, rng.randrange(n)]) if n else None
+    listed = [v for v in range(n) if v != z and rng.random() < 0.7]
+    if rng.random() < 0.5:
+        return z, _forest_of_cliques(rng, listed)
+    labels = {v: rng.randrange(3) for v in listed}
+    return z, [[v for v in listed if labels[v] == k] for k in range(3)]
 
 
 def test_max_cliques_match_the_set_based_search():
+    """`_blocks` returns the maximal cliques of the relation the same
+    probes define, on probes whose parts have the Helly property."""
     rng = random.Random(8)
-    for trial in range(450):
-        p = rng.choice([0.2, 0.5, 0.8])
-        if trial % 3 == 2:
-            cells = _blown_up(rng, rng.randint(0, 6), p)
-        else:
-            n = rng.randint(0, 12)
-            cells = np.eye(n, dtype=bool)
-            for x, y in itertools.combinations(range(n), 2):
-                cells[x, y] = cells[y, x] = rng.random() < p
-        n = len(cells)
-        # Every other relation leaves the diagonal out of its rows.
-        diagonal = trial % 2 == 0
-        rows = [
-            sum(1 << y for y in range(n) if cells[x, y] and (diagonal or x != y))
-            for x in range(n)
-        ]
-        assert canonical_family(_max_cliques(rows)) == canonical_family(
-            max_cliques_of_sets(neighbour_sets(cells))
-        )
+    for _ in range(450):
+        n = rng.randint(0, 11)
+        probes = [_random_probe(rng, n) for _ in range(rng.randint(0, 4))]
+        assert _family(n, probes) == _cliques(n, probes), (n, probes)
 
 
 def _block_graph(shape, size, count, rng):
@@ -270,14 +275,29 @@ def _block_graph(shape, size, count, rng):
     return n, blocks
 
 
-def _rows_of(n, sets):
-    """Bit rows of the relation that joins every pair inside one set."""
-    rows = [1 << v for v in range(n)]
-    for s in sets:
-        mask = sum(1 << v for v in s)
-        for v in s:
-            rows[v] |= mask
-    return rows
+def _vertex_probe(n, blocks, z):
+    """The probe that deletes z from the block graph of `blocks`: the
+    components of the rest, the one holding the smallest vertex left
+    implicit."""
+    holding = [[] for _ in range(n)]
+    for b in blocks:
+        for v in b:
+            holding[v].append(b)
+    seen = [v == z for v in range(n)]
+    parts = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        part = [root]
+        for v in part:
+            for b in holding[v]:
+                for w in b:
+                    if not seen[w]:
+                        seen[w] = True
+                        part.append(w)
+        parts.append(part)
+    return z, parts[1:]
 
 
 @pytest.mark.parametrize(
@@ -289,23 +309,29 @@ def _rows_of(n, sets):
         ("star", 4, 600),
         ("tree", 3, 1000),
         ("tree", 4, 700),
-        # A path of bridges: blocks of two vertices, none of them twins.
+        # A path of bridges: blocks of two vertices.
         ("chain", 2, 2000),
     ],
 )
 def test_max_cliques_of_a_block_graph_are_its_blocks(shape, size, count):
-    """The helper graph of the 2-edge-biconnected relation is a block
-    graph of cliques; on such relations, with n of 1000 to 2400, the
-    clique search returns exactly the blocks."""
-    n, blocks = _block_graph(shape, size, count, random.Random(count))
-    assert canonical_family(_max_cliques(_rows_of(n, blocks))) == (
-        canonical_family(blocks)
-    )
+    """The blocks of a graph have the Helly property, so a probe that
+    lists them, overlapping at the cut vertices, is read back as those
+    blocks, with n of 1000 to 2400.  Twenty vertex deletions first, each
+    listing the components it leaves, cut the graph into pieces that
+    each keep the deleted vertex; they relate no pair the blocks do
+    not, so the answer stays the same."""
+    rng = random.Random(count)
+    n, blocks = _block_graph(shape, size, count, rng)
+    probes = [_vertex_probe(n, blocks, z) for z in rng.sample(range(n), 20)]
+    probes.append((None, blocks))
+    assert _family(n, probes) == canonical_family(blocks)
 
 
 def test_max_cliques_of_an_equivalence_are_its_classes():
-    """On an equivalence, the 2-edge relation's shape, the cliques are the
-    classes of two or more vertices."""
+    """On an equivalence, the 2-edge relation's shape, the blocks are the
+    classes of two or more vertices.  Two probes give it here, one
+    listing the classes of even index and one those of odd index, so
+    each leaves the other classes in its implicit part."""
     rng = random.Random(5)
     order = list(range(3000))
     rng.shuffle(order)
@@ -313,7 +339,8 @@ def test_max_cliques_of_an_equivalence_are_its_classes():
     while order:
         classes.append(order[:rng.randint(1, 5)])
         del order[:len(classes[-1])]
-    assert canonical_family(_max_cliques(_rows_of(3000, classes))) == (
+    probes = [(None, classes[0::2]), (None, classes[1::2])]
+    assert _family(3000, probes) == (
         canonical_family(c for c in classes if len(c) >= 2)
     )
 
@@ -359,6 +386,73 @@ def test_intersect_unites_overlapping_parts_and_spares_the_deleted_vertex():
     assert _intersect(5, iter([vertex, arc])) == _rows(
         {0}, {1, 4}, {2}, {3}, {1, 4}
     )
+
+
+class _BitRowsRead(Exception):
+    pass
+
+
+def test_block_families_read_no_bit_rows(fig1, monkeypatch):
+    """`analyze` reads every block family without `_intersect`, which now
+    serves only the public relations and the helper-graph oracle."""
+    graphs = [
+        fig1, glued(bidirected_complete(4), c3()), ear_graph(11, 60),
+    ]
+    assert [sg.is_strongly_biconnected(g) for g in graphs] == [
+        True, False, True,
+    ]
+    before = [sg.analyze(g) for g in graphs]
+
+    def read(n, probes):
+        raise _BitRowsRead
+
+    monkeypatch.setattr("sbgraph.blocks._intersect", read)
+    # Fresh graphs: nothing kept from the runs above.
+    fresh = [sg.build_digraph(g.n, g.edges) for g in graphs]
+    assert [sg.analyze(g) for g in fresh] == before
+    for reach in (sg.edge_relation, sg.vertex_relation, sg.oracle_check):
+        with pytest.raises(_BitRowsRead):
+            reach(c3())
+
+
+def _sets(*sets):
+    return canonical_family(sets)
+
+
+def test_blocks_split_sets_at_each_probe_and_keep_the_deleted_vertex():
+    # With no probe, V is the one block once it has two vertices.
+    assert _blocks(0, []) == []
+    assert _blocks(1, []) == []
+    assert _family(2, []) == [(0, 1)]
+    # Vertex 4 deleted, vertex 1 in two parts, and no implicit part: each
+    # piece keeps 4, and the piece {3, 4} is a block too.
+    vertex = (4, [[0, 1], [1, 2], [3]])
+    assert _family(5, [vertex]) == _sets({0, 1, 4}, {1, 2, 4}, {3, 4})
+    # A probe that lists no part leaves every set as it is.
+    assert _family(5, [vertex, (None, [])]) == _family(5, [vertex])
+    assert _family(4, [(2, [])]) == [(0, 1, 2, 3)]
+    # An arc probe: 0 and 2, in no part, share the implicit part, and
+    # {3} is too small to be kept.
+    arc = (None, [[3], [1, 4]])
+    assert _family(5, [arc]) == _sets({0, 2}, {1, 4})
+    # An arc probe that lists every vertex leaves the implicit part
+    # empty, so no piece of it is kept.
+    assert _family(5, [(None, [[0, 1, 2], [3, 4]])]) == _sets(
+        {0, 1, 2}, {3, 4}
+    )
+    # Probes intersect, and equal pieces are kept once.
+    assert _family(5, [vertex, arc]) == [(1, 4)]
+    # A set inside another is dropped: {0, 2}, left of {0, 1, 2} once the
+    # probe deleting 3 cuts 1 off, lies inside {0, 2, 3}, which that
+    # probe does not hit.
+    cut = (0, [[1, 2], [2, 3]])
+    assert _family(4, [cut]) == _sets({0, 1, 2}, {0, 2, 3})
+    assert _family(4, [cut, (3, [[1]])]) == [(0, 2, 3)]
+    # Each case agrees with the cliques of `_intersect`'s relation.
+    for n, probes in (
+        (5, [vertex]), (5, [arc]), (5, [vertex, arc]), (4, [cut, (3, [[1]])]),
+    ):
+        assert _family(n, probes) == _cliques(n, probes)
 
 
 def test_relation_and_same_sbc_reject_vertices_outside_the_graph():

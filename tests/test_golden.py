@@ -1,14 +1,17 @@
 """Reports stay byte-identical: one sha256 over the `emit_report` text of a
-fixed corpus, on every kernel backend, and one over the 2esb and 2vsb
-sets of the same corpus, as given and made bidirected, which no report
-holds.
+fixed corpus, on every kernel backend, one over the 2esb and 2vsb sets
+of the same corpus, as given and made bidirected, which no report holds,
+and one over the four block families of two ear graphs with n = 1000.
 
 The report digest was computed before the probes shared their strong-cut
 splits and the clique search moved to twin classes, from the code those
 changes started from; the 2esb / 2vsb digest before the 2vsb step read
-the class of vertex 0 as an implicit part.  A change that alters any
-result on this corpus, on either backend, fails here; one that means to
-change a result must say so and record the new digest with its reason.
+the class of vertex 0 as an implicit part; the block digest at scale
+while a clique search over bit rows still read the families.  The
+corpus graphs are small, so no block of theirs covers nearly all of V,
+as one does at scale.  A change that alters any result on these graphs,
+on either backend, fails here; one that means to change a result must
+say so and record the new digest with its reason.
 """
 
 import hashlib
@@ -32,6 +35,9 @@ GOLDEN_SHA256 = (
 )
 GOLDEN_2ESB_2VSB_SHA256 = (
     "003a7ce43e410c5b1c97937aad4d6c9ca9a0f650464977d157bcc4dab6949c9d"
+)
+GOLDEN_BLOCKS_AT_SCALE_SHA256 = (
+    "88fc0a745b16bba8fc6dc2985ea9f0b7b9815e029387e1826ab25bb967b3d0d1"
 )
 
 BACKENDS = ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
@@ -78,3 +84,26 @@ def test_2esb_2vsb_sets_match_their_golden_digest(backend, fig1, fig2):
                 for sets in (sg.components_2esb(h), sg.components_2vsb(h)):
                     digest.update(json.dumps(sets).encode())
     assert digest.hexdigest() == GOLDEN_2ESB_2VSB_SHA256
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_block_families_at_scale_match_their_golden_digest(backend):
+    # Long ears leave 70 2-strong-biconnected blocks of up to 75 vertices;
+    # short ears with n chords leave one 2-edge block of 632 vertices and
+    # 246 2-strong-biconnected blocks, the largest of 631.
+    graphs = [
+        ear_graph(31, 1000, ears=(3, 8)),
+        ear_graph(32, 1000, ears=(1, 2), chords=1000),
+    ]
+    families = (
+        sg.two_edge_biconnected_blocks,
+        sg.two_strong_biconnected_blocks,
+        sg.two_edge_blocks,
+        sg.two_strong_blocks,
+    )
+    digest = hashlib.sha256()
+    with _kernels.use_backend(backend):
+        for g in graphs:
+            for family in families:
+                digest.update(json.dumps(family(g)).encode())
+    assert digest.hexdigest() == GOLDEN_BLOCKS_AT_SCALE_SHA256

@@ -8,7 +8,7 @@ from hypothesis import given
 
 import sbgraph as sg
 from sbgraph import _kernels
-from sbgraph.connectivity import scc_classes
+from sbgraph.connectivity import canonical_family, scc_classes
 from sbgraph.resilience import _cut_region, _sbc_parts, _split, _strong_cuts
 from sbgraph.sbc import _finish
 from helpers import (
@@ -20,6 +20,8 @@ from helpers import (
     directed_cycle,
     ear_graph,
     glued,
+    max_cliques_of_sets,
+    neighbour_sets,
     random_sb_corpus,
     reference_b_articulation_points,
     reference_b_bridges,
@@ -110,9 +112,16 @@ def _assert_sb_families_match(g):
         strong_articulation_points=reference_strong_articulation_points(g),
     )
     edge_cells = reference_edge_relation(g)
+    vertex_cells = reference_vertex_relation(g)
     assert np.array_equal(dense(sg.edge_relation(g)), edge_cells)
-    assert np.array_equal(
-        dense(sg.vertex_relation(g)), reference_vertex_relation(g)
+    assert np.array_equal(dense(sg.vertex_relation(g)), vertex_cells)
+    # The blocks read off the probes are the maximal cliques of the
+    # reference relations, which read no probe.
+    assert sg.two_edge_biconnected_blocks(g) == canonical_family(
+        max_cliques_of_sets(neighbour_sets(edge_cells))
+    )
+    assert sg.two_strong_biconnected_blocks(g) == canonical_family(
+        max_cliques_of_sets(neighbour_sets(vertex_cells))
     )
     assert sg.is_2_edge_strongly_biconnected(g) == (g.n > 2 and not bridges)
     assert sg.is_2_vertex_strongly_biconnected(g) == (g.n > 2 and not points)
@@ -152,10 +161,17 @@ def _sb_corpus(fig1, fig2):
     return shapes + small + cycles + corpus
 
 
-def test_filters_match_references_on_sb_corpus(fig1, fig2):
-    for g in _sb_corpus(fig1, fig2):
-        _assert_sc_families_match(g)
-        _assert_sb_families_match(g)
+BACKENDS = ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_filters_match_references_on_sb_corpus(backend, fig1, fig2):
+    with _kernels.use_backend(backend):
+        for g in _sb_corpus(fig1, fig2):
+            # A fresh graph: nothing kept from a run on another backend.
+            g = sg.build_digraph(g.n, g.edges)
+            _assert_sc_families_match(g)
+            _assert_sb_families_match(g)
 
 
 def test_sbc_probes_leave_a_whole_root_class_implicit(fig1, fig2):
@@ -182,9 +198,6 @@ def test_sbc_probes_leave_a_whole_root_class_implicit(fig1, fig2):
             listed = {v for c in _sbc_parts(g, d) for v in c}
             assert not listed.intersection(root), (g.n, g.edges, d)
     assert whole
-
-
-BACKENDS = ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
