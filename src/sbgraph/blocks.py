@@ -30,11 +30,15 @@ C minus z lies inside one part.
 
 `_blocks` starts from V and splits every set at each probe, so every
 set it keeps is a clique and every clique stays inside a set it keeps.
-The relation itself, one bit row per vertex built by `_intersect`, is
-read only by the public `edge_relation` and `vertex_relation` and by
-the independent oracle of the 2-edge-biconnected blocks, the blocks of
-the helper graph that joins related pairs; the oracle shares only the
-probes with the fast path.
+The public `edge_relation` and `vertex_relation` are views of their
+families: x and y are related exactly when x = y or some block holds
+both, since a related pair is a clique of two and lies in a maximal
+one.  So no structure of one entry per pair is ever built.  The oracle
+of the 2-edge-biconnected blocks does not read the probes: it relates
+the pairs that share a strongly biconnected component of a copy of G
+less each b-bridge, and takes the blocks of the helper graph joining
+them.  It shares only the cut report's b-bridges and the SBC pass with
+the fast path.
 
 Each family probes only the deletions that can change its answer, and
 each probe set is exact:
@@ -78,14 +82,14 @@ it leaves out, shared by arc and vertex probes, and not at all when
 that set is one vertex that the triconnected components place in no
 separation pair (`resilience` has the argument); a b-bridge that is no
 strong bridge leaves all of V, whose blocks are read with the bridge's
-edge out of H when it has no twin, and listed whole.  `_blocks` and
-`_intersect` read only the parts, not their order.
+edge out of H when it has no twin, and listed whole.  `_blocks` reads
+only the parts, not their order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations
 
 from .connectivity import (
     canonical_family,
@@ -94,13 +98,11 @@ from .connectivity import (
     undirected_blocks,
 )
 from .errors import NotStronglyConnectedError, VertexRangeError
-from .graph import UndirectedGraph
-# Unused here; bound because the benchmark's tracer test
-# (perfbench/test_perfbench.py) reads blocks.remove_edge.
-from .graph import remove_edge  # noqa: F401
+from .graph import UndirectedGraph, remove_edge
 from .resilience import (
     _require_sb, _sbc_parts, _split, _strong_cuts, cut_report,
 )
+from .sbc import strongly_biconnected_components
 
 
 def _require_sc(g, op):
@@ -112,60 +114,22 @@ def _require_sc(g, op):
 
 @dataclass(frozen=True)
 class RelationMatrix:
-    """Symmetric pair relation on n vertices, one bit row per vertex: bit
-    y of rows[x] says x and y survive every probed deletion inside one
-    strongly biconnected component."""
+    """Symmetric pair relation on n vertices, read as a view of its block
+    family: x and y are related when x == y or some block of `blocks`, a
+    canonical family, holds both.  A related pair is a clique of two, so
+    it lies in a maximal clique, a block, and the blocks give back the
+    whole relation.  `co` scans the blocks: O(total block size) per call,
+    and no structure beyond the family."""
 
     n: int
-    rows: tuple
+    blocks: tuple
 
     def co(self, x, y):
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise VertexRangeError(
                 f"vertex pair ({x}, {y}) out of range for n={self.n}"
             )
-        return bool(self.rows[x] >> y & 1)
-
-
-# Maps the digits of bin() to the bytes 0 and 1, for `_bits`.
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bits(mask):
-    """The set bits of mask, as an ascending tuple."""
-    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
-    return tuple(compress(range(len(flags)), flags))
-
-
-def _intersect(n, probes):
-    """Bit rows of the pairs that share a part after every probe of
-    `probes`, each a pair (z, parts): z is the deleted vertex, or None
-    for an arc, and parts are the classes the probe lists.  Every vertex
-    in no listed part, z aside, shares one implicit part.
-
-    Parts may overlap, so each vertex keeps the union of the parts that
-    hold it.  z stays related to every vertex: it constrains no pair it
-    is not part of.
-    """
-    full = (1 << n) - 1
-    rows = [full] * n
-    for z, parts in probes:
-        keep = [0] * n
-        covered = 0
-        for part in parts:
-            # A part holds distinct vertices, so the sum is their union.
-            mask = sum(1 << v for v in part)
-            covered |= mask
-            for v in part:
-                keep[v] |= mask
-        spare = 0
-        if z is not None:
-            # z keeps its whole row and its bit in every other row.
-            spare = 1 << z
-            keep[z] = full
-        rest = full & ~covered  # the implicit part, and z
-        rows = [row & (k | spare if k else rest) for row, k in zip(rows, keep)]
-    return tuple(rows)
+        return x == y or any(x in b and y in b for b in self.blocks)
 
 
 def _blocks(n, probes):
@@ -173,8 +137,8 @@ def _blocks(n, probes):
     `probes` keeps inside one part, its deleted vertex aside, as
     frozensets in no fixed order.  When each probe's parts have the
     Helly property, as every family's do (see the lemma above), these
-    are the blocks of the relation `_intersect` builds from the same
-    probes.
+    are the maximal cliques of the relation of the pairs that every
+    probe keeps in one part.
 
     Starts from the one set V and, at each probe (z, parts), splits every
     set that holds a listed vertex into its intersections with each
@@ -221,23 +185,22 @@ def _b_point_probes(g):
 
 
 def edge_relation(g):
-    """Pair relation under single-arc deletions.
+    """Pair relation under single-arc deletions, as a view of the
+    2-edge-biconnected blocks.
 
     x and y are unrelated iff some b-bridge deletion puts them into
     different strongly biconnected components; arcs that are not b-bridges
-    cannot separate anything and are skipped.
+    cannot separate anything.
     """
     _require_sb(g, "edge_relation")
-    return RelationMatrix(n=g.n, rows=_intersect(g.n, _b_bridge_probes(g)))
+    return RelationMatrix(g.n, tuple(two_edge_biconnected_blocks(g)))
 
 
 def helper_graph(relation):
-    """Undirected graph joining the related pairs, each read once from
-    the bits above a in row a."""
+    """Undirected graph joining the related pairs, read off the blocks."""
     return UndirectedGraph(
         relation.n,
-        [(a, a + 1 + b) for a, row in enumerate(relation.rows)
-         for b in _bits(row >> (a + 1))],
+        [pair for b in relation.blocks for pair in combinations(b, 2)],
     )
 
 
@@ -250,23 +213,33 @@ def two_edge_biconnected_blocks(g):
 
 
 def oracle_two_edge_biconnected_blocks(g, guard=24):
-    """Reference 2-edge-biconnected blocks by a second route: the blocks
-    of size >= 2 of the helper graph.  That graph holds one edge per
-    related pair, so it is guarded by n <= guard."""
+    """Reference 2-edge-biconnected blocks by a second route, on graph
+    copies: start from all pairs, keep for each b-bridge b only those
+    that share a strongly biconnected component of `remove_edge(g, b)`,
+    and return the blocks of size >= 2 of the helper graph joining what
+    is left.  It shares with the fast path only the cut report's
+    b-bridges and the SBC pass, and holds one entry per pair, so it is
+    guarded by n <= guard."""
     _require_sb(g, "oracle_two_edge_biconnected_blocks")
     check_guard("oracle_two_edge_biconnected_blocks", g.n, guard)
-    blocks = undirected_blocks(helper_graph(edge_relation(g))).blocks
+    pairs = set(combinations(range(g.n), 2))
+    for b in cut_report(g).b_bridges:
+        components = strongly_biconnected_components(remove_edge(g, b))
+        pairs &= {p for c in components.components
+                  for p in combinations(c, 2)}
+    blocks = undirected_blocks(UndirectedGraph(g.n, pairs)).blocks
     return [b for b in blocks if len(b) >= 2]
 
 
 def vertex_relation(g):
-    """Pair relation under single-vertex deletions: related pairs stay in
-    one strongly biconnected component of G minus z for every other z.
+    """Pair relation under single-vertex deletions, as a view of the
+    2-strong-biconnected blocks: related pairs stay in one strongly
+    biconnected component of G minus z for every other z.
 
-    Only b-articulation points z are probed.
+    Only b-articulation points z can separate a pair.
     """
     _require_sb(g, "vertex_relation")
-    return RelationMatrix(n=g.n, rows=_intersect(g.n, _b_point_probes(g)))
+    return RelationMatrix(g.n, tuple(two_strong_biconnected_blocks(g)))
 
 
 def two_strong_biconnected_blocks(g):

@@ -65,8 +65,8 @@ def _minimize(g, mismatch):
 
 def oracle_check(g, guard=12):
     """Compare the refinement SBC decomposition with the subset-search
-    oracle, and the maximal-clique 2-edge-biconnected blocks with the
-    helper-graph oracle.
+    oracle, and the 2-edge-biconnected blocks read off the probes with
+    the helper-graph oracle, which rebuilds them on graph copies.
 
     One guard, n <= guard, bounds both.  Returns a report; on the first
     mismatch the witness graph is shrunk to a minimal failing example.
@@ -74,7 +74,7 @@ def oracle_check(g, guard=12):
     check_guard("oracle_check", g.n, guard)
     for failure, mismatch in (
         ("sbc refinement vs enumeration oracle", _sbc_mismatch),
-        ("maximal-clique blocks vs helper-graph oracle", _blocks_mismatch),
+        ("2eb blocks vs helper-graph oracle", _blocks_mismatch),
     ):
         if mismatch(g, guard):
             witness = _minimize(g, lambda h: mismatch(h, guard))

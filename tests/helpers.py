@@ -188,8 +188,9 @@ def reference_sbc(g):
     return tuple(canonical_family(maximal + singletons))
 
 
-# Dense references for the relations of blocks: n*n boolean tables and a
-# set-based clique search, independent of the bit rows the library keeps.
+# Dense references for the relations of blocks: n*n boolean tables, a
+# per-pair relation read straight off probes, and a set-based clique
+# search, none of which shares code with the library's block reader.
 
 
 def co_membership(n, components, force=None):
@@ -207,10 +208,32 @@ def co_membership(n, components, force=None):
 
 
 def dense(relation):
-    """A RelationMatrix as an n*n boolean table."""
+    """A RelationMatrix as an n*n boolean table, read through `co`."""
     n = relation.n
     return np.array(
-        [[bool(row >> y & 1) for y in range(n)] for row in relation.rows],
+        [[relation.co(x, y) for y in range(n)] for x in range(n)],
+        dtype=bool,
+    ).reshape(n, n)
+
+
+def probe_relation(n, probes):
+    """The pairs that every probe (z, parts) keeps together, as an n*n
+    boolean table, pair by pair: at each probe one end is z, or some
+    listed part holds both, or neither end is listed (both lie in the
+    implicit part)."""
+    probes = [(z, [set(p) for p in parts]) for z, parts in probes]
+    probes = [(z, parts, set().union(*parts)) for z, parts in probes]
+
+    def together(x, y, z, parts, listed):
+        return (
+            z in (x, y)
+            or any(x in p and y in p for p in parts)
+            or (x not in listed and y not in listed)
+        )
+
+    return np.array(
+        [[all(together(x, y, *probe) for probe in probes)
+          for y in range(n)] for x in range(n)],
         dtype=bool,
     ).reshape(n, n)
 

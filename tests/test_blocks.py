@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sbgraph as sg
-from sbgraph.blocks import _blocks, _intersect
+from sbgraph.blocks import _blocks
 from sbgraph.connectivity import canonical_family
 from helpers import (
     bidirected_complete,
@@ -14,11 +14,11 @@ from helpers import (
     c3,
     dense,
     ear_graph,
-    glued,
     max_cliques_of_sets,
     neighbour_sets,
     one_based,
     overlaps_at_most,
+    probe_relation,
     random_sb_corpus,
     single_arc,
     two_triangles,
@@ -210,9 +210,9 @@ def _family(n, probes):
 
 
 def _cliques(n, probes):
-    """The maximal cliques of the relation `_intersect` builds from
-    `probes`, by the set-based search over its dense table."""
-    cells = dense(sg.RelationMatrix(n, _intersect(n, probes)))
+    """The maximal cliques of the pair relation of `probes`, read pair by
+    pair, by the set-based search over its dense table."""
+    cells = probe_relation(n, probes)
     return canonical_family(max_cliques_of_sets(neighbour_sets(cells)))
 
 
@@ -346,73 +346,25 @@ def test_max_cliques_of_an_equivalence_are_its_classes():
 
 
 def test_two_edge_biconnected_blocks_memory_is_subquadratic():
-    """Reading the blocks allocates far less than one entry per related
-    pair: on a short-ear graph with n = 600 the call peaks at 0.27 MB
-    under tracemalloc (CPython 3.11), where building the helper graph's
-    adjacency of the related pairs peaked at 6.7 MB."""
-    g = ear_graph(7, 600, ears=(1, 2), chords=2 * 600)
-    sg.cut_report(g)
-    tracemalloc.start()
-    try:
-        sg.two_edge_biconnected_blocks(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-def _rows(*related):
-    return tuple(sum(1 << v for v in s) for s in related)
-
-
-def test_intersect_unites_overlapping_parts_and_spares_the_deleted_vertex():
-    # Vertex 4 deleted, vertex 1 in two parts, and no implicit part.
-    vertex = (4, [[0, 1], [1, 2], [3]])
-    assert _intersect(5, [vertex]) == _rows(
-        {0, 1, 4}, {0, 1, 2, 4}, {1, 2, 4}, {3, 4}, range(5)
-    )
-    # An arc probe: 0 and 2, in no part, share the implicit part.
-    arc = (None, [[3], [1, 4]])
-    assert _intersect(5, [arc]) == _rows(
-        {0, 2}, {1, 4}, {0, 2}, {3}, {1, 4}
-    )
-    # Vertex 2 deleted and 0, 1 implicit: 2 stays related to every
-    # vertex, and 0, 1 to each other and to 2 but to no listed vertex.
-    both = (2, [[3, 4], [4, 5]])
-    assert _intersect(6, [both]) == _rows(
-        {0, 1, 2}, {0, 1, 2}, range(6), {2, 3, 4}, {2, 3, 4, 5}, {2, 4, 5}
-    )
-    # Probes intersect: each row is the AND of the rows of each probe.
-    assert _intersect(5, iter([vertex, arc])) == _rows(
-        {0}, {1, 4}, {2}, {3}, {1, 4}
-    )
-
-
-class _BitRowsRead(Exception):
-    pass
-
-
-def test_block_families_read_no_bit_rows(fig1, monkeypatch):
-    """`analyze` reads every block family without `_intersect`, which now
-    serves only the public relations and the helper-graph oracle."""
-    graphs = [
-        fig1, glued(bidirected_complete(4), c3()), ear_graph(11, 60),
-    ]
-    assert [sg.is_strongly_biconnected(g) for g in graphs] == [
-        True, False, True,
-    ]
-    before = [sg.analyze(g) for g in graphs]
-
-    def read(n, probes):
-        raise _BitRowsRead
-
-    monkeypatch.setattr("sbgraph.blocks._intersect", read)
-    # Fresh graphs: nothing kept from the runs above.
-    fresh = [sg.build_digraph(g.n, g.edges) for g in graphs]
-    assert [sg.analyze(g) for g in fresh] == before
-    for reach in (sg.edge_relation, sg.vertex_relation, sg.oracle_check):
-        with pytest.raises(_BitRowsRead):
-            reach(c3())
+    """Reading the blocks, and the relations as views of them, allocates
+    far less than one entry per related pair: on a short-ear graph with
+    n = 2000, once its probes are kept on the graph, each call peaks at
+    0.26 MB under tracemalloc (CPython 3.11, pure backend), where one
+    bit row per vertex made each relation peak at 1.2 MB and building
+    the helper graph's adjacency of the related pairs cost 6.7 MB at
+    n = 600."""
+    g = ear_graph(7, 2000, ears=(1, 2), chords=2 * 2000)
+    for read in (
+        sg.two_edge_biconnected_blocks, sg.edge_relation, sg.vertex_relation,
+    ):
+        read(g)
+        tracemalloc.start()
+        try:
+            read(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, read.__name__
 
 
 def _sets(*sets):
@@ -448,7 +400,7 @@ def test_blocks_split_sets_at_each_probe_and_keep_the_deleted_vertex():
     cut = (0, [[1, 2], [2, 3]])
     assert _family(4, [cut]) == _sets({0, 1, 2}, {0, 2, 3})
     assert _family(4, [cut, (3, [[1]])]) == [(0, 2, 3)]
-    # Each case agrees with the cliques of `_intersect`'s relation.
+    # Each case agrees with the cliques of the probes' pair relation.
     for n, probes in (
         (5, [vertex]), (5, [arc]), (5, [vertex, arc]), (4, [cut, (3, [[1]])]),
     ):

@@ -1,7 +1,9 @@
+from itertools import islice
+
 import pytest
 
 import sbgraph as sg
-from sbgraph import checks
+from sbgraph import blocks, checks
 from helpers import c3, random_sb_corpus
 
 
@@ -49,5 +51,20 @@ def test_oracle_check_reports_blocks_mismatch(monkeypatch):
     )
     report = checks.oracle_check(c3())
     assert not report.passed
-    assert report.failure == "maximal-clique blocks vs helper-graph oracle"
+    assert report.failure == "2eb blocks vs helper-graph oracle"
     assert report.witness == c3()
+
+
+def test_oracle_check_sees_a_dropped_b_bridge_probe(monkeypatch):
+    """The 2eb oracle rebuilds the blocks on graph copies instead of
+    reading the fast path's probes, so a fast path that skips a b-bridge
+    probe disagrees with it."""
+    g = sg.build_digraph(5, [(0, 4), (1, 3), (2, 0), (3, 0), (4, 1), (4, 2)])
+    assert sg.cut_report(g).b_bridges
+    probes = blocks._b_bridge_probes
+    monkeypatch.setattr(
+        blocks, "_b_bridge_probes", lambda h: islice(probes(h), 1, None)
+    )
+    report = sg.oracle_check(g)
+    assert not report.passed
+    assert report.failure == "2eb blocks vs helper-graph oracle"

@@ -200,16 +200,6 @@ def test_sbc_probes_leave_a_whole_root_class_implicit(fig1, fig2):
     assert whole
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_probes_match_copies_on_sb_corpus_on_each_backend(
-    backend, fig1, fig2
-):
-    with _kernels.use_backend(backend):
-        for g in _sb_corpus(fig1, fig2):
-            # A fresh graph: nothing kept from a run on another backend.
-            _assert_probes_match_copies(sg.build_digraph(g.n, g.edges))
-
-
 def _assert_splits_match_masked_graph(g):
     """The split of every arc and every vertex d, read off its dominator
     region, equals the SCC classes of g with d masked out, over every
