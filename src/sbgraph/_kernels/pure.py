@@ -48,48 +48,39 @@ def scc_ids(n, adj, sub):
         counter += 1
         stack.append(root)
         on_stack[root] = 1
-        dfs_v = [root]
-        dfs_i = [0]
+        dfs_v, dfs_it = [root], [iter(adj[root])]
         while dfs_v:
             v = dfs_v[-1]
-            i = dfs_i[-1]
-            neigh = adj[v]
-            descended = False
-            while i < len(neigh):
-                w = neigh[i]
-                i += 1
+            for w in dfs_it[-1]:
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
                 if not active[w]:
                     continue
                 if index[w] == -1:
-                    dfs_i[-1] = i
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = 1
                     dfs_v.append(w)
-                    dfs_i.append(0)
-                    descended = True
+                    dfs_it.append(iter(adj[w]))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            dfs_v.pop()
-            dfs_i.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if dfs_v:
-                p = dfs_v[-1]
-                if low[v] < low[p]:
-                    low[p] = low[v]
+            else:
+                dfs_v.pop()
+                dfs_it.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if dfs_v:
+                    p = dfs_v[-1]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
     return ncomp, comp
 
 
@@ -124,16 +115,10 @@ def bcc(n, adj, sub):
             continue
         disc[root] = low[root] = counter
         counter += 1
-        dfs_v = [root]
-        dfs_i = [0]
+        dfs_v, dfs_it = [root], [iter(adj[root])]
         while dfs_v:
             v = dfs_v[-1]
-            i = dfs_i[-1]
-            neigh = adj[v]
-            end = len(neigh)
-            while i < end:
-                w = neigh[i]
-                i += 1
+            for w in dfs_it[-1]:
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
                 if not active[w]:
@@ -144,15 +129,14 @@ def bcc(n, adj, sub):
                     counter += 1
                     pos[w] = len(vstack)
                     vstack.append(w)
-                    dfs_i[-1] = i
                     dfs_v.append(w)
-                    dfs_i.append(0)
+                    dfs_it.append(iter(adj[w]))
                     break
                 if d < low[v]:
                     low[v] = d
             else:
                 dfs_v.pop()
-                dfs_i.pop()
+                dfs_it.pop()
                 if dfs_v:
                     p = dfs_v[-1]
                     lv = low[v]

@@ -5,14 +5,15 @@ A file argument and stdin (`-`) are both read as bytes and decoded by
 The kernel backend is chosen by SBGRAPH_KERNELS alone (see `_kernels`).
 
 Exit codes: 0 success, 1 analysis precondition failure or failed check,
-2 parse error or a file that cannot be opened, 3 guard or resource error,
-running out of memory included.
+2 parse error, or a file or standard stream that cannot be opened, read
+or written, 3 guard or resource error, running out of memory included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import _kernels
@@ -48,8 +49,8 @@ _BY_KIND["2esb"] = lambda g: _family(components_2esb(g))
 _BY_KIND["2vsb"] = lambda g: _family(components_2vsb(g))
 
 
-class _PathError(Exception):
-    """A file named on the command line could not be opened."""
+class _StreamError(Exception):
+    """A file, stdin or stdout could not be opened, read or written."""
 
 
 def _open(path, mode, **kwargs):
@@ -59,21 +60,38 @@ def _open(path, mode, **kwargs):
         reason = exc.strerror
     except ValueError as exc:  # e.g. an embedded NUL byte
         reason = str(exc)
-    raise _PathError(f"cannot open {path!r}: {reason}")
+    raise _StreamError(f"cannot open {path!r}: {reason}")
 
 
 def _read_graph(path):
-    if path == "-":
-        return parse_edge_list(sys.stdin.buffer)
-    with _open(path, "rb") as handle:
-        return parse_edge_list(handle)
+    name = "stdin" if path == "-" else repr(path)
+    try:
+        if path == "-":
+            if sys.stdin is None:  # the process started with fd 0 closed
+                raise _StreamError("cannot read stdin: it is closed")
+            return parse_edge_list(sys.stdin.buffer)
+        with _open(path, "rb") as handle:
+            return parse_edge_list(handle)
+    except OSError as exc:
+        raise _StreamError(f"cannot read {name}: {exc.strerror}") from None
+
+
+def _out(text):
+    """Print text and flush stdout.  After a failed write, fd 1 goes to
+    os.devnull, so the interpreter's last flush of what stdout still
+    buffers cannot fail a second time."""
+    try:
+        print(text, end="", flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _StreamError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _emit(data, fmt, text_renderer):
     if fmt == "json":
-        print(json.dumps(data, indent=2, separators=(",", ": ")))
+        _out(json.dumps(data, indent=2, separators=(",", ": ")) + "\n")
     else:
-        print(text_renderer(data), end="")
+        _out(text_renderer(data))
 
 
 def _family_text(family):
@@ -109,14 +127,13 @@ def cmd_analyze(args):
     g = _read_graph(args.file)
     report = analyze(g)
     if args.format == "json":
-        print(render_report(report), end="")
+        _out(render_report(report))
     else:
         d = report.as_dict()
-        print(f"n: {d['n']}\nm: {d['m']}")
-        print(f"strongly_biconnected: {d['strongly_biconnected']}")
+        _out(f"n: {d['n']}\nm: {d['m']}\n")
+        _out(f"strongly_biconnected: {d['strongly_biconnected']}\n")
         for f in FAMILIES:
-            print(f"[{f.key}]")
-            print(_family_text(d[f.key]), end="")
+            _out(f"[{f.key}]\n" + _family_text(d[f.key]))
     return EXIT_OK
 
 
@@ -142,14 +159,14 @@ def cmd_oracle(args):
                 mismatches += 1
                 first = first or result
         if mismatches:
-            print(f"FAIL: {mismatches}/{args.count} graphs mismatched")
-            print(first.describe())
+            _out(f"FAIL: {mismatches}/{args.count} graphs mismatched\n"
+                 f"{first.describe()}\n")
             return EXIT_PRECONDITION
-        print(f"ok: {args.count} random graphs, fast paths agree with oracles")
+        _out(f"ok: {args.count} random graphs, fast paths agree with oracles\n")
         return EXIT_OK
     g = _read_graph(args.file)
     result = oracle_check(g, guard=args.guard)
-    print(result.describe())
+    _out(f"{result.describe()}\n")
     return EXIT_OK if result.passed else EXIT_PRECONDITION
 
 
@@ -159,10 +176,15 @@ def cmd_gen(args):
         g, comment=f"gen n={args.n} p={args.p} seed={args.seed}"
     )
     if args.output and args.output != "-":
-        with _open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with _open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _StreamError(
+                f"cannot write {args.output!r}: {exc.strerror}"
+            ) from None
     else:
-        print(text, end="")
+        _out(text)
     return EXIT_OK
 
 
@@ -172,10 +194,7 @@ def cmd_bench(args):
         sizes=args.sizes, seed=args.seed, backends=backends,
         repeat=args.repeat,
     )
-    if args.format == "json":
-        print(json.dumps(result, indent=2, separators=(",", ": ")))
-    else:
-        print(format_bench(result), end="")
+    _emit(result, args.format, format_bench)
     return EXIT_OK
 
 
@@ -184,7 +203,7 @@ def cmd_export_dot(args):
     highlight = None
     if args.highlight != "none":
         highlight = _BY_KIND[args.highlight](g)
-    print(export_dot(g, highlight=highlight), end="")
+    _out(export_dot(g, highlight=highlight))
     return EXIT_OK
 
 
@@ -320,7 +339,7 @@ def main(argv=None):
     except MemoryError:
         print("resource error: out of memory", file=sys.stderr)
         return EXIT_GUARD
-    except _PathError as exc:
+    except _StreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -108,13 +108,14 @@ class Digraph:
     def has_edge(self, tail, head):
         return (tail, head) in self._edge_set
 
+    # Compare sorted rows: `edges` keeps the input order.
     def __eq__(self, other):
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.out_adj == other.out_adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.out_adj))
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m})"

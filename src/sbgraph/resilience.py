@@ -180,24 +180,20 @@ def _immediate_dominators(n, succ, pred):
     number = [-1] * n  # preorder number
     order = [0]  # vertex by preorder number
     number[0] = 0
-    dfs_v, dfs_i = [0], [0]
+    dfs_v, dfs_it = [0], [iter(succ[0])]
     while dfs_v:
         v = dfs_v[-1]
-        neigh = succ[v]
-        i = dfs_i[-1]
-        while i < len(neigh) and number[neigh[i]] != -1:
-            i += 1
-        if i == len(neigh):
+        for w in dfs_it[-1]:
+            if number[w] == -1:
+                parent[w] = v
+                number[w] = len(order)
+                order.append(w)
+                dfs_v.append(w)
+                dfs_it.append(iter(succ[w]))
+                break
+        else:
             dfs_v.pop()
-            dfs_i.pop()
-            continue
-        dfs_i[-1] = i + 1
-        w = neigh[i]
-        parent[w] = v
-        number[w] = len(order)
-        order.append(w)
-        dfs_v.append(w)
-        dfs_i.append(0)
+            dfs_it.pop()
 
     semi = number[:]  # preorder number of the semidominator
     label = list(range(n))

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .connectivity import (
-    _strongly_biconnected_subset, check_guard, maximal_subsets, scc_classes,
+    _strongly_biconnected_subset, canonical_family, check_guard,
+    maximal_subsets, scc_classes,
 )
 from .errors import VertexRangeError
 from .graph import underlying
@@ -65,9 +66,7 @@ def _finish(sets):
     """Order canonically the strongly biconnected components, as
     `masked_sbc` or the oracle leaves them: each set once, no singleton
     inside a larger set."""
-    return SbcDecomposition(
-        components=tuple(sorted(sets, key=lambda c: (c[0], len(c), c)))
-    )
+    return SbcDecomposition(components=tuple(canonical_family(sets)))
 
 
 def strongly_biconnected_components(g):

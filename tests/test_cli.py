@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -334,3 +335,59 @@ def test_unopenable_path_exit_2(capsys, tmp_path, argv):
     assert f"cannot open {argv[-1]!r}" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full on this host"
+)
+
+
+class _FailingRead(io.BytesIO):
+    def read(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def test_unreadable_file_exit_2(capsys, monkeypatch):
+    # The file opens, then reading it fails, as /proc/self/mem does.
+    monkeypatch.setattr(cli, "_open", lambda *args, **kwargs: _FailingRead())
+    code, out, err = run_cli(capsys, "check", "g.edges")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read 'g.edges': {os.strerror(errno.EIO)}\n"
+
+
+def test_closed_stdin_exit_2(capsys, monkeypatch):
+    # A process started with fd 0 closed has sys.stdin set to None.
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run_cli(capsys, "check", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read stdin: it is closed\n"
+
+
+@needs_dev_full
+def test_unwritable_output_file_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "gen", "--n", "5", "--p", "0.9", "--seed", "1", "-o", "/dev/full"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@needs_dev_full
+def test_unwritable_stdout_exit_2(fig1_path):
+    # One line on stderr and nothing more: the interpreter's last flush of
+    # stdout must not fail a second time.
+    src = pathlib.Path(sg.__file__).resolve().parent.parent
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sbgraph", "analyze", fig1_path],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    )

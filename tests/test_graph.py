@@ -21,6 +21,16 @@ def test_build_cycle():
     assert g.in_adj == ((2,), (0,), (1,))
 
 
+def test_equal_arc_sets_make_equal_graphs_in_any_order():
+    # Equality and hashing read the arc set; `edges` keeps the input order.
+    g = sg.parse_edge_list("2 2\n0 1\n1 0\n")
+    h = sg.parse_edge_list("2 2\n1 0\n0 1\n")
+    assert g == h and hash(g) == hash(h)
+    assert g.edges == ((0, 1), (1, 0)) and h.edges == ((1, 0), (0, 1))
+    assert g != sg.build_digraph(3, g.edges)
+    assert g != sg.build_digraph(2, [(0, 1)])
+
+
 def test_build_rejects_out_of_range():
     with pytest.raises(sg.VertexRangeError):
         sg.build_digraph(2, [(0, 2)])

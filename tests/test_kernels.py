@@ -1,6 +1,7 @@
 """Backend parity and brute-force validation of the traversal kernels."""
 
 import itertools
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,9 @@ import pytest
 
 import sbgraph as sg
 from sbgraph import _kernels
-from helpers import brute_scc_partition, random_sb_corpus
+from helpers import (
+    brute_scc_partition, directed_cycle, ear_graph, random_sb_corpus,
+)
 
 # conftest builds the compiled backend when it is not installed; these
 # tests skip only on a host without a C compiler or the Python headers.
@@ -57,6 +60,28 @@ def test_backends_agree_on_scc_and_bcc():
         pure_bcc = _kernels.pure.bcc(u.n, u.adj, whole)
         c_bcc = _kernels._ckern.bcc(u.n, u.adj, whole)
         assert pure_bcc == c_bcc
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "g",
+    [directed_cycle(3000), ear_graph(7, 3000, ears=(3, 8)),
+     ear_graph(7, 2000, ears=(1, 2), chords=2000)],
+    ids=["cycle-3000", "long-ears-3000", "short-ears-2000"],
+)
+def test_backends_agree_at_depth(g):
+    # Searches thousands of vertices deep, from roots in the given order,
+    # in a shuffled order and in a shuffled half of the vertex set.
+    u = sg.underlying(g)
+    rng = random.Random(g.n)
+    shuffled = rng.sample(range(g.n), g.n)
+    for sub in (range(g.n), shuffled, shuffled[: g.n // 2]):
+        assert _kernels.pure.scc_ids(g.n, g.out_adj, sub) == (
+            _kernels._ckern.scc_ids(g.n, g.out_adj, sub)
+        )
+        assert _kernels.pure.bcc(u.n, u.adj, sub) == (
+            _kernels._ckern.bcc(u.n, u.adj, sub)
+        )
 
 
 @needs_compiled

@@ -272,6 +272,22 @@ def test_peeling_keeps_vertices_with_two_neighbours_each_way():
     assert sg.components_2vsb(g) == [(0, 1, 2)]
 
 
+def test_search_skips_a_peeled_class_of_one_vertex():
+    """Vertex 3, between two bidirected triangles, keeps two in- and two
+    out-neighbours and survives the peel, but its SCC class is {3} alone:
+    the search passes over it and keeps the triangles."""
+    k3 = bidirected_complete(3).edges
+    g = sg.build_digraph(
+        7,
+        [*k3, *((t + 4, h + 4) for t, h in k3), (0, 3), (1, 3), (3, 4), (3, 5)],
+    )
+    assert 3 in resilience._peeled(g)
+    assert (3,) in sg.strongly_connected_components(g)
+    triangles = [(0, 1, 2), (4, 5, 6)]
+    assert sg.components_2esb(g) == triangles == reference_components_2esb(g)
+    assert sg.components_2vsb(g) == triangles == reference_components_2vsb(g)
+
+
 def test_components_overlap_and_edge_bounds():
     for g in random_sb_corpus(30, seed_base=340):
         esb = sg.components_2esb(g)
