@@ -12,7 +12,6 @@ or written, 3 guard or resource error, running out of memory included.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .generate import gen_random_sb
 from .graph import underlying
-from .report import FAMILIES, _family, analyze, render_report
+from .report import FAMILIES, _family, analyze, json_text, render_report
 from .resilience import components_2esb, components_2vsb
 
 EXIT_OK = 0
@@ -77,9 +76,12 @@ def _read_graph(path):
 
 
 def _out(text):
-    """Print text and flush stdout.  After a failed write, fd 1 goes to
+    """Print text and flush stdout.  A stdout closed at start-up is an
+    error, as a closed stdin is.  After a failed write, fd 1 goes to
     os.devnull, so the interpreter's last flush of what stdout still
     buffers cannot fail a second time."""
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise _StreamError("cannot write stdout: it is closed")
     try:
         print(text, end="", flush=True)
     except OSError as exc:
@@ -89,7 +91,7 @@ def _out(text):
 
 def _emit(data, fmt, text_renderer):
     if fmt == "json":
-        _out(json.dumps(data, indent=2, separators=(",", ": ")) + "\n")
+        _out(json_text(data) + "\n")
     else:
         _out(text_renderer(data))
 

@@ -4,6 +4,14 @@ Strongly connected components for digraphs; blocks, articulation points
 and bridges for undirected graphs; and the strongly-biconnected predicate
 combining the two.  Biconnectivity follows the "connected with no cut
 vertex" convention, so K1 and K2 both count as biconnected.
+
+A digraph makes one whole-graph pass of each kernel, kept on the graph:
+`_scc_pass`, its SCC classes, and `_block_pass`, the blocks of its
+underlying graph, run only once the graph is known to be strongly
+connected.  Both verdicts read them, and so do the strongly biconnected
+components (`sbc`), which for a strongly connected graph are those
+blocks: a strongly biconnected graph's are V alone, with no further
+kernel call.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ def canonical_family(sets):
 def scc_classes(n, adj, sub):
     """Strongly connected classes of the subgraph induced on `sub` (pass
     range(n) for the whole graph), as lists in `sub` order, ordered by
-    first member."""
+    first member.  A one-vertex `sub` is its own class, with no kernel
+    call."""
+    if len(sub) == 1:
+        return [list(sub)]
     ids = _kernels.scc_ids(n, adj, sub)[1]
     groups = {}
     for v in sub:
@@ -36,22 +47,23 @@ def scc_classes(n, adj, sub):
     return sorted(groups.values(), key=lambda c: c[0])
 
 
+@memoized
+def _scc_pass(g):
+    """SCC classes of all of g (`scc_classes`), computed once per graph
+    and kept on it."""
+    return scc_classes(g.n, g.out_adj, range(g.n))
+
+
 def strongly_connected_components(g):
     """Partition of V into maximal strongly connected classes,
     ordered by smallest member."""
-    return [tuple(c) for c in scc_classes(g.n, g.out_adj, range(g.n))]
+    return [tuple(c) for c in _scc_pass(g)]
 
 
-@memoized
 def is_strongly_connected(g):
-    """True when the graph has at most one SCC (trivially true for n <= 1).
-
-    The verdict is computed once per graph and kept on it.
-    """
-    if g.n <= 1:
-        return True
-    ncomp, _ = _kernels.scc_ids(g.n, g.out_adj, range(g.n))
-    return ncomp == 1
+    """True when the graph has at most one SCC (trivially true for n <= 1),
+    read off the whole-graph SCC pass."""
+    return len(_scc_pass(g)) <= 1
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,18 @@ def is_biconnected(u):
 
 
 @memoized
-def is_strongly_biconnected(g):
-    """Strongly connected with a biconnected underlying graph.
+def _block_pass(g):
+    """Blocks of the underlying graph of g over all of V, as sorted tuples
+    (`_kernels.bcc`), computed once per graph and kept on it."""
+    blocks = _kernels.bcc(g.n, underlying(g).adj, range(g.n))
+    return tuple(map(tuple, blocks))
 
-    The verdict is computed once per graph and kept on it.
-    """
-    return is_strongly_connected(g) and is_biconnected(underlying(g))
+
+def is_strongly_biconnected(g):
+    """Strongly connected with a biconnected underlying graph, read off
+    the whole-graph passes; the block pass runs only for a strongly
+    connected g."""
+    return is_strongly_connected(g) and len(_block_pass(g)) <= 1
 
 
 def _strongly_biconnected_subset(g, und, sub):

@@ -9,8 +9,12 @@ Because a graph never changes, every fact derived from it alone is
 computed once, on first use, and kept in the graph's memo (see
 `memoized`):
 
-- the underlying undirected graph and the strongly-connected and
-  strongly-biconnected verdicts;
+- the underlying undirected graph, read off the sorted out- and in-rows
+  of each vertex with no further validation (`underlying`);
+- one whole-graph pass of each kernel: the SCC classes of the graph and,
+  when it is strongly connected, the blocks of its underlying graph,
+  which give both verdicts and the strongly biconnected components
+  (`connectivity`);
 - the dominator trees of the graph and of its reverse, the strong cuts,
   the vertices and edges of the underlying graph whose deletion leaves
   it not biconnected, and the cut report;
@@ -154,14 +158,29 @@ class UndirectedGraph:
             if a == b:
                 raise SelfLoopError(f"self-loop at vertex {a}")
             norm.add((a, b) if a < b else (b, a))
-        self.n = n
-        self.edges = tuple(sorted(norm))
-        self._edge_set = norm
         adj = [[] for _ in range(n)]
-        for a, b in self.edges:
+        for a, b in norm:
             adj[a].append(b)
             adj[b].append(a)
-        self.adj = tuple(tuple(sorted(x)) for x in adj)
+        self._fill(tuple(tuple(sorted(x)) for x in adj))
+
+    @classmethod
+    def _from_rows(cls, adj):
+        """Construct without validation from neighbour rows; callers
+        guarantee sorted, symmetric rows of ids in range, with no
+        self-loop."""
+        u = object.__new__(cls)
+        u._fill(adj)
+        return u
+
+    def _fill(self, adj):
+        # Each edge (a, b), a < b, is read off row a, so `edges` ascends.
+        self.n = len(adj)
+        self.adj = adj
+        self.edges = tuple(
+            [(a, b) for a, row in enumerate(adj) for b in row if b > a]
+        )
+        self._edge_set = set(self.edges)
 
     @property
     def m(self):
@@ -232,7 +251,12 @@ def induced_subgraph(g, vertices):
 def underlying(g):
     """Forget arc directions; antiparallel arc pairs collapse to one edge.
 
-    Built on the first call and kept on g, so later calls return the same
-    graph.
+    Each vertex's row is its sorted out- and in-rows merged, so the rows,
+    already valid, are not checked again, and `edges` lists each (a, b),
+    a < b, in ascending order.  Built on the first call and kept on g, so
+    later calls return the same graph.
     """
-    return UndirectedGraph(g.n, g.edges)
+    return UndirectedGraph._from_rows(
+        tuple([tuple(sorted({*out, *inc}))
+               for out, inc in zip(g.out_adj, g.in_adj)])
+    )

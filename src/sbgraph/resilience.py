@@ -40,9 +40,10 @@ the SCC of 0 is everything outside the region, d aside.  The other SCCs
 are the SCCs of the region alone, since a cycle through a vertex of the
 region and one outside it would put the first in the SCC of 0 too.  So
 one SCC call over the region splits G - d (`_split`), and a deletion
-with an empty region, one that is not a strong cut, needs none.  Each
-call costs O(region + arcs leaving the region's vertices) plus the
-kernel's O(n) arrays, in place of O(n + m) for the whole graph.  The
+with an empty region, one that is not a strong cut, needs none, as does
+one whose region is one vertex, its own class.  Each call costs
+O(region + arcs leaving the region's vertices) plus the kernel's O(n)
+arrays, in place of O(n + m) for the whole graph.  The
 worst case is still quadratic: on a directed cycle every arc and every
 vertex is a strong cut and G - d is a path, so each region holds all
 but one or two vertices, about 2n^2 over all cuts.
@@ -265,9 +266,6 @@ class _DominatorTree:
         self.idom, self.order, self.first, self.size = idom, order, first, size
         self.heads = frozenset(_flow_bridge_heads(self, pred))
 
-    def dominates(self, v, w):
-        return self.first[v] <= self.first[w] < self.first[v] + self.size[v]
-
     def subtree(self, v):
         """D(v) in preorder, v first."""
         start = self.first[v]
@@ -279,16 +277,23 @@ def _flow_bridge_heads(tree, pred):
     of `tree`: every path from the root to v ends with that arc.
 
     That holds exactly when v dominates every other in-neighbour
-    (Italiano, Laura and Santaroni, TCS 2012).  Some in-neighbour ends a
-    v-free path from the root, so the condition also makes idom(v) an
-    in-neighbour.
+    (Italiano, Laura and Santaroni, TCS 2012): each lies in v's preorder
+    interval, first[v] <= first[w] < first[v] + size[v].  Some
+    in-neighbour ends a v-free path from the root, so the condition also
+    makes idom(v) an in-neighbour.
     """
-    idom = tree.idom
-    return [
-        v
-        for v in range(1, len(idom))
-        if all(w == idom[v] or tree.dominates(v, w) for w in pred[v])
-    ]
+    idom, first, size = tree.idom, tree.first, tree.size
+    heads = []
+    for v in range(1, len(idom)):
+        parent = idom[v]
+        low = first[v]
+        high = low + size[v]
+        for w in pred[v]:
+            if w != parent and not low <= first[w] < high:
+                break
+        else:
+            heads.append(v)
+    return heads
 
 
 @memoized

@@ -32,10 +32,13 @@ The caller supplies the starting classes, so a probe
 makes no SCC call over all it leaves.  A probe lists only the parts its
 deletion separates: every vertex in no listed part, the deleted vertex
 aside, shares one implicit part.  `strongly_biconnected_components(g)`
-starts from the SCC classes of all of g and orders the result
-canonically (`_finish`).  `sbc_oracle` recomputes the same
-decomposition by exhaustive search over the vertex subsets of all of V,
-largest first, and exists purely to validate `masked_sbc`.
+reads the whole-graph passes kept on g (`connectivity`): a strongly
+connected g with two or more vertices has one class, all of V, whose
+blocks the block pass already lists, so it makes no further kernel
+call, and any other g starts `masked_sbc` from its SCC classes.  It
+orders the result canonically (`_finish`).  `sbc_oracle` recomputes the
+same decomposition by exhaustive search over the vertex subsets of all
+of V, largest first, and exists purely to validate `masked_sbc`.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .connectivity import (
-    _strongly_biconnected_subset, canonical_family, check_guard,
-    maximal_subsets, scc_classes,
+    _block_pass, _scc_pass, _strongly_biconnected_subset, canonical_family,
+    check_guard, maximal_subsets,
 )
 from .errors import VertexRangeError
 from .graph import underlying
@@ -75,9 +78,10 @@ def strongly_biconnected_components(g):
     The input need not be strongly connected: the decomposition is taken
     per SCC.
     """
-    n = g.n
-    classes = scc_classes(n, g.out_adj, range(n))
-    return _finish(masked_sbc(n, underlying(g).adj, classes))
+    classes = _scc_pass(g)
+    if g.n > 1 and len(classes) == 1:
+        return _finish(_block_pass(g))
+    return _finish(masked_sbc(g.n, underlying(g).adj, classes))
 
 
 def masked_sbc(n, und_adj, classes):

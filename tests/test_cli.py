@@ -242,6 +242,18 @@ def test_bench_smoke(capsys):
     assert all(r["seconds"] >= 0 for r in data["runs"])
 
 
+def test_json_output_is_the_text_of_json_dumps(capsys, fig1_path):
+    runs = [["check", fig1_path]]
+    runs += [["blocks", "--kind", kind, fig1_path] for kind in cli._BY_KIND]
+    runs.append(["bench", "--sizes", "16", "--repeat", "1", "--seed", "11",
+                 "--format", "json"])
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert out == json.dumps(data, indent=2, separators=(",", ": ")) + "\n"
+
+
 def test_stdin_input(capsys, monkeypatch):
     stdin = io.TextIOWrapper(io.BytesIO(b"3 3\n0 1\n1 2\n2 0\n"))
     monkeypatch.setattr(sys, "stdin", stdin)
@@ -391,3 +403,18 @@ def test_unwritable_stdout_exit_2(fig1_path):
     assert proc.stderr == (
         f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
     )
+
+
+def test_closed_stdout_exit_2(fig1_path):
+    # A process started with fd 1 closed has sys.stdout set to None, and
+    # print would drop the report without an error.
+    src = pathlib.Path(sg.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m sbgraph check "$1" >&-',
+         sys.executable, fig1_path],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: it is closed\n"

@@ -143,6 +143,17 @@ def test_underlying_unchanged_iff_antiparallel():
     assert sg.underlying(sg.remove_edge(g, (1, 2))) != sg.underlying(g)
 
 
+@given(digraphs(min_n=0))
+def test_underlying_matches_the_validating_constructor(g):
+    # `underlying` reads the graph's rows and skips the checks.
+    u = sg.underlying(g)
+    ref = sg.UndirectedGraph(g.n, g.edges)
+    assert (u.n, u.edges, u.adj) == (ref.n, ref.edges, ref.adj)
+    for a in range(g.n):
+        for b in range(g.n):
+            assert u.has_edge(a, b) == ref.has_edge(a, b)
+
+
 @given(digraphs())
 def test_roundtrip_reconstruction(g):
     assert sg.build_digraph(g.n, g.edges) == g

@@ -125,10 +125,10 @@ def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
         g = _fresh(g)
         whole.clear()
         sg.analyze(g)
-        # One call gives the verdict and one starts the SBC
+        # One whole-graph pass gives the verdict and starts the SBC
         # decomposition; arc probes pass a modified adjacency, so they
         # do not count.
-        assert sum(adj is g.out_adj for adj in whole) == 2
+        assert sum(adj is g.out_adj for adj in whole) == 1
 
 
 def _patch(monkeypatch, name, wrap):
@@ -180,6 +180,15 @@ def _count_cut_probes(monkeypatch, g):
     return probes
 
 
+def _split_strong_cuts(g):
+    """The strong cuts of g whose split makes an SCC call, those whose
+    region has two or more vertices, and vertex 0, as a Counter of one
+    call each.  A one-vertex region is its own class."""
+    arcs, points = _strong_cuts(g)
+    wide = [d for d in arcs + points if len(resilience._cut_region(g, d)) > 1]
+    return collections.Counter({0, *wide})
+
+
 def _fine_first(g):
     sg.two_edge_blocks(g)
     sg.two_strong_blocks(g)
@@ -190,8 +199,9 @@ def _fine_first(g):
 @pytest.mark.parametrize("run", [sg.analyze, _fine_first])
 def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
     # Each graph has b-cuts that are not strong cuts; those cost no SCC
-    # call, as their deletion leaves one SCC.  Vertex 0 costs the one
-    # call that finds whether it is a strong cut, whether it is or not.
+    # call, as their deletion leaves one SCC, and neither does a strong
+    # cut whose region is one vertex.  Vertex 0 costs the one call that
+    # finds whether it is a strong cut, whether it is or not.
     for g in (fig1, twin_bridge_graph(), ear_graph(34, 40)):
         g = _fresh(g)
         probes = _count_cut_probes(monkeypatch, g)
@@ -202,8 +212,30 @@ def test_each_strong_cut_is_split_once(monkeypatch, fig1, run):
             cuts.strong_bridges + cuts.strong_articulation_points
         )
         assert weak
-        strong = cuts.strong_bridges + cuts.strong_articulation_points
-        assert probes == collections.Counter({*strong, 0})
+        assert probes == _split_strong_cuts(g)
+
+
+def test_a_one_vertex_region_makes_no_scc_call(monkeypatch, fig1):
+    calls = []
+    scc_ids = _kernels.scc_ids
+
+    def counting(n, adj, sub):
+        calls.append(sub)
+        return scc_ids(n, adj, sub)
+
+    singles = 0
+    for g in (fig1, twin_bridge_graph(), ear_graph(34, 40)):
+        g = _fresh(g)
+        arcs, points = _strong_cuts(g)
+        monkeypatch.setattr(_kernels, "scc_ids", counting)
+        for d in arcs + points:
+            region = resilience._cut_region(g, d)
+            if len(region) == 1:
+                singles += 1
+                assert resilience._split(g, d) == [region]
+        monkeypatch.undo()
+        assert calls == []
+    assert singles
 
 
 @pytest.mark.parametrize(
@@ -268,9 +300,8 @@ def test_shared_splits_serve_graphs_that_are_not_sb(monkeypatch):
     probes = _count_cut_probes(monkeypatch, g)
     report = sg.analyze(g)
     monkeypatch.undo()
-    cuts = _strong_cuts(g)
     assert not report.strongly_biconnected
-    assert probes == collections.Counter({*cuts[0], *cuts[1], 0})
+    assert probes == _split_strong_cuts(g)
     assert report.blocks_2e == [list(b) for b in reference_two_edge_blocks(g)]
     assert report.blocks_2s == [
         list(b) for b in reference_two_strong_blocks(g)

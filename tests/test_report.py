@@ -11,13 +11,16 @@ from helpers import (
     bidirected_complete,
     bidirected_cycle,
     c3,
+    ear_graph,
     glued,
     one_based,
     random_sb_corpus,
     single_arc,
     two_triangles,
 )
-from sbgraph.report import SKIP_NOT_SB, SKIP_NOT_SC, render_report
+from sbgraph.report import (
+    SKIP_NOT_SB, SKIP_NOT_SC, json_text, render_report,
+)
 
 SCHEMA = sg.report_schema()
 
@@ -173,8 +176,61 @@ def test_analyze_copies_no_graph(monkeypatch, fig1, shape):
         UndirectedGraph, "__init__",
         counting("UndirectedGraph", UndirectedGraph.__init__),
     )
+    from_rows = UndirectedGraph._from_rows.__func__
+    monkeypatch.setattr(
+        UndirectedGraph, "_from_rows",
+        classmethod(counting("UndirectedGraph", from_rows)),
+    )
     report = sg.analyze(g)
     assert report.strongly_biconnected
     assert calls["remove_edge"] == calls["remove_vertex"] == 0
     assert calls["_from_valid"] == 0
     assert calls["UndirectedGraph"] <= 1
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, separators=(",", ": "))
+
+
+def test_json_text_writes_the_reports_as_json_dumps_does():
+    # Ear graphs of three shapes, and glued ones, strongly connected but
+    # not strongly biconnected, whose reports hold `skipped` dicts.
+    graphs = [
+        ear_graph(seed, n, ears)
+        for seed, (n, ears) in enumerate(
+            [(20, (1, 2)), (40, (1, 2)), (24, (3, 8)), (64, (3, 8)),
+             (30, (1, 8))]
+        )
+    ]
+    graphs += [glued(graphs[0], graphs[2]), glued(ear_graph(9, 20), c3())]
+    graphs.append(single_arc())
+    skipped = 0
+    for g in graphs:
+        data = sg.analyze(g).as_dict()
+        text = sg.emit_report(g)
+        assert text == json_text(data) + "\n" == _dumps(data) + "\n"
+        jsonschema.validate(json.loads(text), SCHEMA)
+        skipped += SKIP_NOT_SB in data.values()
+    assert skipped == 3
+
+
+HAND_MADE = [
+    0, -7, 2**70, 1.5, -0.0, 1e300, float("inf"), float("nan"),
+    True, False, None, "", "plain", "ünïcode \u2028 ✓ \U0001f600",
+    'quote " backslash \\ tab \t newline \n nul \x00 del \x7f',
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {}, "b": ()},
+    [True, 1, 1.0, "1", None, False, 0],
+    (1, (2, 3), [], ["x", {"y": [None]}]),
+    {"é": "\u2028", "": [], "k\"ey": {"nested": [[1, [2, [3, []]]]]}},
+    [[[[]]], [{}], {"z": {"y": {"x": [0.1, -2, "w"]}}}],
+]
+
+
+def test_json_text_writes_hand_made_values_as_json_dumps_does():
+    for value in HAND_MADE:
+        assert json_text(value) == _dumps(value), value
+
+
+def test_json_text_refuses_keys_that_are_not_str():
+    with pytest.raises(TypeError, match="keys must be str"):
+        json_text({"a": {1: 2}})

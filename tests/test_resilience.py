@@ -22,6 +22,7 @@ from helpers import (
     root_cut_graph,
     run_cli_capped,
     single_arc,
+    strongly_connected_digraphs,
     two_triangles,
 )
 
@@ -80,6 +81,36 @@ def test_non_b_bridge_preserves_co_membership():
             for v in range(g.n):
                 for w in range(v):
                     assert sg.same_sbc(d, v, w)
+
+
+def _reached_from_0(succ, tail, head):
+    """Vertices that vertex 0 reaches along `succ` without the arc
+    (tail, head)."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in succ[v]:
+            if w not in seen and (v, w) != (tail, head):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+@settings(deadline=None)
+@given(strongly_connected_digraphs(min_n=2))
+def test_flow_bridge_heads_match_their_definition(g):
+    # (idom(v), v) is a flow-graph bridge exactly when deleting it leaves
+    # v unreachable from 0, in the forward and in the reverse flow graph.
+    for succ, pred in ((g.out_adj, g.in_adj), (g.in_adj, g.out_adj)):
+        tree = resilience._DominatorTree(succ, pred)
+        heads = set()
+        for v in range(1, g.n):
+            parent = tree.idom[v]
+            if v in succ[parent]:
+                if v not in _reached_from_0(succ, parent, v):
+                    heads.add(v)
+        assert tree.heads == heads
 
 
 def test_b_articulation_points_cycle():

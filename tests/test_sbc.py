@@ -29,7 +29,9 @@ def test_strongly_biconnected_input_makes_one_scc_call(monkeypatch, fig1):
     # The components are the blocks of each SCC class, so one SCC call
     # over V and one `bcc` call per class of two or more vertices give
     # them all, strongly biconnected input or not; a one-vertex class
-    # costs no call.
+    # costs no call.  Both verdicts read the same whole-graph passes, so
+    # after them a strongly connected input's components, the blocks of
+    # its one class, cost no further call.
     calls = []
     bcc_calls = []
     scc_ids = _kernels.scc_ids
@@ -60,6 +62,16 @@ def test_strongly_biconnected_input_makes_one_scc_call(monkeypatch, fig1):
         assert len(calls) == 1
         classes = sg.strongly_connected_components(g)
         assert len(bcc_calls) == sum(len(c) >= 2 for c in classes)
+        h = sg.build_digraph(g.n, g.edges)
+        sg.is_strongly_biconnected(h)
+        calls.clear()
+        bcc_calls.clear()
+        assert sg.strongly_biconnected_components(h).components == components
+        assert calls == []
+        if len(classes) == 1:
+            assert bcc_calls == []
+        else:
+            assert len(bcc_calls) == sum(len(c) >= 2 for c in classes)
 
 
 @given(digraphs(max_n=8))
