@@ -5,10 +5,12 @@ and bridges for undirected graphs; and the strongly-biconnected predicate
 combining the two.  Biconnectivity follows the "connected with no cut
 vertex" convention, so K1 and K2 both count as biconnected.
 
-A digraph makes one whole-graph pass of each kernel, kept on the graph:
-`_scc_pass`, its SCC classes, and `_block_pass`, the blocks of its
-underlying graph, run only once the graph is known to be strongly
-connected.  Both verdicts read them, and so do the strongly biconnected
+Each whole-graph kernel pass is kept on the graph it describes:
+`_scc_pass`, the SCC classes of a digraph, on the digraph, and
+`_block_pass`, the blocks of an undirected graph, on that graph, which
+for a digraph is its underlying graph.  A digraph's block pass runs only
+once it is known to be strongly connected.  Both verdicts read them, as
+do `undirected_blocks`, `is_biconnected` and the strongly biconnected
 components (`sbc`), which for a strongly connected graph are those
 blocks: a strongly biconnected graph's are V alone, with no further
 kernel call.
@@ -77,6 +79,13 @@ class BlockDecomposition:
     bridges: tuple
 
 
+@memoized
+def _block_pass(u):
+    """Blocks of the undirected graph u over all of V, as sorted tuples
+    (`_kernels.bcc`), computed once per graph and kept on it."""
+    return tuple(map(tuple, _kernels.bcc(u.n, u.adj, range(u.n))))
+
+
 def undirected_blocks(u):
     """Biconnected components of an undirected graph.
 
@@ -84,7 +93,7 @@ def undirected_blocks(u):
     those edges.  The articulation points are read off the blocks: the
     vertices that lie in two or more of them.
     """
-    blocks = canonical_family(_kernels.bcc(u.n, u.adj, range(u.n)))
+    blocks = canonical_family(_block_pass(u))
     count = Counter(itertools.chain.from_iterable(blocks))
     return BlockDecomposition(
         blocks=tuple(blocks),
@@ -95,23 +104,15 @@ def undirected_blocks(u):
 
 def is_biconnected(u):
     """Connected with no cut vertex; K1 and K2 qualify, as does the empty
-    graph by convention."""
-    return len(_kernels.bcc(u.n, u.adj, range(u.n))) <= 1
-
-
-@memoized
-def _block_pass(g):
-    """Blocks of the underlying graph of g over all of V, as sorted tuples
-    (`_kernels.bcc`), computed once per graph and kept on it."""
-    blocks = _kernels.bcc(g.n, underlying(g).adj, range(g.n))
-    return tuple(map(tuple, blocks))
+    graph by convention.  Read off the block pass."""
+    return len(_block_pass(u)) <= 1
 
 
 def is_strongly_biconnected(g):
     """Strongly connected with a biconnected underlying graph, read off
     the whole-graph passes; the block pass runs only for a strongly
     connected g."""
-    return is_strongly_connected(g) and len(_block_pass(g)) <= 1
+    return is_strongly_connected(g) and is_biconnected(underlying(g))
 
 
 def _strongly_biconnected_subset(g, und, sub):

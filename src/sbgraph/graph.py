@@ -5,16 +5,22 @@ self-loops and duplicate ordered pairs are rejected, antiparallel pairs are
 allowed.  Derived views (edge/vertex deletion, induced subgraphs) allocate
 fresh graphs.
 
+A graph keeps its vertex count n, its `edges` (a `Digraph` in input
+order, an `UndirectedGraph` as ascending (a, b), a < b), its sorted
+neighbour rows (`out_adj` and `in_adj`, or `adj`) and its memo, and no
+other copy of its edges: `has_edge` bisects one sorted row, in
+O(log deg).
+
 Because a graph never changes, every fact derived from it alone is
 computed once, on first use, and kept in the graph's memo (see
-`memoized`):
+`memoized`); both classes carry one.  A digraph keeps:
 
 - the underlying undirected graph, read off the sorted out- and in-rows
   of each vertex with no further validation (`underlying`);
-- one whole-graph pass of each kernel: the SCC classes of the graph and,
-  when it is strongly connected, the blocks of its underlying graph,
-  which give both verdicts and the strongly biconnected components
-  (`connectivity`);
+- one whole-graph SCC pass, its SCC classes (`connectivity`), while the
+  underlying graph keeps its own whole-graph block pass, read only once
+  the digraph is known to be strongly connected; the two give both
+  verdicts and the strongly biconnected components;
 - the dominator trees of the graph and of its reverse, the strong cuts,
   the vertices and edges of the underlying graph whose deletion leaves
   it not biconnected, and the cut report;
@@ -33,6 +39,7 @@ concurrent computations.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 
 from .errors import (
     DuplicateEdgeError,
@@ -56,18 +63,25 @@ def _check_vertex_count(n):
         )
 
 
+def _in_row(rows, a, b):
+    """True when b is in the sorted row a; False for any a out of range."""
+    row = rows[a] if 0 <= a < len(rows) else ()
+    i = bisect_left(row, b)
+    return i < len(row) and row[i] == b
+
+
 class Digraph:
     """A simple directed graph with a fixed vertex set {0, ..., n-1},
     n <= MAX_VERTICES."""
 
     # _memo holds the values of the `memoized` functions of this graph.
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "_edge_set", "_memo")
+    __slots__ = ("n", "edges", "out_adj", "in_adj", "_memo")
 
     def __init__(self, n, edges):
         if n < 0:
             raise VertexRangeError(f"vertex count must be >= 0, got {n}")
-        edge_list = []
-        seen = set()
+        # Insertion-ordered, so its keys are `edges` in input order.
+        seen = {}
         for tail, head in edges:
             if not (0 <= tail < n) or not (0 <= head < n):
                 raise VertexRangeError(
@@ -77,23 +91,20 @@ class Digraph:
                 raise SelfLoopError(f"self-loop at vertex {tail}")
             if (tail, head) in seen:
                 raise DuplicateEdgeError(f"duplicate edge ({tail}, {head})")
-            seen.add((tail, head))
-            edge_list.append((tail, head))
-        self._fill(n, tuple(edge_list), seen)
+            seen[tail, head] = None
+        self._fill(n, tuple(seen))
 
     @classmethod
     def _from_valid(cls, n, edges):
         """Construct without validation; callers guarantee simple edges in range."""
         g = object.__new__(cls)
-        edges = tuple(edges)
-        g._fill(n, edges, set(edges))
+        g._fill(n, tuple(edges))
         return g
 
-    def _fill(self, n, edges, edge_set):
+    def _fill(self, n, edges):
         _check_vertex_count(n)
         self.n = n
         self.edges = edges
-        self._edge_set = edge_set
         out = [[] for _ in range(n)]
         inc = [[] for _ in range(n)]
         for tail, head in edges:
@@ -110,7 +121,7 @@ class Digraph:
         return len(self.edges)
 
     def has_edge(self, tail, head):
-        return (tail, head) in self._edge_set
+        return _in_row(self.out_adj, tail, head)
 
     # Compare sorted rows: `edges` keeps the input order.
     def __eq__(self, other):
@@ -126,9 +137,10 @@ class Digraph:
 
 
 def memoized(fn):
-    """Decorator for a function of one Digraph and any further hashable
-    arguments: compute fn(g, *args) on the first call and keep it in g's
-    memo, keyed by the function's name and args."""
+    """Decorator for a function of one graph, directed or undirected, and
+    any further hashable arguments: compute fn(g, *args) on the first
+    call and keep it in g's memo, keyed by the function's name and
+    args."""
     name = fn.__name__
 
     @functools.wraps(fn)
@@ -145,24 +157,23 @@ def memoized(fn):
 class UndirectedGraph:
     """A simple undirected graph; edges are stored as (min, max) pairs."""
 
-    __slots__ = ("n", "edges", "adj", "_edge_set")
+    # _memo holds the values of the `memoized` functions of this graph.
+    __slots__ = ("n", "edges", "adj", "_memo")
 
     def __init__(self, n, pairs):
         if n < 0:
             raise VertexRangeError(f"vertex count must be >= 0, got {n}")
         _check_vertex_count(n)
-        norm = set()
+        adj = [[] for _ in range(n)]
         for a, b in pairs:
             if not (0 <= a < n) or not (0 <= b < n):
                 raise VertexRangeError(f"edge ({a}, {b}) out of range for n={n}")
             if a == b:
                 raise SelfLoopError(f"self-loop at vertex {a}")
-            norm.add((a, b) if a < b else (b, a))
-        adj = [[] for _ in range(n)]
-        for a, b in norm:
             adj[a].append(b)
             adj[b].append(a)
-        self._fill(tuple(tuple(sorted(x)) for x in adj))
+        # set() drops a pair given twice, in either order.
+        self._fill(tuple(tuple(sorted(set(x))) for x in adj))
 
     @classmethod
     def _from_rows(cls, adj):
@@ -180,14 +191,14 @@ class UndirectedGraph:
         self.edges = tuple(
             [(a, b) for a, row in enumerate(adj) for b in row if b > a]
         )
-        self._edge_set = set(self.edges)
+        self._memo = {}
 
     @property
     def m(self):
         return len(self.edges)
 
     def has_edge(self, a, b):
-        return ((a, b) if a < b else (b, a)) in self._edge_set
+        return _in_row(self.adj, a, b)
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):

@@ -32,13 +32,14 @@ The caller supplies the starting classes, so a probe
 makes no SCC call over all it leaves.  A probe lists only the parts its
 deletion separates: every vertex in no listed part, the deleted vertex
 aside, shares one implicit part.  `strongly_biconnected_components(g)`
-reads the whole-graph passes kept on g (`connectivity`): a strongly
-connected g with two or more vertices has one class, all of V, whose
-blocks the block pass already lists, so it makes no further kernel
-call, and any other g starts `masked_sbc` from its SCC classes.  It
-orders the result canonically (`_finish`).  `sbc_oracle` recomputes the
-same decomposition by exhaustive search over the vertex subsets of all
-of V, largest first, and exists purely to validate `masked_sbc`.
+reads the whole-graph passes kept on g and on its underlying graph
+(`connectivity`): a strongly connected g with two or more vertices has
+one class, all of V, whose blocks the underlying graph's block pass
+already lists, so it makes no further kernel call, and any other g
+starts `masked_sbc` from its SCC classes.  It orders the result
+canonically (`_finish`).  `sbc_oracle` recomputes the same decomposition
+by exhaustive search over the vertex subsets of all of V, largest
+first, and exists purely to validate `masked_sbc`.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def strongly_biconnected_components(g):
     """
     classes = _scc_pass(g)
     if g.n > 1 and len(classes) == 1:
-        return _finish(_block_pass(g))
+        return _finish(_block_pass(underlying(g)))
     return _finish(masked_sbc(g.n, underlying(g).adj, classes))
 
 

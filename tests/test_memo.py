@@ -9,7 +9,7 @@ import threading
 import pytest
 
 import sbgraph as sg
-from sbgraph import _kernels, blocks, resilience
+from sbgraph import _kernels, blocks, cli, resilience
 from sbgraph.resilience import _strong_cuts
 from helpers import (
     bidirected_complete,
@@ -129,6 +129,36 @@ def test_analyze_checks_strong_connectivity_once(monkeypatch, fig1, fig2):
         # decomposition; arc probes pass a modified adjacency, so they
         # do not count.
         assert sum(adj is g.out_adj for adj in whole) == 1
+
+
+def _kernel_calls(monkeypatch):
+    """Wrap both kernels; each call appends the length of its vertex
+    list to its kernel's entry."""
+    calls = {"scc_ids": [], "bcc": []}
+    for name, sizes in calls.items():
+        def recording(n, adj, sub, kernel=getattr(_kernels, name),
+                      sizes=sizes):
+            sizes.append(len(sub))
+            return kernel(n, adj, sub)
+
+        monkeypatch.setattr(_kernels, name, recording)
+    return calls
+
+
+def test_check_walks_g_and_its_underlying_graph_once(
+    monkeypatch, capsys, fig1_path
+):
+    calls = _kernel_calls(monkeypatch)
+    assert cli.main(["check", fig1_path]) == 0
+    assert calls == {"scc_ids": [16], "bcc": [16]}
+
+
+def test_block_pass_is_kept_on_the_undirected_graph(monkeypatch):
+    u = sg.UndirectedGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    calls = _kernel_calls(monkeypatch)
+    assert sg.undirected_blocks(u).articulation_points == (2,)
+    assert not sg.is_biconnected(u)
+    assert calls == {"scc_ids": [], "bcc": [4]}
 
 
 def _patch(monkeypatch, name, wrap):
