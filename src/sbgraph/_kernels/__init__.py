@@ -1,9 +1,11 @@
 """Kernel backend selection.
 
-The hot traversal kernels exist twice: a compiled extension (`_ckern`,
-built from the hand-written `_ckern.c`) and a pure-Python fallback
-(`pure`), with the same contracts and traversal order.  Both kernels walk
-the vertex list `sub` they are given; a whole-graph call passes range(n).
+The three hot traversal kernels exist twice: a compiled extension
+(`_ckern`, built from the hand-written `_ckern.c`) and a pure-Python
+fallback (`pure`), with the same contracts and traversal order.
+`scc_ids` and `bcc` walk the vertex list `sub` they are given, and a
+whole-graph call passes range(n); `biconnected` walks every vertex not
+in the mask `gone` and stops at the first cut vertex.
 The compiled backend is preferred when importable; set SBGRAPH_KERNELS=pure
 or SBGRAPH_KERNELS=c to force a choice (forcing an unavailable backend is
 an error, not a silent downgrade).  That variable is the one process-wide
@@ -69,3 +71,7 @@ def scc_ids(n, adj, sub):
 
 def bcc(n, adj, sub):
     return _active.bcc(n, adj, sub)
+
+
+def biconnected(n, adj, gone):
+    return _active.biconnected(n, adj, gone)

@@ -1,4 +1,5 @@
-/* Compiled traversal kernels: Tarjan SCC and Hopcroft-Tarjan BCC.
+/* Compiled traversal kernels: Tarjan SCC (scc_ids), Hopcroft-Tarjan BCC
+ * (bcc) and the early-exit biconnectivity test (biconnected).
  *
  * A direct port of the pure backend (pure.py): the same contracts and the
  * same traversal order, so both backends return identical results; only
@@ -16,7 +17,9 @@
 
 /* The rows of the active vertices, flattened: the neighbours of an active
  * vertex v are indices[indptr[v] .. indptr[v + 1]); inactive rows are
- * empty.  order is sub: the roots, in the caller's order. */
+ * empty.  order is sub, the roots in the caller's order, or, when the
+ * caller passes a mask of the vertices left out, every active vertex in
+ * ascending order. */
 typedef struct {
     int n;
     Py_ssize_t *indptr;
@@ -56,9 +59,11 @@ read_int(PyObject *obj, long limit, const char *what, PyObject *exc, int *out)
     return 0;
 }
 
-/* Read n, adj and sub into g.  On failure g is already freed. */
+/* Read n, adj and sub into g; with is_mask set, sub lists the vertices
+ * left out instead.  On failure g is already freed. */
 static int
-graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub)
+graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub,
+           int is_mask)
 {
     PyObject *rows = NULL, *seq = NULL, *row = NULL;
     Py_ssize_t m = 0, cap = 0, i;
@@ -82,18 +87,35 @@ graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub)
     g->indptr = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
     if (g->active == NULL || g->indptr == NULL)
         goto nomem;
-    seq = PySequence_Fast(sub, "sub must be an iterable of vertices");
+    seq = PySequence_Fast(sub, is_mask ? "gone must be an iterable of vertices"
+                                       : "sub must be an iterable of vertices");
     if (seq == NULL)
         goto fail;
-    g->order_len = PySequence_Fast_GET_SIZE(seq);
-    g->order = PyMem_Malloc(((size_t)g->order_len + 1) * sizeof(int));
-    if (g->order == NULL)
-        goto nomem;
-    for (i = 0; i < g->order_len; i++) {
-        if (read_int(PySequence_Fast_GET_ITEM(seq, i), n, "sub vertex",
-                     PyExc_IndexError, &g->order[i]) < 0)
-            goto fail;
-        g->active[g->order[i]] = 1;
+    if (is_mask) {
+        memset(g->active, 1, (size_t)n);
+        for (i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+            if (read_int(PySequence_Fast_GET_ITEM(seq, i), n, "gone vertex",
+                         PyExc_IndexError, &v) < 0)
+                goto fail;
+            g->active[v] = 0;
+        }
+        g->order = PyMem_Malloc(((size_t)n + 1) * sizeof(int));
+        if (g->order == NULL)
+            goto nomem;
+        for (v = 0; v < n; v++)
+            if (g->active[v])
+                g->order[g->order_len++] = v;
+    } else {
+        g->order_len = PySequence_Fast_GET_SIZE(seq);
+        g->order = PyMem_Malloc(((size_t)g->order_len + 1) * sizeof(int));
+        if (g->order == NULL)
+            goto nomem;
+        for (i = 0; i < g->order_len; i++) {
+            if (read_int(PySequence_Fast_GET_ITEM(seq, i), n, "sub vertex",
+                         PyExc_IndexError, &g->order[i]) < 0)
+                goto fail;
+            g->active[g->order[i]] = 1;
+        }
     }
     Py_CLEAR(seq);
     g->indptr[0] = 0;
@@ -180,7 +202,7 @@ scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:scc_ids", kwlist,
                                      &n_obj, &adj, &sub))
         return NULL;
-    if (graph_init(&g, n_obj, adj, sub) < 0)
+    if (graph_init(&g, n_obj, adj, sub, 0) < 0)
         return NULL;
     n = g.n;
     work = PyMem_Malloc(5 * ((size_t)n + 1) * sizeof(int));
@@ -277,7 +299,7 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:bcc", kwlist,
                                      &n_obj, &adj, &sub))
         return NULL;
-    if (graph_init(&g, n_obj, adj, sub) < 0)
+    if (graph_init(&g, n_obj, adj, sub, 0) < 0)
         return NULL;
     n = g.n;
     /* members holds one block while it is sorted: at most n distinct
@@ -374,11 +396,103 @@ done:
     return result;
 }
 
+static char *mask_kwlist[] = {"n", "adj", "gone", NULL};
+
+PyDoc_STRVAR(biconnected_doc,
+"biconnected(n, adj, gone)\n--\n\n"
+"Whether the vertices not in gone induce a connected graph with no cut\n"
+"vertex, stopping at the first cut vertex; see the pure backend.");
+
+static PyObject *
+biconnected(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    PyObject *n_obj, *adj, *gone, *result = NULL;
+    int *work = NULL, *disc, *low, *dfs_v;
+    Py_ssize_t *dfs_i = NULL;
+    int n, v, root, counter = 1, root_blocks = 0, fp = 1, answer = 1;
+    Graph g;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:biconnected",
+                                     mask_kwlist, &n_obj, &adj, &gone))
+        return NULL;
+    if (graph_init(&g, n_obj, adj, gone, 1) < 0)
+        return NULL;
+    if (g.order_len <= 1) {
+        result = PyBool_FromLong(1);
+        goto done;
+    }
+    n = g.n;
+    work = PyMem_Malloc(3 * ((size_t)n + 1) * sizeof(int));
+    dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
+    if (work == NULL || dfs_i == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    disc = work;
+    low = disc + n;
+    dfs_v = low + n;
+    for (v = 0; v < n; v++)
+        disc[v] = -1;
+
+    root = g.order[0];
+    disc[root] = low[root] = 0;
+    dfs_v[0] = root;
+    dfs_i[0] = g.indptr[root];
+    while (fp) {
+        Py_ssize_t i = dfs_i[fp - 1], end;
+        int descended = 0;
+        v = dfs_v[fp - 1];
+        end = g.indptr[v + 1];
+        while (i < end) {
+            int w = g.indices[i++], d;
+            if (!g.active[w])
+                continue;
+            d = disc[w];
+            if (d == -1) {
+                disc[w] = low[w] = counter++;
+                dfs_i[fp - 1] = i;
+                dfs_v[fp] = w;
+                dfs_i[fp] = g.indptr[w];
+                fp++;
+                descended = 1;
+                break;
+            }
+            if (d < low[v])
+                low[v] = d;
+        }
+        if (descended)
+            continue;
+        fp--;
+        if (fp) {
+            int p = dfs_v[fp - 1], lv = low[v];
+            if (lv < low[p])
+                low[p] = lv;
+            if (lv >= disc[p]) {
+                /* A block closes at p: a cut vertex unless p is the root
+                 * and this is its first block. */
+                if (p != root || root_blocks) {
+                    answer = 0;
+                    break;
+                }
+                root_blocks = 1;
+            }
+        }
+    }
+    result = PyBool_FromLong(answer && counter == g.order_len);
+done:
+    PyMem_Free(work);
+    PyMem_Free(dfs_i);
+    graph_free(&g);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"scc_ids", (PyCFunction)(void (*)(void))scc_ids,
      METH_VARARGS | METH_KEYWORDS, scc_ids_doc},
     {"bcc", (PyCFunction)(void (*)(void))bcc,
      METH_VARARGS | METH_KEYWORDS, bcc_doc},
+    {"biconnected", (PyCFunction)(void (*)(void))biconnected,
+     METH_VARARGS | METH_KEYWORDS, biconnected_doc},
     {NULL, NULL, 0, NULL}
 };
 

@@ -1,12 +1,14 @@
 """Pure-Python traversal kernels (fallback backend).
 
-Both kernels take the vertices to walk, `sub`, and behave exactly as if
-they were run on the subgraph induced on it, without materializing it; a
-whole-graph call passes range(n).  DFS uses explicit stacks so deep
-graphs cannot overflow the interpreter stack.  A vertex id outside
-0..n-1, in a row read or in the subset, raises IndexError, as in the
-compiled kernels: a negative id is checked explicitly, since list
-indexing would read it from the end.
+Three kernels: `scc_ids` and `bcc` take the vertices to walk, `sub`, and
+behave exactly as if they were run on the subgraph induced on it,
+without materializing it; a whole-graph call passes range(n).
+`biconnected` takes the vertices to leave out, `gone`, as a mask, and
+answers yes or no, stopping at the first cut vertex.  DFS uses explicit
+stacks so deep graphs cannot overflow the interpreter stack.  A vertex
+id outside 0..n-1, in a row read, in the subset or in the mask, raises
+IndexError, as in the compiled kernels: a negative id is checked
+explicitly, since list indexing would read it from the end.
 """
 
 
@@ -153,3 +155,65 @@ def bcc(n, adj, sub):
         if disc[root] == counter - 1:
             blocks.append([root])
     return blocks
+
+
+def biconnected(n, adj, gone):
+    """Whether the undirected graph on the vertices not in `gone` is
+    connected with no cut vertex; K1, K2 and the empty graph qualify, as
+    in `connectivity.is_biconnected`.  The same as len(bcc(n, adj, V -
+    gone)) <= 1, without listing V - gone or any block.
+
+    adj: per-vertex sequences of neighbours, as for bcc.  gone: iterable
+    of the vertices left out, read as a mask: each gets the discovery
+    number n, which marks it neither unvisited nor able to lower a low
+    point.
+
+    One Hopcroft-Tarjan search from the least vertex left: a block closes
+    at p when a child v of p has low[v] >= disc[p].  The first block to
+    close at any vertex but the root, or the second at the root, shows a
+    cut vertex, and the search stops there with False.  A search that
+    ends without one is True when it reached every vertex left.
+    """
+    disc = [-1] * n
+    left = n
+    for v in gone:
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
+        if disc[v] == -1:
+            disc[v] = n
+            left -= 1
+    if left <= 1:
+        return True
+    root = disc.index(-1)
+    low = [0] * n
+    disc[root] = 0
+    counter = 1
+    root_blocks = 0
+    dfs_v, dfs_it = [root], [iter(adj[root])]
+    while dfs_v:
+        v = dfs_v[-1]
+        for w in dfs_it[-1]:
+            if w < 0:
+                raise IndexError(f"vertex {w} out of range")
+            d = disc[w]
+            if d == -1:
+                disc[w] = low[w] = counter
+                counter += 1
+                dfs_v.append(w)
+                dfs_it.append(iter(adj[w]))
+                break
+            if d < low[v]:
+                low[v] = d
+        else:
+            dfs_v.pop()
+            dfs_it.pop()
+            if dfs_v:
+                p = dfs_v[-1]
+                lv = low[v]
+                if lv < low[p]:
+                    low[p] = lv
+                if lv >= disc[p]:
+                    if p != root or root_blocks:
+                        return False
+                    root_blocks = 1
+    return counter == left

@@ -30,6 +30,11 @@ C minus z lies inside one part.
 
 `_blocks` starts from V and splits every set at each probe, so every
 set it keeps is a clique and every clique stays inside a set it keeps.
+It indexes its sets by vertex, so a probe touches only the sets that
+hold a vertex it lists: it costs about its listed vertices, times the
+sets holding each, plus its new pieces, however many sets there are,
+and the last filter compares a set only with the kept sets through one
+of its vertices.
 The public `edge_relation` and `vertex_relation` are views of their
 families: x and y are related exactly when x = y or some block holds
 both, since a related pair is a clique of two and lies in a maximal
@@ -80,9 +85,11 @@ class of 0; a b-cut that is not a strong cut has an empty split, so it
 costs no SCC call.  The class of 0 is refined once per set of vertices
 it leaves out, shared by arc and vertex probes, and not at all when
 that set is one vertex that the triconnected components place in no
-separation pair (`resilience` has the argument); a b-bridge that is no
-strong bridge leaves all of V, whose blocks are read with the bridge's
-edge out of H when it has no twin, and listed whole.  `_blocks` reads
+separation pair (`resilience` has the argument); any other set costs
+one walk that stops at the first cut vertex, and a block pass only
+when the class splits.  A b-bridge that is no strong bridge leaves all
+of V, whose blocks are read with the bridge's edge out of H when it has
+no twin, and listed whole.  `_blocks` reads
 only the parts, not their order.
 """
 
@@ -134,46 +141,75 @@ class RelationMatrix:
 
 def _blocks(n, probes):
     """The maximal sets of two or more vertices that every probe of
-    `probes` keeps inside one part, its deleted vertex aside, as
-    frozensets in no fixed order.  When each probe's parts have the
-    Helly property, as every family's do (see the lemma above), these
-    are the maximal cliques of the relation of the pairs that every
-    probe keeps in one part.
+    `probes` keeps inside one part, its deleted vertex aside, as sets in
+    no fixed order.  When each probe's parts have the Helly property, as
+    every family's do (see the lemma above), these are the maximal
+    cliques of the relation of the pairs that every probe keeps in one
+    part.
 
     Starts from the one set V and, at each probe (z, parts), splits every
     set that holds a listed vertex into its intersections with each
     listed part and with the implicit part, z kept in every piece, and
     drops pieces of fewer than two vertices; last, drops every set that
-    lies inside another, which also keeps equal sets once.  Per probe
-    this costs O(current sets + listed vertices) Python steps, plus, for
-    each set s the probe hits, O(|s & listed|) steps and one C-level set
-    difference; the last filter is quadratic in the number of sets.
+    lies inside another, which also keeps equal sets once.
+
+    The sets are indexed: each is a mutable set under an id, and each
+    vertex keeps the ids of the sets holding it.  A probe groups its
+    listed vertices by (set id, part), so it visits only the sets that
+    hold a listed vertex.  A hit set keeps its id for the unlisted rest,
+    trimmed in place, z included; each listed piece gets a new id, with
+    z added when the set holds z; a set of fewer than two vertices
+    leaves the index.  A probe so costs O(sum over its listed vertices v
+    of the sets holding v, plus the vertices of its new pieces) Python
+    steps, whatever the number of sets.  The last filter compares a set
+    only with the kept sets that hold its vertex in the fewest sets,
+    O(total set size) plus those comparisons.
     """
-    sets = [frozenset(range(n))] if n >= 2 else []
+    if n < 2:
+        return []
+    sets = {0: set(range(n))}
+    holding = [[0] for _ in range(n)]
+    fresh = 1
     for z, parts in probes:
-        owner = {}
+        groups = {}
         for i, part in enumerate(parts):
             for v in part:
-                owner.setdefault(v, []).append(i)
-        listed = set(owner)
-        kept = []
-        for s in sets:
-            if s.isdisjoint(listed):
-                kept.append(s)
-                continue
-            spare = [z] if z in s else []
-            pieces = {}
-            for v in s & listed:
-                for i in owner[v]:
-                    pieces.setdefault(i, spare.copy()).append(v)
-            pieces = [s - listed, *map(frozenset, pieces.values())]
-            kept += (piece for piece in pieces if len(piece) >= 2)
-        sets = kept
-    out = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(s <= t for t in out):
-            out.append(s)
-    return out
+                for key in holding[v]:
+                    groups.setdefault((key, i), []).append(v)
+        for part in parts:
+            for v in part:
+                holding[v] = []
+        hit = set()
+        for (key, _), group in groups.items():
+            rest = sets[key]
+            rest.difference_update(group)
+            hit.add(key)
+            if z in rest:
+                group.append(z)
+            if len(group) >= 2:
+                sets[fresh] = set(group)
+                for v in group:
+                    holding[v].append(fresh)
+                fresh += 1
+        for key in hit:
+            rest = sets[key]
+            if len(rest) < 2:
+                for v in rest:
+                    holding[v].remove(key)
+                del sets[key]
+    # Largest first, so a set meets every set holding it before it, and
+    # of two equal sets the second goes.  Each set holding s holds every
+    # vertex of s, so the sets through s's least shared vertex include
+    # them all; a dropped one lies inside a kept one, which holds s too.
+    kept = set()
+    for key in sorted(sets, key=lambda k: len(sets[k]), reverse=True):
+        s = sets[key]
+        v = next(iter(s))
+        if len(holding[v]) > 1:
+            v = min(s, key=lambda u: len(holding[u]))
+        if not any(k in kept and s <= sets[k] for k in holding[v]):
+            kept.add(key)
+    return [sets[key] for key in kept]
 
 
 def _b_bridge_probes(g):

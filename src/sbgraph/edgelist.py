@@ -12,6 +12,12 @@ names the stream's codec and no line.  The arcs go straight to
 `Digraph`, the one place that checks their range (a negative id
 included), self-loops and duplicates; its errors come back with the line
 of the offending arc.
+
+A stream is read in chunks of `_CHUNK` bytes (characters, for a text
+stream), and an input longer than `MAX_INPUT_BYTES`, 2^30, is refused
+with `EdgeListParseError` once that much has been read, so an endless
+stream such as /dev/zero costs at most the cap plus one chunk.  The
+cap holds tens of millions of arc lines.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .errors import (
 )
 from .graph import Digraph
 
+
+# The longest input a stream may give, and the size of each read.
+MAX_INPUT_BYTES = 1 << 30
+_CHUNK = 1 << 16
 
 # A character that no header or arc line holds.
 _FOREIGN = re.compile(r"[^0-9 \t-]")
@@ -84,11 +94,28 @@ def _pair(kind, names, line, lineno):
     )
 
 
+def _read(stream):
+    """Everything `stream` gives, read in chunks, up to MAX_INPUT_BYTES."""
+    chunks = []
+    size = 0
+    while True:
+        chunk = stream.read(_CHUNK)
+        if not chunk:  # the end: chunk is b"" or "", as the stream gives
+            return chunk.join(chunks)
+        size += len(chunk)
+        if size > MAX_INPUT_BYTES:
+            raise EdgeListParseError(
+                f"input longer than {MAX_INPUT_BYTES} bytes"
+            )
+        chunks.append(chunk)
+
+
 def parse_edge_list(source):
-    """Parse an edge list from a str, UTF-8 bytes, or readable file object."""
+    """Parse an edge list from a str, UTF-8 bytes, or readable file object
+    (see the module docstring for the cap on what a stream may give)."""
     if hasattr(source, "read"):
         try:
-            source = source.read()
+            source = _read(source)
         except UnicodeError as exc:
             reason = getattr(exc, "reason", exc)
             raise EdgeListParseError(

@@ -94,10 +94,13 @@ class reads a masked edge:
   is the implicit part.
 - when gone is one vertex x, G is strongly biconnected and n >= 4, H - x
   is biconnected exactly when x is in no separation pair (above), so
-  V - x is one strongly biconnected set and no `bcc` runs.  No such
+  V - x is one strongly biconnected set and no kernel runs; when x is in
+  one, the class splits, and one `bcc` lists its blocks.  No such
   certificate covers two or more vertices: H - {x, y} can have a cut
-  vertex though neither x nor y is in a separation pair, so each such
-  set pays one `bcc` over V - gone, O(n + m).
+  vertex though neither x nor y is in a separation pair.  So each such
+  set pays one early-exit walk over V - gone (`_kernels.biconnected`,
+  O(n + m) at most, with gone as a mask), and a `bcc` over it only
+  when the walk finds a cut vertex, that is, when the class splits.
 - an arc that is no strong cut leaves gone empty: its one class, all of
   V, holds both ends of the arc, so an arc with no antiparallel twin
   takes its edge out of H, the one masked edge of any probe, and every
@@ -150,6 +153,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse
 
+from . import _kernels
 from ._triconnected import triconnected_components
 from .connectivity import (
     canonical_family, is_strongly_biconnected, scc_classes,
@@ -411,15 +415,20 @@ def _root_split(g, gone):
 
     When gone is one vertex x of strongly biconnected g with n >= 4, H - x
     is biconnected exactly when x is in no separation pair of H, so V - x
-    is one set with no `bcc` call.  Computed once per graph and set; only
-    the parts are kept."""
+    is one set with no kernel call, and splits when x is in one.  Any
+    other set is first tested by `_kernels.biconnected`, which reads gone
+    as a mask and stops at the first cut vertex; only a class that
+    splits pays the `bcc` that lists its blocks.  Computed once per graph
+    and set; only the parts are kept."""
+    adj = underlying(g).adj
     if len(gone) == 1 and g.n >= 4 and is_strongly_biconnected(g):
         (x,) = gone
         if x not in _separations(g)[0]:
             return ()
+    elif _kernels.biconnected(g.n, adj, gone):
+        return ()
     root = list(filterfalse(gone.__contains__, range(g.n)))
-    parts = masked_sbc(g.n, underlying(g).adj, [root])
-    return tuple(parts) if len(parts) > 1 else ()
+    return tuple(masked_sbc(g.n, adj, [root]))
 
 
 def _sbc_parts(g, d):

@@ -266,6 +266,39 @@ def max_cliques_of_sets(neighbours):
     return out
 
 
+def reference_blocks(n, probes):
+    """The block reader as it was before its sets were indexed, kept as
+    the reference for `blocks._blocks`: the maximal sets of two or more
+    vertices that every probe keeps inside one part, its deleted vertex
+    aside.  It scans every current set at every probe, and its last
+    filter compares every pair of sets."""
+    sets = [frozenset(range(n))] if n >= 2 else []
+    for z, parts in probes:
+        owner = {}
+        for i, part in enumerate(parts):
+            for v in part:
+                owner.setdefault(v, []).append(i)
+        listed = set(owner)
+        kept = []
+        for s in sets:
+            if s.isdisjoint(listed):
+                kept.append(s)
+                continue
+            spare = [z] if z in s else []
+            pieces = {}
+            for v in s & listed:
+                for i in owner[v]:
+                    pieces.setdefault(i, spare.copy()).append(v)
+            pieces = [s - listed, *map(frozenset, pieces.values())]
+            kept += (piece for piece in pieces if len(piece) >= 2)
+        sets = kept
+    out = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s <= t for t in out):
+            out.append(s)
+    return out
+
+
 # Definitional references for the probe filters of resilience and blocks:
 # each probes every single deletion and copies the graph for it.
 

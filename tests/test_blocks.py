@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbgraph as sg
 from sbgraph.blocks import _blocks
@@ -20,6 +22,7 @@ from helpers import (
     overlaps_at_most,
     probe_relation,
     random_sb_corpus,
+    reference_blocks,
     single_arc,
     two_triangles,
 )
@@ -254,6 +257,24 @@ def test_max_cliques_match_the_set_based_search():
         n = rng.randint(0, 11)
         probes = [_random_probe(rng, n) for _ in range(rng.randint(0, 4))]
         assert _family(n, probes) == _cliques(n, probes), (n, probes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 12), st.integers(0, 6), st.randoms(use_true_random=False)
+)
+def test_indexed_blocks_match_the_set_scanning_reference(n, count, rng):
+    """The indexed `_blocks` reads the same family as the reader that
+    scans every set at each probe, on Helly probes with n from 0 to 12:
+    disjoint classes and block-like parts sharing cut vertices, the
+    deleted vertex inside and outside the sets, and repeated probes."""
+    probes = []
+    for _ in range(count):
+        if probes and rng.random() < 0.25:
+            probes.append(rng.choice(probes))
+        else:
+            probes.append(_random_probe(rng, n))
+    assert _family(n, probes) == canonical_family(reference_blocks(n, probes))
 
 
 def _block_graph(shape, size, count, rng):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import sbgraph as sg
-from sbgraph import _kernels, cli
+from sbgraph import _kernels, cli, edgelist
 from sbgraph.cli import main
 from sbgraph.report import FAMILIES
 from helpers import bidirected_complete, c3, glued, one_based
@@ -365,6 +365,31 @@ def test_unreadable_file_exit_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "g.edges")
     assert (code, out) == (2, "")
     assert err == f"error: cannot read 'g.edges': {os.strerror(errno.EIO)}\n"
+
+
+class _Endless:
+    """A binary stream of zeros that never ends, as /dev/zero is; it
+    counts the bytes it gives."""
+
+    def __init__(self):
+        self.given = 0
+
+    def read(self, size=-1):
+        assert size >= 0, "a read of everything would never return"
+        self.given += size
+        return b"0" * size
+
+
+def test_endless_input_exit_2(capsys, monkeypatch):
+    # The read stops once the input passes the cap, one chunk at most
+    # beyond it, and reports that on one line.
+    endless = _Endless()
+    monkeypatch.setattr(sys, "stdin", type("Stdin", (), {"buffer": endless}))
+    monkeypatch.setattr(edgelist, "MAX_INPUT_BYTES", 100_000)
+    code, out, err = run_cli(capsys, "check", "-")
+    assert (code, out) == (2, "")
+    assert err == "parse error: input longer than 100000 bytes\n"
+    assert endless.given <= 100_000 + edgelist._CHUNK
 
 
 def test_closed_stdin_exit_2(capsys, monkeypatch):

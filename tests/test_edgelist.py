@@ -24,6 +24,22 @@ def test_parse_accepts_bytes_and_streams():
     assert sg.parse_edge_list(io.BytesIO(text.encode())) == g
 
 
+@pytest.mark.parametrize(
+    "wrap", [io.BytesIO, lambda data: io.StringIO(data.decode())],
+    ids=["bytes", "text"],
+)
+def test_stream_longer_than_the_cap_is_refused(monkeypatch, wrap):
+    # An input of exactly MAX_INPUT_BYTES parses; one more byte does not.
+    data = b"3 3\n0 1\n1 2\n2 0\n"
+    monkeypatch.setattr(sg.edgelist, "_CHUNK", 4)
+    monkeypatch.setattr(sg.edgelist, "MAX_INPUT_BYTES", len(data))
+    assert sg.parse_edge_list(wrap(data)) == c3()
+    monkeypatch.setattr(sg.edgelist, "MAX_INPUT_BYTES", len(data) - 1)
+    cap = f"input longer than {len(data) - 1} bytes"
+    with pytest.raises(sg.EdgeListParseError, match=cap):
+        sg.parse_edge_list(wrap(data))
+
+
 def test_parse_comments_and_blank_lines():
     g = sg.parse_edge_list("# a comment\n\n3 1\n# another\n0 1\n\n")
     assert g.n == 3

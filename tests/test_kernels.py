@@ -82,6 +82,12 @@ def test_backends_agree_at_depth(g):
         assert _kernels.pure.bcc(u.n, u.adj, sub) == (
             _kernels._ckern.bcc(u.n, u.adj, sub)
         )
+    # The early-exit walk, with nothing, one vertex or a random half
+    # masked out.
+    for gone in ((), (shuffled[0],), shuffled[: g.n // 2]):
+        assert _kernels.pure.biconnected(u.n, u.adj, gone) == (
+            _kernels._ckern.biconnected(u.n, u.adj, frozenset(gone))
+        )
 
 
 @needs_compiled
@@ -199,6 +205,39 @@ def test_bcc_connectivity_matches_bruteforce(backend):
             aps = sg.undirected_blocks(sg.underlying(h)).articulation_points
             old = sorted(vertices)
             assert [old[v] for v in aps] == cut
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_biconnected_matches_the_block_count(backend):
+    # The early-exit walk answers what the block count does: V - gone is
+    # biconnected exactly when bcc lists at most one block of it.
+    kern = _kernels._BACKENDS[backend]
+    answers = set()
+    for g, active in _random_subsets(400, seed=38):
+        u = sg.underlying(g)
+        gone = frozenset(range(g.n)).difference(active)
+        answer = kern.biconnected(u.n, u.adj, gone)
+        assert answer == (len(kern.bcc(u.n, u.adj, active)) <= 1)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        "kern.biconnected(2, ((1,), (-1,)), ())",
+        "kern.biconnected(2, ((1,), (2,)), ())",
+        "kern.biconnected(3, ((1, 2), (0, -1), (0,)), [2])",
+        "kern.biconnected(2, ((1,), (0,)), [-1])",
+        "kern.biconnected(2, ((1,), (0,)), frozenset([2]))",
+    ],
+)
+def test_biconnected_rejects_bad_ids(backend, call):
+    # Out of range in a row it reads or in the mask: IndexError, and a
+    # negative id is not read from the end.
+    with pytest.raises(IndexError):
+        eval(call, {"kern": _kernels._BACKENDS[backend]})
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -37,14 +37,16 @@ def _each_family(g):
 
 
 def _count_root_refinements(monkeypatch, g):
-    """The `bcc` calls over all of the class of vertex 0 left by a probe
-    of g (`resilience._root_split`), as the set `gone` each one leaves
-    out, in call order.  Each must read g's own underlying rows."""
+    """Every walk over the class of vertex 0 left by a probe of g
+    (`resilience._root_split`), as a pair (kernel, gone) in call order:
+    the kernel, "biconnected" or "bcc", and the set `gone` the class
+    leaves out.  Each must read g's own underlying rows."""
     und_adj = sg.underlying(g).adj
     rooting = []
     refined = []
     root_split = resilience._root_split
     bcc = _kernels.bcc
+    biconnected = _kernels.biconnected
 
     def rooted(h, gone):
         rooting.append(gone if h is g else None)
@@ -53,18 +55,26 @@ def _count_root_refinements(monkeypatch, g):
         finally:
             rooting.pop()
 
-    def counting(n, adj, sub):
+    def counting_bcc(n, adj, sub):
         # The verdict on g, which a refinement may ask first, walks all
         # of V and is no refinement.
         gone = rooting[-1] if rooting else None
         if gone is not None and len(sub) == n - len(gone) < n:
             assert adj is und_adj
             assert gone.isdisjoint(sub)
-            refined.append(gone)
+            refined.append(("bcc", gone))
         return bcc(n, adj, sub)
 
+    def counting_biconnected(n, adj, gone):
+        if rooting and rooting[-1] is not None:
+            assert adj is und_adj
+            assert gone == rooting[-1]
+            refined.append(("biconnected", gone))
+        return biconnected(n, adj, gone)
+
     monkeypatch.setattr(resilience, "_root_split", rooted)
-    monkeypatch.setattr(_kernels, "bcc", counting)
+    monkeypatch.setattr(_kernels, "bcc", counting_bcc)
+    monkeypatch.setattr(_kernels, "biconnected", counting_biconnected)
     return refined
 
 
@@ -87,7 +97,7 @@ def test_one_cut_sweep_per_graph(monkeypatch, fig1, run):
     # One vertex masked out of H: the probes of the b-articulation points
     # whose deletion leaves one SCC, which the separation pairs do not
     # certify.  The others split first.
-    masked = [gone for gone in refined if len(gone) == 1]
+    masked = [gone for _, gone in refined if len(gone) == 1]
     weak = set(cuts.b_articulation_points) - set(
         cuts.strong_articulation_points
     )
@@ -311,7 +321,7 @@ def test_each_root_class_is_refined_once(monkeypatch, fig1):
         sg.analyze(g)
         monkeypatch.undo()
         refined = collections.Counter(
-            frozenset(range(g.n)) - gone for gone in refining
+            (kernel, frozenset(range(g.n)) - gone) for kernel, gone in refining
         )
         roots = collections.Counter()
         for d in probed:
@@ -321,8 +331,31 @@ def test_each_root_class_is_refined_once(monkeypatch, fig1):
             if 0 < len(gone) < g.n:
                 roots[frozenset(range(g.n)) - gone] += 1
         assert max(roots.values()) > 1
-        assert set(refined) <= set(roots)
+        assert {root for _, root in refined} <= set(roots)
         assert set(refined.values()) == {1}
+
+
+def test_root_class_walks_once_unless_it_splits(monkeypatch, fig1, fig2):
+    # A class that stays one strongly biconnected set is walked once, by
+    # the early-exit kernel, or not at all when it leaves out one vertex
+    # in no separation pair; a class that splits pays one `bcc`, which
+    # lists its blocks.  fig2 and the ear graph have classes that split.
+    splits = 0
+    for g in (fig1, ear_graph(34, 40), fig2):
+        g = _fresh(g)
+        refining = _count_root_refinements(monkeypatch, g)
+        sg.analyze(g)
+        monkeypatch.undo()
+        walks = collections.defaultdict(list)
+        for kernel, gone in refining:
+            walks[gone].append(kernel)
+        for gone, kernels in walks.items():
+            if resilience._root_split(g, gone):
+                splits += 1
+                assert kernels.count("bcc") == 1, (gone, kernels)
+            else:
+                assert kernels == ["biconnected"], (gone, kernels)
+    assert splits
 
 
 def test_shared_splits_serve_graphs_that_are_not_sb(monkeypatch):
