@@ -1,5 +1,6 @@
 """Shared graph builders and strategies for the test suite."""
 
+import importlib.util
 import itertools
 import os
 import pathlib
@@ -14,6 +15,19 @@ import sbgraph as sg
 from sbgraph import _kernels
 from sbgraph.connectivity import canonical_family, maximal_subsets, scc_classes
 from sbgraph.resilience import _strong_cuts
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's input generator, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def c3():

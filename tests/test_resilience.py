@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import (
     ear_graph,
     glued,
     one_based,
+    perfbench_gen,
     random_sb_corpus,
     reference_components_2esb,
     reference_components_2vsb,
@@ -111,6 +113,54 @@ def test_flow_bridge_heads_match_their_definition(g):
                 if v not in _reached_from_0(succ, parent, v):
                     heads.add(v)
         assert tree.heads == heads
+
+
+def _unreached_without(succ, v):
+    """Vertices that vertex 0 does not reach along `succ` once v is
+    deleted (v itself included)."""
+    seen = [False] * len(succ)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in succ[u]:
+            if w != v and not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return {w for w, reached in enumerate(seen) if not reached}
+
+
+def _assert_idoms_match_their_definition(g):
+    # v dominates w != v exactly when deleting v leaves w unreachable from
+    # 0, forward and on the reverse graph: the idom tree's proper
+    # descendants of v are exactly those w.
+    for succ, pred in ((g.out_adj, g.in_adj), (g.in_adj, g.out_adj)):
+        idom = resilience._DominatorTree(succ, pred).idom
+        assert idom[0] == 0
+        below = [set() for _ in range(g.n)]
+        for w in range(1, g.n):
+            v = idom[w]
+            below[v].add(w)
+            while v:
+                v = idom[v]
+                below[v].add(w)
+        assert below[0] == set(range(1, g.n))
+        for v in range(1, g.n):
+            assert below[v] == _unreached_without(succ, v) - {v}
+
+
+@settings(deadline=None)
+@given(strongly_connected_digraphs(max_n=12))
+def test_idoms_match_their_definition(g):
+    _assert_idoms_match_their_definition(g)
+
+
+def test_idoms_match_their_definition_on_deep_trees():
+    # A directed cycle has a dominator path through every vertex, and a
+    # long-ear graph long chains: both compress long forest paths.
+    _assert_idoms_match_their_definition(directed_cycle(300))
+    arcs = perfbench_gen().ear_graph(random.Random(7), 500, 1150, 3, 8)
+    _assert_idoms_match_their_definition(sg.build_digraph(500, arcs))
 
 
 def test_b_articulation_points_cycle():
