@@ -39,13 +39,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.machinery
-import importlib.util
 import json
 import os
 import platform
 import random
-import subprocess
 import sys
 import tempfile
 import time
@@ -57,6 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import gen  # noqa: E402  (perfbench/gen.py)
 import sbgraph  # noqa: E402
 from sbgraph import _kernels  # noqa: E402
+from sbgraph._kernels._build import build_compiled  # noqa: E402
 from sbgraph.report import FAMILIES  # noqa: E402
 
 SIZES = (500, 1000, 2000)
@@ -97,26 +95,9 @@ def compiled_backend(workdir):
     """Make the `c` backend available; returns why it is not, or None."""
     if "c" in _kernels.available_backends():
         return None
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", workdir,
-         "--build-temp", os.path.join(workdir, "temp")],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
-        env={k: v for k, v in os.environ.items() if k != "SBGRAPH_PURE"},
-    )
-    folder = Path(workdir, "sbgraph", "_kernels")
-    built = [
-        folder / f"_ckern{suffix}"
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-        if (folder / f"_ckern{suffix}").exists()
-    ]
-    if not built:
+    proc = build_compiled(ROOT, workdir)
+    if proc is not None:
         return f"building _ckern.c failed (exit {proc.returncode})"
-    name = "sbgraph._kernels._ckern"
-    spec = importlib.util.spec_from_file_location(name, built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    _kernels._BACKENDS["c"] = module
     return None
 
 

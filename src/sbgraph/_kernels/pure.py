@@ -4,11 +4,21 @@ Three kernels: `scc_ids` and `bcc` take the vertices to walk, `sub`, and
 behave exactly as if they were run on the subgraph induced on it,
 without materializing it; a whole-graph call passes range(n).
 `biconnected` takes the vertices to leave out, `gone`, as a mask, and
-answers yes or no, stopping at the first cut vertex.  DFS uses explicit
-stacks so deep graphs cannot overflow the interpreter stack.  A vertex
-id outside 0..n-1, in a row read, in the subset or in the mask, raises
+answers yes or no, stopping at the first cut vertex.  A vertex id
+outside 0..n-1, in a row read, in the subset or in the mask, raises
 IndexError, as in the compiled kernels: a negative id is checked
 explicitly, since list indexing would read it from the end.
+
+Every depth-first search here, and those of `resilience` and
+`_triconnected`, runs on explicit stacks, so deep graphs cannot overflow
+the interpreter stack, and keeps one idiom: the vertex being scanned
+(`v`), the iterator over its row (`it`) and, where the search has one,
+its low point (`lowv`) are local variables.  The stacks of the
+ancestors' vertices and iterators are touched only on descent, which
+pushes v and it, writes lowv to `low[v]` and starts on the child, and
+on return, which pops the parent, reads its low point back and lowers
+it by the child's.  Scanning an edge that neither descends nor returns
+touches neither stack.
 """
 
 
@@ -43,35 +53,36 @@ def scc_ids(n, adj, sub):
     ncomp = 0
     counter = 0
     stack = []
+    dfs_v, dfs_it = [], []
     for root in order:
         if index[root] != -1:
             continue
-        index[root] = low[root] = counter
+        index[root] = lowv = counter
         counter += 1
         stack.append(root)
         on_stack[root] = 1
-        dfs_v, dfs_it = [root], [iter(adj[root])]
-        while dfs_v:
-            v = dfs_v[-1]
-            for w in dfs_it[-1]:
+        v, it = root, iter(adj[root])
+        while True:
+            for w in it:
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
                 if not active[w]:
                     continue
-                if index[w] == -1:
-                    index[w] = low[w] = counter
+                iw = index[w]
+                if iw == -1:
+                    low[v] = lowv
+                    dfs_v.append(v)
+                    dfs_it.append(it)
+                    index[w] = lowv = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = 1
-                    dfs_v.append(w)
-                    dfs_it.append(iter(adj[w]))
+                    v, it = w, iter(adj[w])
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if iw < lowv and on_stack[w]:
+                    lowv = iw
             else:
-                dfs_v.pop()
-                dfs_it.pop()
-                if low[v] == index[v]:
+                if lowv == index[v]:
                     while True:
                         w = stack.pop()
                         on_stack[w] = 0
@@ -79,10 +90,12 @@ def scc_ids(n, adj, sub):
                         if w == v:
                             break
                     ncomp += 1
-                if dfs_v:
-                    p = dfs_v[-1]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
+                if not dfs_v:
+                    break
+                v, it = dfs_v.pop(), dfs_it.pop()
+                lp = low[v]
+                if lp < lowv:
+                    lowv = lp
     return ncomp, comp
 
 
@@ -112,46 +125,48 @@ def bcc(n, adj, sub):
     counter = 0
     vstack = []
     blocks = []
+    dfs_v, dfs_it = [], []
     for root in order:
         if disc[root] != -1:
             continue
-        disc[root] = low[root] = counter
+        disc[root] = lowv = counter
         counter += 1
-        dfs_v, dfs_it = [root], [iter(adj[root])]
-        while dfs_v:
-            v = dfs_v[-1]
-            for w in dfs_it[-1]:
+        v, it = root, iter(adj[root])
+        while True:
+            for w in it:
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
                 if not active[w]:
                     continue
                 d = disc[w]
                 if d == -1:
-                    disc[w] = low[w] = counter
+                    low[v] = lowv
+                    dfs_v.append(v)
+                    dfs_it.append(it)
+                    disc[w] = lowv = counter
                     counter += 1
                     pos[w] = len(vstack)
                     vstack.append(w)
-                    dfs_v.append(w)
-                    dfs_it.append(iter(adj[w]))
+                    v, it = w, iter(adj[w])
                     break
-                if d < low[v]:
-                    low[v] = d
+                if d < lowv:
+                    lowv = d
             else:
-                dfs_v.pop()
-                dfs_it.pop()
-                if dfs_v:
-                    p = dfs_v[-1]
-                    lv = low[v]
-                    if lv < low[p]:
-                        low[p] = lv
-                    if lv >= disc[p]:
-                        # Component boundary: v's part of the stack plus p.
-                        k = pos[v]
-                        members = vstack[k:]
-                        del vstack[k:]
-                        members.append(p)
-                        members.sort()
-                        blocks.append(members)
+                if not dfs_v:
+                    break
+                p, it = dfs_v.pop(), dfs_it.pop()
+                if lowv >= disc[p]:
+                    # Component boundary: v's part of the stack plus p.
+                    k = pos[v]
+                    members = vstack[k:]
+                    del vstack[k:]
+                    members.append(p)
+                    members.sort()
+                    blocks.append(members)
+                lp = low[p]
+                if lp < lowv:
+                    lowv = lp
+                v = p
         if disc[root] == counter - 1:
             blocks.append([root])
     return blocks
@@ -186,34 +201,34 @@ def biconnected(n, adj, gone):
         return True
     root = disc.index(-1)
     low = [0] * n
-    disc[root] = 0
+    disc[root] = lowv = 0
     counter = 1
     root_blocks = 0
-    dfs_v, dfs_it = [root], [iter(adj[root])]
-    while dfs_v:
-        v = dfs_v[-1]
-        for w in dfs_it[-1]:
+    dfs_v, dfs_it = [], []
+    v, it = root, iter(adj[root])
+    while True:
+        for w in it:
             if w < 0:
                 raise IndexError(f"vertex {w} out of range")
             d = disc[w]
             if d == -1:
-                disc[w] = low[w] = counter
+                low[v] = lowv
+                dfs_v.append(v)
+                dfs_it.append(it)
+                disc[w] = lowv = counter
                 counter += 1
-                dfs_v.append(w)
-                dfs_it.append(iter(adj[w]))
+                v, it = w, iter(adj[w])
                 break
-            if d < low[v]:
-                low[v] = d
+            if d < lowv:
+                lowv = d
         else:
-            dfs_v.pop()
-            dfs_it.pop()
-            if dfs_v:
-                p = dfs_v[-1]
-                lv = low[v]
-                if lv < low[p]:
-                    low[p] = lv
-                if lv >= disc[p]:
-                    if p != root or root_blocks:
-                        return False
-                    root_blocks = 1
-    return counter == left
+            if not dfs_v:
+                return counter == left
+            v, it = dfs_v.pop(), dfs_it.pop()
+            if lowv >= disc[v]:
+                if v != root or root_blocks:
+                    return False
+                root_blocks = 1
+            lp = low[v]
+            if lp < lowv:
+                lowv = lp

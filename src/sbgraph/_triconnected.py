@@ -13,8 +13,16 @@ the SPQR tree, and each virtual edge left over joins two of them.
 - a P-node is a bond (three or more edges between one pair of vertices);
 - an R-node is a triconnected graph.
 
-Every phase runs on explicit stacks, so a long path cannot overflow the
-interpreter stack.  The whole pass is O(n + m).
+The pass reads the graph as its sorted neighbour rows, each edge listed
+in the rows of both its ends, and builds no edge list first: the first
+depth-first search gives each edge its id, 0 .. m-1 in the order the
+search meets the edges, as it orients the edge into a tree arc or a
+frond, and every later phase names real edges by those ids and virtual
+ones by the ids after them.  Every search runs on explicit stacks, so a
+long path cannot overflow the interpreter stack, and keeps the vertex it
+scans in local variables (the idiom of `_kernels.pure`).  The
+acceptable adjacency order (by phi) comes from a bucket sort over 3n + 3
+buckets, so the whole pass is O(n + m).
 """
 
 from __future__ import annotations
@@ -22,72 +30,78 @@ from __future__ import annotations
 _EOS = -1  # end-of-segment marker on the triple stack: no vertex is -1
 
 
-def triconnected_components(n, edges):
+def triconnected_components(n, adj):
     """Triconnected components of the simple biconnected graph on vertices
-    0 .. n-1, n >= 3, with the undirected `edges` (pairs of vertices).
+    0 .. n-1, n >= 3, given by its sorted neighbour rows `adj` (each edge
+    listed in the rows of both its ends).
 
     Returns a list of (kind, real, virtual): kind is "S", "P" or "R";
-    real holds the input edges in the component, as given; virtual holds
-    its virtual edges, as vertex pairs, each shared with exactly one other
-    component.
+    real holds the graph's edges in the component, each as (a, b) with
+    a < b; virtual holds its virtual edges, as vertex pairs, each shared
+    with exactly one other component.
     """
-    m = len(edges)
-    src = [a for a, _ in edges]
-    tgt = [b for _, b in edges]
-    incident = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(edges):
-        incident[a].append(e)
-        incident[b].append(e)
-
-    # Depth-first search from 0: number (from 1), parent, low points,
-    # descendant counts, and every edge oriented as a tree arc (parent to
-    # child) or a frond (descendant to ancestor).
+    # Depth-first search from 0 over the rows: number (from 1), parent,
+    # low points and descendant counts.  Each edge gets its id, the next
+    # one, when the search first meets it, oriented as it is met: a tree
+    # arc (parent to child) or a frond (descendant to ancestor).  At v
+    # the parent is skipped, as its tree arc has its id, and so is a
+    # neighbour numbered after v, a descendant whose frond to v has one.
     number = [0] * n
     parent = [-1] * n
     low1 = [0] * n
     low2 = [0] * n
     nd = [1] * n
-    tree = [False] * m
-    typed = [False] * m
+    src = []
+    tgt = []
+    tree = []
     tree_arc = [-1] * n
-    number[0] = low1[0] = low2[0] = count = 1
-    dfs_v, dfs_it = [0], [iter(incident[0])]
-    while dfs_v:
-        v = dfs_v[-1]
-        for e in dfs_it[-1]:
-            if typed[e]:
-                continue
-            typed[e] = True
-            w = src[e] + tgt[e] - v
-            src[e], tgt[e] = v, w
-            if not number[w]:
-                tree[e] = True
-                tree_arc[w] = e
-                parent[w] = v
-                count += 1
-                number[w] = low1[w] = low2[w] = count
-                dfs_v.append(w)
-                dfs_it.append(iter(incident[w]))
-                break
+    number[0] = count = 1
+    dfs_v, dfs_it = [], []
+    v, it, nv, pv, l1, l2 = 0, iter(adj[0]), 1, -1, 1, 1
+    while True:
+        for w in it:
             k = number[w]
-            if k < low1[v]:
-                low2[v] = low1[v]
-                low1[v] = k
-            elif low1[v] < k < low2[v]:
-                low2[v] = k
+            if not k:
+                tree_arc[w] = len(src)
+                src.append(v)
+                tgt.append(w)
+                tree.append(True)
+                parent[w] = v
+                low1[v] = l1
+                low2[v] = l2
+                dfs_v.append(v)
+                dfs_it.append(it)
+                count += 1
+                number[w] = nv = l1 = l2 = count
+                v, it, pv = w, iter(adj[w]), v
+                break
+            if k < nv and w != pv:
+                src.append(v)
+                tgt.append(w)
+                tree.append(False)
+                if k < l1:
+                    l2 = l1
+                    l1 = k
+                elif l1 < k < l2:
+                    l2 = k
         else:
-            dfs_v.pop()
-            dfs_it.pop()
-            if dfs_v:
-                u = parent[v]
-                if low1[v] < low1[u]:
-                    low2[u] = min(low1[u], low2[v])
-                    low1[u] = low1[v]
-                elif low1[v] == low1[u]:
-                    low2[u] = min(low2[u], low2[v])
-                else:
-                    low2[u] = min(low2[u], low1[v])
-                nd[u] += nd[v]
+            low1[v] = l1
+            low2[v] = l2
+            if not dfs_v:
+                break
+            u, it = dfs_v.pop(), dfs_it.pop()
+            nd[u] += nd[v]
+            k1 = low1[u]
+            k2 = low2[u]
+            if l1 < k1:
+                l2 = k1 if k1 < l2 else l2
+            elif l1 == k1:
+                l2 = k2 if k2 < l2 else l2
+            else:
+                l2 = k2 if k2 < l1 else l1
+                l1 = k1
+            v, nv, pv = u, number[u], parent[u]
+    m = len(src)
 
     # The acceptable adjacency structure: out-edges bucket-sorted by phi.
     buckets = [[] for _ in range(3 * n + 3)]
@@ -103,9 +117,9 @@ def triconnected_components(n, edges):
     in_adj = [0] * m  # index of an edge in the list of its source
     for bucket in buckets:
         for e in bucket:
-            adj = out[src[e]]
-            in_adj[e] = len(adj)
-            adj.append(e)
+            row = out[src[e]]
+            in_adj[e] = len(row)
+            row.append(e)
 
     # Second search along that order: mark the first edge of every path,
     # renumber so that each subtree is the interval [v, v + nd(v)), the
@@ -119,27 +133,28 @@ def triconnected_components(n, edges):
     left = n
     new_path = True
     newnum[0] = 1
-    dfs_v, dfs_it = [0], [iter(out[0])]
-    while dfs_v:
-        v = dfs_v[-1]
-        for e in dfs_it[-1]:
+    v, it = 0, iter(out[0])
+    while True:
+        for e in it:
             if new_path:
                 new_path = False
                 starts[e] = True
             w = tgt[e]
             if tree[e]:
                 newnum[w] = left - nd[w] + 1
-                dfs_v.append(w)
-                dfs_it.append(iter(out[w]))
+                dfs_v.append(v)
+                dfs_it.append(it)
+                v, it = w, iter(out[w])
                 break
             entry = [newnum[v], True]
             fronds_in[w].append(entry)
             in_high[e] = entry
             new_path = True
         else:
-            dfs_v.pop()
-            dfs_it.pop()
             left -= 1
+            if not dfs_v:
+                break
+            v, it = dfs_v.pop(), dfs_it.pop()
 
     # From here on a vertex is its new number, 1 .. n.
     size = n + 1
@@ -162,7 +177,7 @@ def triconnected_components(n, edges):
         L2[k] = renumber[low2[v]]
         ND[k] = nd[v]
         father[k] = newnum[parent[v]] if v else 0
-        degree[k] = len(incident[v])
+        degree[k] = len(adj[v])
         A[k] = out[v]
         fronds_in[v].reverse()
         high_list[k] = fronds_in[v]
@@ -192,12 +207,12 @@ def triconnected_components(n, edges):
             in_high[e] = None
 
     def first_child(w):
-        adj = A[w]
+        row = A[w]
         i = first[w]
-        while i < len(adj) and adj[i] is None:
+        while i < len(row) and row[i] is None:
             i += 1
         first[w] = i
-        return tgt[adj[i]] if i < len(adj) else 0
+        return tgt[row[i]] if i < len(row) else 0
 
     def kind(edges):
         return "R" if len(edges) >= 4 else "S"
@@ -208,13 +223,13 @@ def triconnected_components(n, edges):
     comps = []
     estack = []
     th, ta, tb = [0], [_EOS], [0]
-    # A frame is [vertex, its edges with their indices, outv, the tree
-    # arc being searched and its index].
-    frames = [[1, enumerate(A[1]), len(A[1]), -1, 0]]
+    # The vertex being searched is v, with it over its edges and their
+    # indices, and outv; a frame (v, it, outv, the tree arc being searched
+    # and its index) is pushed for each ancestor.
+    frames = []
+    v, it, outv = 1, enumerate(A[1]), len(A[1])
     while True:
-        frame = frames[-1]
-        v = frame[0]
-        for i, e in frame[1]:
+        for i, e in it:
             if e is None:
                 continue
             w = tgt[e]
@@ -237,9 +252,8 @@ def triconnected_components(n, edges):
                     th.append(0)
                     ta.append(_EOS)
                     tb.append(0)
-                frame[3] = e
-                frame[4] = i
-                frames.append([w, enumerate(A[w]), len(A[w]), -1, 0])
+                frames.append((v, it, outv, e, i))
+                v, it, outv = w, enumerate(A[w]), len(A[w])
                 break
             if starts[e]:
                 if ta[-1] > w:
@@ -257,11 +271,10 @@ def triconnected_components(n, edges):
                     tb.append(v)
             estack.append(e)
         else:
-            frames.pop()
             if not frames:
                 break
-            v, _, outv, e, i = frame = frames[-1]
-            adj = A[v]
+            v, it, outv, e, i = frames.pop()
+            row = A[v]
             # Back from the tree arc e = A[v][i] to w.
             w = tgt[e]
             estack.append(arc_in[w])
@@ -325,7 +338,7 @@ def triconnected_components(n, edges):
                     degree[x] -= 1
                     degree[v] -= 1
                 estack.append(virtual)
-                adj[i] = virtual
+                row[i] = virtual
                 in_adj[virtual] = i
                 tree[virtual] = True
                 degree[x] += 1
@@ -365,7 +378,7 @@ def triconnected_components(n, edges):
                     degree[lw] -= 1
                 if lw != father[v]:
                     estack.append(virtual)
-                    adj[i] = virtual
+                    row[i] = virtual
                     in_adj[virtual] = i
                     if in_high[virtual] is None and high(lw) < v:
                         entry = [v, True]
@@ -374,7 +387,7 @@ def triconnected_components(n, edges):
                     degree[v] += 1
                     degree[lw] += 1
                 else:
-                    adj[i] = None
+                    row[i] = None
                     bond = new_edge(lw, v, True)
                     eh = arc_in[v]
                     comps.append(["P", [virtual, bond, eh]])
@@ -397,17 +410,16 @@ def triconnected_components(n, edges):
                 th.pop()
                 ta.pop()
                 tb.pop()
-            frame[2] = outv - 1
+            outv -= 1
 
     if estack:
         comps.append([kind(estack), estack])
-    return _merge(comps, edges, src, tgt, old)
+    return _merge(comps, m, src, tgt, old)
 
 
-def _merge(comps, edges, src, tgt, old):
+def _merge(comps, m, src, tgt, old):
     """Join the bonds that share a virtual edge, and the polygons that
-    share one, dropping the shared edges; the ids of `edges` are real."""
-    m = len(edges)
+    share one, dropping the shared edges; the first m edge ids are real."""
     owners = [[] for _ in range(len(src) - m)]
     for c, (_, ids) in enumerate(comps):
         for e in ids:
@@ -433,7 +445,8 @@ def _merge(comps, edges, src, tgt, old):
             d = stack.pop()
             for e in comps[d][1]:
                 if e < m:
-                    real.append(edges[e])
+                    a, b = old[src[e]], old[tgt[e]]
+                    real.append((a, b) if a < b else (b, a))
                 elif not dropped[e - m]:
                     virtual.append((old[src[e]], old[tgt[e]]))
             for j in joins[d]:

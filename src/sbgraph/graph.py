@@ -5,11 +5,13 @@ self-loops and duplicate ordered pairs are rejected, antiparallel pairs are
 allowed.  Derived views (edge/vertex deletion, induced subgraphs) allocate
 fresh graphs.
 
-A graph keeps its vertex count n, its `edges` (a `Digraph` in input
-order, an `UndirectedGraph` as ascending (a, b), a < b), its sorted
-neighbour rows (`out_adj` and `in_adj`, or `adj`) and its memo, and no
-other copy of its edges: `has_edge` bisects one sorted row, in
-O(log deg).
+A `Digraph` keeps its vertex count n, its `edges` in input order, its
+sorted out- and in-rows (`out_adj` and `in_adj`) and its memo.  An
+`UndirectedGraph` keeps only its sorted neighbour rows (`adj`) and its
+memo: its `edges`, each (a, b) with a < b in ascending order, are read
+off the rows when asked for, and its `m`, equality and hash read the
+rows too.  Neither keeps another copy of its edges: `has_edge` bisects
+one sorted row, in O(log deg).
 
 Because a graph never changes, every fact derived from it alone is
 computed once, on first use, and kept in the graph's memo (see
@@ -155,10 +157,11 @@ def memoized(fn):
 
 
 class UndirectedGraph:
-    """A simple undirected graph; edges are stored as (min, max) pairs."""
+    """A simple undirected graph, kept as its sorted neighbour rows; its
+    `edges` are (min, max) pairs, read off the rows when asked for."""
 
     # _memo holds the values of the `memoized` functions of this graph.
-    __slots__ = ("n", "edges", "adj", "_memo")
+    __slots__ = ("n", "adj", "_memo")
 
     def __init__(self, n, pairs):
         if n < 0:
@@ -185,28 +188,32 @@ class UndirectedGraph:
         return u
 
     def _fill(self, adj):
-        # Each edge (a, b), a < b, is read off row a, so `edges` ascends.
         self.n = len(adj)
         self.adj = adj
-        self.edges = tuple(
-            [(a, b) for a, row in enumerate(adj) for b in row if b > a]
-        )
         self._memo = {}
 
     @property
+    def edges(self):
+        # Each edge (a, b), a < b, is read off row a, so they ascend.
+        return tuple(
+            [(a, b) for a, row in enumerate(self.adj) for b in row if b > a]
+        )
+
+    @property
     def m(self):
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def has_edge(self, a, b):
         return _in_row(self.adj, a, b)
 
+    # The rows are sorted, so equal graphs have equal rows.
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.m})"
@@ -263,9 +270,8 @@ def underlying(g):
     """Forget arc directions; antiparallel arc pairs collapse to one edge.
 
     Each vertex's row is its sorted out- and in-rows merged, so the rows,
-    already valid, are not checked again, and `edges` lists each (a, b),
-    a < b, in ascending order.  Built on the first call and kept on g, so
-    later calls return the same graph.
+    already valid, are not checked again.  Built on the first call and
+    kept on g, so later calls return the same graph.
     """
     return UndirectedGraph._from_rows(
         tuple([tuple(sorted({*out, *inc}))

@@ -191,20 +191,22 @@ def _immediate_dominators(n, succ, pred):
     number = [-1] * n  # preorder number
     order = [0]  # vertex by preorder number
     number[0] = 0
-    dfs_v, dfs_it = [0], [iter(succ[0])]
-    while dfs_v:
-        v = dfs_v[-1]
-        for w in dfs_it[-1]:
+    dfs_v, dfs_it = [], []
+    v, it = 0, iter(succ[0])
+    while True:
+        for w in it:
             if number[w] == -1:
                 parent[w] = v
                 number[w] = len(order)
                 order.append(w)
-                dfs_v.append(w)
-                dfs_it.append(iter(succ[w]))
+                dfs_v.append(v)
+                dfs_it.append(it)
+                v, it = w, iter(succ[w])
                 break
         else:
-            dfs_v.pop()
-            dfs_it.pop()
+            if not dfs_v:
+                break
+            v, it = dfs_v.pop(), dfs_it.pop()
 
     semi = number  # from here on, the semidominator's preorder number
     label = list(range(n))
@@ -404,7 +406,7 @@ def _separations(g):
     edges = set()
     if g.n >= 3:
         for kind, real, virtual in triconnected_components(
-            g.n, underlying(g).edges
+            g.n, underlying(g).adj
         ):
             for a, b in virtual:
                 points.update((a, b))

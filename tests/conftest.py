@@ -1,9 +1,6 @@
-import importlib.machinery
-import importlib.util
 import os
 import pathlib
 import shutil
-import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -15,6 +12,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import sbgraph as sg  # noqa: E402
 from sbgraph import _kernels  # noqa: E402
+from sbgraph._kernels._build import build_compiled  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -38,49 +36,23 @@ def _missing_toolchain():
     return None
 
 
-def _build_compiled_kernels():
-    """Build `_ckern.c` into a temporary directory and register it as the
-    `c` backend; returns the build log if that failed, or None.
-    SBGRAPH_PURE is dropped from the build's environment: it opts an
-    install out of the extension, not the tests."""
-    global _build_dir
-    _build_dir = tempfile.mkdtemp(prefix="sbgraph-ckern-")
-    env = {k: v for k, v in os.environ.items() if k != "SBGRAPH_PURE"}
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", _build_dir,
-         "--build-temp", os.path.join(_build_dir, "temp")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
-    )
-    kernels = pathlib.Path(_build_dir, "sbgraph", "_kernels")
-    built = [
-        kernels / ("_ckern" + suffix)
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-        if (kernels / ("_ckern" + suffix)).exists()
-    ]
-    if not built:
-        return f"building _ckern.c failed:\n{proc.stdout}{proc.stderr}"
-    name = "sbgraph._kernels._ckern"
-    spec = importlib.util.spec_from_file_location(name, built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    _kernels._ckern = module
-    _kernels._BACKENDS["c"] = module
-    return None
-
-
 def pytest_configure(config):
-    """Make the `c` backend available whenever the host can build it.  The
-    active backend stays the one `_kernels` chose at import."""
-    global _skip_reason, _build_error
+    """Make the `c` backend available whenever the host can build it: build
+    `_ckern.c` into a temporary directory and register it.  The active
+    backend stays the one `_kernels` chose at import."""
+    global _skip_reason, _build_error, _build_dir
     config.addinivalue_line(
         "markers", "needs_compiled: needs the compiled `c` kernel backend"
     )
     if "c" not in _kernels.available_backends():
         _skip_reason = _missing_toolchain()
         if _skip_reason is None:
-            _build_error = _build_compiled_kernels()
+            _build_dir = tempfile.mkdtemp(prefix="sbgraph-ckern-")
+            proc = build_compiled(ROOT, _build_dir)
+            if proc is not None:
+                _build_error = (
+                    f"building _ckern.c failed:\n{proc.stdout}{proc.stderr}"
+                )
 
 
 def pytest_unconfigure(config):

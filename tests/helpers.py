@@ -20,14 +20,23 @@ from sbgraph.resilience import _strong_cuts
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def perfbench_gen():
-    """perfbench/gen.py, the benchmark's input generator, as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", ROOT / "perfbench" / "gen.py"
-    )
+def _load(name, path):
+    """The Python file at `path` under the checkout, run as module `name`."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's input generator, as a module."""
+    return _load("perfbench_gen", "perfbench/gen.py")
+
+
+def scale_run():
+    """scale/run.py, the scale harness, as a module.  Its import puts the
+    checkout's `src` and `perfbench` directories on sys.path."""
+    return _load("scale_run", "scale/run.py")
 
 
 def c3():

@@ -1,13 +1,18 @@
 """Reports stay byte-identical: one sha256 over the `emit_report` text of a
 fixed corpus, on every kernel backend, one over the 2esb and 2vsb sets
 of the same corpus, as given and made bidirected, which no report holds,
-and one over the four block families of two ear graphs with n = 1000.
+one over the four block families of two ear graphs with n = 1000, and
+one over the `emit_report` text of the four `scale/run.py` inputs at
+n = 500.
 
 The report digest was computed before the probes shared their strong-cut
 splits and the clique search moved to twin classes, from the code those
 changes started from; the 2esb / 2vsb digest before the 2vsb step read
 the class of vertex 0 as an implicit part; the block digest at scale
-while a clique search over bit rows still read the families.  The
+while a clique search over bit rows still read the families; the scale
+digest before the pure kernels kept the scanned vertex and its low
+point in local variables, and each of its four reports also has the
+`report_sha256` that BENCH_setup-cut.json records for its input.  The
 corpus graphs are small, so no block of theirs covers nearly all of V,
 as one does at scale.  A change that alters any result on these graphs,
 on either backend, fails here; one that means to change a result must
@@ -28,6 +33,7 @@ from helpers import (
     ear_graph,
     glued,
     random_sb_corpus,
+    scale_run,
 )
 
 GOLDEN_SHA256 = (
@@ -38,6 +44,9 @@ GOLDEN_2ESB_2VSB_SHA256 = (
 )
 GOLDEN_BLOCKS_AT_SCALE_SHA256 = (
     "88fc0a745b16bba8fc6dc2985ea9f0b7b9815e029387e1826ab25bb967b3d0d1"
+)
+GOLDEN_SCALE_REPORTS_SHA256 = (
+    "937638106959385d16b2656c92e9d7b5881a8a9e0b21c322e601a8783a6cc10b"
 )
 
 BACKENDS = ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
@@ -107,3 +116,18 @@ def test_block_families_at_scale_match_their_golden_digest(backend):
             for family in families:
                 digest.update(json.dumps(family(g)).encode())
     assert digest.hexdigest() == GOLDEN_BLOCKS_AT_SCALE_SHA256
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scale_reports_match_their_golden_digest(backend):
+    # The long, short, twinned and cycle inputs of scale/run.py at
+    # n = 500, parsed from the text the harness writes.  Twinned is the
+    # one shape whose root classes split, so a wrong `bcc` or
+    # `biconnected` answer shows there.
+    run = scale_run()
+    digest = hashlib.sha256()
+    with _kernels.use_backend(backend):
+        for shape in run.SHAPES:
+            text = run.gen.edge_list_text(500, run.arcs_of(shape, 500))
+            digest.update(sg.emit_report(sg.parse_edge_list(text)).encode())
+    assert digest.hexdigest() == GOLDEN_SCALE_REPORTS_SHA256

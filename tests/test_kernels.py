@@ -5,12 +5,17 @@ import random
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbgraph as sg
 from sbgraph import _kernels
+from sbgraph._kernels import pure
 from helpers import (
-    brute_scc_partition, directed_cycle, ear_graph, random_sb_corpus,
+    brute_scc_partition, digraphs, directed_cycle, ear_graph,
+    random_sb_corpus,
 )
 
 # conftest builds the compiled backend when it is not installed; these
@@ -356,3 +361,55 @@ def test_kernels_require_a_vertex_list(backend):
                 kern.scc_ids(2, ((1,), (0,)))
             with pytest.raises(TypeError):
                 kern.bcc(2, ((1,), (0,)))
+
+
+def _check_pure_kernels_against_networkx(g, sub):
+    """The pure kernels on g, or on its underlying graph, restricted to
+    the vertex list `sub`, against networkx on the induced subgraph:
+    `scc_ids` classes, `bcc` blocks (networkx lists no isolated vertex),
+    and `biconnected` with every vertex outside `sub` gone."""
+    active = set(sub)
+    count, ids = pure.scc_ids(g.n, g.out_adj, sub)
+    classes = {}
+    for v in sub:
+        classes.setdefault(ids[v], []).append(v)
+    assert count == len(classes)
+    assert all(ids[v] == -1 for v in range(g.n) if v not in active)
+    d = nx.DiGraph(g.edges)
+    d.add_nodes_from(range(g.n))
+    expected = nx.strongly_connected_components(d.subgraph(active))
+    assert sorted(map(sorted, classes.values())) == sorted(
+        map(sorted, expected)
+    )
+
+    u = sg.underlying(g)
+    h = nx.Graph(u.edges)
+    h.add_nodes_from(range(u.n))
+    h = h.subgraph(active)
+    expected = [sorted(b) for b in nx.biconnected_components(h)]
+    expected += [[v] for v in h if not h[v]]
+    assert sorted(pure.bcc(u.n, u.adj, sub)) == sorted(expected)
+    gone = [v for v in range(g.n) if v not in active]
+    assert pure.biconnected(u.n, u.adj, gone) == (len(expected) <= 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [directed_cycle(3000), ear_graph(7, 3000, ears=(3, 8))],
+    ids=["cycle-3000", "long-ears-3000"],
+)
+def test_pure_kernels_match_networkx_at_depth(g):
+    # Searches thousands of vertices deep on a host with no compiled
+    # backend to compare with: every vertex, every vertex but two in a
+    # shuffled order, and a shuffled half.
+    rng = random.Random(g.n)
+    shuffled = rng.sample(range(g.n), g.n)
+    for sub in (range(g.n), shuffled[2:], shuffled[: g.n // 2]):
+        _check_pure_kernels_against_networkx(g, sub)
+
+
+@settings(deadline=None, max_examples=200)
+@given(digraphs(max_n=14), st.data())
+def test_pure_kernels_match_networkx(g, data):
+    sub = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    _check_pure_kernels_against_networkx(g, sub)

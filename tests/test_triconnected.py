@@ -33,7 +33,7 @@ def p_node_with_real_edge(length):
 
 def _kinds(g):
     und = sg.underlying(g)
-    return sorted(k for k, _, _ in triconnected_components(und.n, und.edges))
+    return sorted(k for k, _, _ in triconnected_components(und.n, und.adj))
 
 
 def _assert_components_split_h(g):
@@ -41,7 +41,7 @@ def _assert_components_split_h(g):
     the components form a tree, each has its kind's shape, and no two
     S-nodes or two P-nodes share a virtual edge."""
     und = sg.underlying(g)
-    comps = triconnected_components(und.n, und.edges)
+    comps = triconnected_components(und.n, und.adj)
     real = sorted(e for _, r, _ in comps for e in r)
     assert real == list(und.edges)
     virtual = sum(len(v) for _, _, v in comps)
@@ -84,7 +84,7 @@ def test_shapes_of_the_components():
         g = p_node_with_real_edge(length)
         assert _kinds(g) == ["P", "S", "S"]
         und = sg.underlying(g)
-        comps = triconnected_components(und.n, und.edges)
+        comps = triconnected_components(und.n, und.adj)
         assert [r for k, r, _ in comps if k == "P"] == [[(0, 1)]]
         _assert_components_split_h(g)
 
