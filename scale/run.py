@@ -24,10 +24,12 @@ cold: every stage but the parse gets a graph freshly parsed from the
 text, so no stage reads what another one kept in the graph's memo.  The
 stages are the parse, the strong biconnectivity verdict, `cut_report`,
 and every family of `sbgraph.report.FAMILIES` (so a family's time
-includes the verdict and the cuts it needs).  Each figure is the least
-of REPEATS such runs on whatever host ran them; `machine` names it.  It
-records the sha256 of `emit_report` too, so a BENCH file pins the report
-bytes, which must agree across backends.
+includes the verdict and the cuts it needs).  Each stage runs at least
+REPEATS times, and more until its runs add up to BUDGET_S seconds, with
+at most MAX_REPEATS runs; each figure is the least of them, on whatever
+host ran them (`machine` names it), and `repeats` gives the number of
+runs next to it.  It records the sha256 of `emit_report` too, so a
+BENCH file pins the report bytes, which must agree across backends.
 
 The compiled backend is used when sbgraph can import it.  Otherwise it
 is built from `_ckern.c` into a temporary directory, as the tier-1 tests
@@ -59,8 +61,12 @@ from sbgraph.report import FAMILIES  # noqa: E402
 
 SIZES = (500, 1000, 2000)
 # Cold runs per stage; the least is kept, as other tenants of a shared
-# host slow single runs by up to half.
+# host slow single runs by up to half.  The least of three runs of a
+# stage under 0.2 s is too noisy to tell a 1.3x ratio, so a short stage
+# runs until its runs add up to BUDGET_S, at most MAX_REPEATS times.
 REPEATS = 3
+BUDGET_S = 0.5
+MAX_REPEATS = 25
 SHAPES = ("long", "short", "twinned", "cycle")
 
 
@@ -96,9 +102,14 @@ def compiled_backend(workdir):
     if "c" in _kernels.available_backends():
         return None
     proc = build_compiled(ROOT, workdir)
-    if proc is not None:
-        return f"building _ckern.c failed (exit {proc.returncode})"
-    return None
+    if proc is None:
+        return None
+    # setup.py marks the extension optional, so a failed compile can
+    # still exit 0: the compiler's first error says more than the status.
+    lines = [line.strip() for line in proc.stderr.splitlines() if line.strip()]
+    detail = [line for line in lines if "error:" in line] or lines[-1:]
+    reason = f"setup.py build_ext wrote no module (exit {proc.returncode})"
+    return f"{reason}: {detail[0]}" if detail else reason
 
 
 def stages():
@@ -122,14 +133,26 @@ def cold(stage, text):
     return time.perf_counter() - start
 
 
+def least(stage, text):
+    """The least cold seconds of stage on text and the number of runs:
+    at least REPEATS, then more until they add up to BUDGET_S seconds,
+    and no more than MAX_REPEATS."""
+    times = []
+    while len(times) < REPEATS or (
+        sum(times) < BUDGET_S and len(times) < MAX_REPEATS
+    ):
+        times.append(cold(stage, text))
+    return min(times), len(times)
+
+
 def measure(text):
-    """The least of REPEATS cold seconds of each stage on the input
-    `text`, and the sha256 of its report."""
-    seconds = {}
+    """The least cold seconds of each stage on the input `text`, the
+    number of runs each took, and the sha256 of its report."""
+    seconds, repeats = {}, {}
     for name, stage in [("parse", None), *stages()]:
-        seconds[name] = min(cold(stage, text) for _ in range(REPEATS))
+        seconds[name], repeats[name] = least(stage, text)
     report = sbgraph.emit_report(sbgraph.parse_edge_list(text))
-    return seconds, hashlib.sha256(report.encode()).hexdigest()
+    return seconds, repeats, hashlib.sha256(report.encode()).hexdigest()
 
 
 def main(argv=None):
@@ -151,15 +174,16 @@ def main(argv=None):
                 text = gen.edge_list_text(n, arcs)
                 for backend in _kernels.available_backends():
                     with _kernels.use_backend(backend):
-                        seconds, digest = measure(text)
+                        seconds, repeats, digest = measure(text)
                     runs.append({
                         "shape": shape, "n": n, "m": len(arcs),
                         "backend": backend, "seconds": seconds,
-                        "report_sha256": digest,
+                        "repeats": repeats, "report_sha256": digest,
                     })
                     print(
                         f"{shape} n={n} {backend}: " + " ".join(
-                            f"{k}={v:.3f}" for k, v in seconds.items()
+                            f"{k}={v:.3f}/{repeats[k]}"
+                            for k, v in seconds.items()
                         ),
                         flush=True,
                     )
@@ -172,7 +196,7 @@ def main(argv=None):
             "python": platform.python_version(),
         },
         "sizes": list(args.sizes),
-        "repeats": REPEATS,
+        "repeats": {"min": REPEATS, "max": MAX_REPEATS, "budget_s": BUDGET_S},
         "backends": _kernels.available_backends(),
         "skipped_backends": skipped,
         "runs": runs,

@@ -4,8 +4,10 @@ The three hot traversal kernels exist twice: a compiled extension
 (`_ckern`, built from the hand-written `_ckern.c`) and a pure-Python
 fallback (`pure`), with the same contracts and traversal order.
 `scc_ids` and `bcc` walk the vertex list `sub` they are given, and a
-whole-graph call passes range(n); `biconnected` walks every vertex not
-in the mask `gone` and stops at the first cut vertex.
+whole-graph call passes range(n): `scc_ids` returns (count, classes),
+each class a sorted vertex list and the classes ordered by least member,
+and `bcc` the sorted blocks.  `biconnected` walks every vertex not in
+the mask `gone` and stops at the first cut vertex.
 The compiled backend is preferred when importable; set SBGRAPH_KERNELS=pure
 or SBGRAPH_KERNELS=c to force a choice (forcing an unavailable backend is
 an error, not a silent downgrade).  That variable is the one process-wide

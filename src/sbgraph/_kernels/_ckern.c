@@ -3,10 +3,14 @@
  *
  * A direct port of the pure backend (pure.py): the same contracts and the
  * same traversal order, so both backends return identical results; only
- * the inner loops run on C arrays.  Every value read from Python is checked
- * before it indexes an array: a row list shorter than n, a vertex id
- * outside [0, n) or an entry that is not an int raises ValueError,
- * IndexError or TypeError.
+ * the inner loops run on C arrays.  scc_ids returns (count, classes), each
+ * class a sorted vertex list and the classes ordered by least member; bcc
+ * returns its sorted blocks; one emitter, append_sorted, builds both.
+ * Every kernel gives a vertex outside its walk the discovery number n,
+ * which no search hands out, so no arc scan tests any other flag.  Every
+ * value read from Python is checked before it indexes an array: a row
+ * list shorter than n, a vertex id outside [0, n) or an entry that is not
+ * an int raises ValueError, IndexError or TypeError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -15,16 +19,17 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The rows of the active vertices, flattened: the neighbours of an active
- * vertex v are indices[indptr[v] .. indptr[v + 1]); inactive rows are
- * empty.  order is sub, the roots in the caller's order, or, when the
- * caller passes a mask of the vertices left out, every active vertex in
- * ascending order. */
+/* The rows of the walked vertices, flattened: the neighbours of a walked
+ * vertex v are indices[indptr[v] .. indptr[v + 1]); other rows are empty.
+ * disc is the kernel's discovery-number array, -1 for a walked vertex and
+ * n for any other.  order is sub, the roots in the caller's order, or,
+ * when the caller passes a mask of the vertices left out, every walked
+ * vertex in ascending order. */
 typedef struct {
     int n;
     Py_ssize_t *indptr;
     int *indices;
-    unsigned char *active;
+    int *disc;
     int *order;
     Py_ssize_t order_len;
 } Graph;
@@ -34,7 +39,7 @@ graph_free(Graph *g)
 {
     PyMem_Free(g->indptr);
     PyMem_Free(g->indices);
-    PyMem_Free(g->active);
+    PyMem_Free(g->disc);
     PyMem_Free(g->order);
 }
 
@@ -83,27 +88,28 @@ graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub,
                      PyTuple_GET_SIZE(rows), n);
         goto fail;
     }
-    g->active = PyMem_Calloc((size_t)n + 1, 1);
+    g->disc = PyMem_Malloc(((size_t)n + 1) * sizeof(int));
     g->indptr = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    if (g->active == NULL || g->indptr == NULL)
+    if (g->disc == NULL || g->indptr == NULL)
         goto nomem;
+    for (v = 0; v < n; v++)
+        g->disc[v] = is_mask ? -1 : n;
     seq = PySequence_Fast(sub, is_mask ? "gone must be an iterable of vertices"
                                        : "sub must be an iterable of vertices");
     if (seq == NULL)
         goto fail;
     if (is_mask) {
-        memset(g->active, 1, (size_t)n);
         for (i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
             if (read_int(PySequence_Fast_GET_ITEM(seq, i), n, "gone vertex",
                          PyExc_IndexError, &v) < 0)
                 goto fail;
-            g->active[v] = 0;
+            g->disc[v] = n;
         }
         g->order = PyMem_Malloc(((size_t)n + 1) * sizeof(int));
         if (g->order == NULL)
             goto nomem;
         for (v = 0; v < n; v++)
-            if (g->active[v])
+            if (g->disc[v] == -1)
                 g->order[g->order_len++] = v;
     } else {
         g->order_len = PySequence_Fast_GET_SIZE(seq);
@@ -114,13 +120,13 @@ graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub,
             if (read_int(PySequence_Fast_GET_ITEM(seq, i), n, "sub vertex",
                          PyExc_IndexError, &g->order[i]) < 0)
                 goto fail;
-            g->active[g->order[i]] = 1;
+            g->disc[g->order[i]] = -1;
         }
     }
     Py_CLEAR(seq);
     g->indptr[0] = 0;
     for (v = 0; v < n; v++) {
-        if (g->active[v]) {
+        if (g->disc[v] == -1) {
             Py_ssize_t len, j;
             PyObject **items;
             row = PySequence_Fast(PyTuple_GET_ITEM(rows, v),
@@ -158,29 +164,35 @@ fail:
     return -1;
 }
 
-static PyObject *
-int_list(const int *values, Py_ssize_t count)
-{
-    PyObject *list = PyList_New(count);
-    Py_ssize_t i;
-    if (list == NULL)
-        return NULL;
-    for (i = 0; i < count; i++) {
-        PyObject *item = PyLong_FromLong(values[i]);
-        if (item == NULL) {
-            Py_DECREF(list);
-            return NULL;
-        }
-        PyList_SET_ITEM(list, i, item);
-    }
-    return list;
-}
-
 static int
 compare_ints(const void *a, const void *b)
 {
     int x = *(const int *)a, y = *(const int *)b;
     return (x > y) - (x < y);
+}
+
+/* Sort members[0 .. size) in place and append them to list as a list of
+ * ints. */
+static int
+append_sorted(PyObject *list, int *members, Py_ssize_t size)
+{
+    PyObject *block = PyList_New(size);
+    Py_ssize_t i;
+    int status;
+    if (block == NULL)
+        return -1;
+    qsort(members, (size_t)size, sizeof(int), compare_ints);
+    for (i = 0; i < size; i++) {
+        PyObject *item = PyLong_FromLong(members[i]);
+        if (item == NULL) {
+            Py_DECREF(block);
+            return -1;
+        }
+        PyList_SET_ITEM(block, i, item);
+    }
+    status = PyList_Append(list, block);
+    Py_DECREF(block);
+    return status;
 }
 
 static char *kwlist[] = {"n", "adj", "sub", NULL};
@@ -192,11 +204,10 @@ PyDoc_STRVAR(scc_ids_doc,
 static PyObject *
 scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *n_obj, *adj, *sub, *comps, *result = NULL;
-    int *work = NULL, *index, *low, *comp, *stack, *dfs_v;
+    PyObject *n_obj, *adj, *sub, *classes = NULL, *result = NULL;
+    int *work = NULL, *index, *low, *stack, *dfs_v;
     Py_ssize_t *dfs_i = NULL, ri;
-    unsigned char *on_stack = NULL;
-    int n, v, ncomp = 0, counter = 0, sp = 0;
+    int n, v, counter = 0, sp = 0;
     Graph g;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:scc_ids", kwlist,
@@ -205,20 +216,19 @@ scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
     if (graph_init(&g, n_obj, adj, sub, 0) < 0)
         return NULL;
     n = g.n;
-    work = PyMem_Malloc(5 * ((size_t)n + 1) * sizeof(int));
+    index = g.disc;
+    work = PyMem_Malloc(3 * ((size_t)n + 1) * sizeof(int));
     dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    on_stack = PyMem_Calloc((size_t)n + 1, 1);
-    if (work == NULL || dfs_i == NULL || on_stack == NULL) {
+    classes = PyList_New(0);
+    if (work == NULL || dfs_i == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    index = work;
-    low = index + n;
-    comp = low + n;
-    stack = comp + n;
+    if (classes == NULL)
+        goto done;
+    low = work;
+    stack = low + n;
     dfs_v = stack + n;
-    for (v = 0; v < n; v++)
-        index[v] = comp[v] = -1;
 
     for (ri = 0; ri < g.order_len; ri++) {
         int root = g.order[ri], fp = 1;
@@ -226,7 +236,6 @@ scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
             continue;
         index[root] = low[root] = counter++;
         stack[sp++] = root;
-        on_stack[root] = 1;
         dfs_v[0] = root;
         dfs_i[0] = g.indptr[root];
         while (fp) {
@@ -236,33 +245,32 @@ scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
             end = g.indptr[v + 1];
             while (i < end) {
                 int w = g.indices[i++];
-                if (!g.active[w])
-                    continue;
                 if (index[w] == -1) {
                     dfs_i[fp - 1] = i;
                     index[w] = low[w] = counter++;
                     stack[sp++] = w;
-                    on_stack[w] = 1;
                     dfs_v[fp] = w;
                     dfs_i[fp] = g.indptr[w];
                     fp++;
                     descended = 1;
                     break;
                 }
-                if (on_stack[w] && index[w] < low[v])
+                if (index[w] < low[v])
                     low[v] = index[w];
             }
             if (descended)
                 continue;
             fp--;
             if (low[v] == index[v]) {
-                int w;
+                /* v's class is the stack from v up: mark it closed and
+                 * emit it, sorted where it lies. */
+                int top = sp, w;
                 do {
                     w = stack[--sp];
-                    on_stack[w] = 0;
-                    comp[w] = ncomp;
+                    index[w] = n;
                 } while (w != v);
-                ncomp++;
+                if (append_sorted(classes, stack + sp, top - sp) < 0)
+                    goto done;
             }
             if (fp) {
                 int p = dfs_v[fp - 1];
@@ -271,13 +279,12 @@ scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
             }
         }
     }
-    comps = int_list(comp, n);
-    if (comps != NULL)
-        result = Py_BuildValue("(iN)", ncomp, comps);
+    if (PyList_Sort(classes) == 0)
+        result = Py_BuildValue("(nO)", PyList_GET_SIZE(classes), classes);
 done:
+    Py_XDECREF(classes);
     PyMem_Free(work);
     PyMem_Free(dfs_i);
-    PyMem_Free(on_stack);
     graph_free(&g);
     return result;
 }
@@ -291,7 +298,7 @@ static PyObject *
 bcc(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     PyObject *n_obj, *adj, *sub, *blocks = NULL, *result = NULL;
-    int *work = NULL, *disc, *low, *pos, *vstack, *dfs_v, *members;
+    int *work = NULL, *disc, *low, *pos, *vstack, *dfs_v;
     Py_ssize_t *dfs_i = NULL, ri;
     int n, v, counter = 0, sp = 0;
     Graph g;
@@ -302,9 +309,8 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
     if (graph_init(&g, n_obj, adj, sub, 0) < 0)
         return NULL;
     n = g.n;
-    /* members holds one block while it is sorted: at most n distinct
-     * vertices, the parent included, however long sub is. */
-    work = PyMem_Malloc(6 * ((size_t)n + 1) * sizeof(int));
+    disc = g.disc;
+    work = PyMem_Malloc(4 * ((size_t)n + 1) * sizeof(int));
     dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
     blocks = PyList_New(0);
     if (work == NULL || dfs_i == NULL) {
@@ -313,14 +319,10 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     if (blocks == NULL)
         goto done;
-    disc = work;
-    low = disc + n;
+    low = work;
     pos = low + n;
     vstack = pos + n;
     dfs_v = vstack + n;
-    members = dfs_v + n;
-    for (v = 0; v < n; v++)
-        disc[v] = -1;
 
     for (ri = 0; ri < g.order_len; ri++) {
         int root = g.order[ri], fp = 1;
@@ -335,10 +337,7 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
             v = dfs_v[fp - 1];
             end = g.indptr[v + 1];
             while (i < end) {
-                int w = g.indices[i++], d;
-                if (!g.active[w])
-                    continue;
-                d = disc[w];
+                int w = g.indices[i++], d = disc[w];
                 if (d == -1) {
                     disc[w] = low[w] = counter++;
                     pos[w] = sp;
@@ -361,30 +360,19 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
                 if (lv < low[p])
                     low[p] = lv;
                 if (lv >= disc[p]) {
-                    /* Component boundary: v's part of the stack plus p. */
-                    int size = sp - pos[v];
-                    PyObject *block;
-                    memcpy(members, vstack + pos[v], size * sizeof(int));
-                    members[size++] = p;
-                    sp = pos[v];
-                    qsort(members, size, sizeof(int), compare_ints);
-                    block = int_list(members, size);
-                    if (block == NULL || PyList_Append(blocks, block) < 0) {
-                        Py_XDECREF(block);
+                    /* Component boundary: v's part of the stack plus p,
+                     * sorted where it lies; vstack[sp] is in bounds, as the
+                     * stack never holds the root. */
+                    int k = pos[v];
+                    vstack[sp] = p;
+                    if (append_sorted(blocks, vstack + k, sp + 1 - k) < 0)
                         goto done;
-                    }
-                    Py_DECREF(block);
+                    sp = k;
                 }
             }
         }
-        if (disc[root] == counter - 1) {
-            PyObject *block = int_list(&root, 1);
-            if (block == NULL || PyList_Append(blocks, block) < 0) {
-                Py_XDECREF(block);
-                goto done;
-            }
-            Py_DECREF(block);
-        }
+        if (disc[root] == counter - 1 && append_sorted(blocks, &root, 1) < 0)
+            goto done;
     }
     result = blocks;
     blocks = NULL;
@@ -422,17 +410,15 @@ biconnected(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     }
     n = g.n;
-    work = PyMem_Malloc(3 * ((size_t)n + 1) * sizeof(int));
+    disc = g.disc;
+    work = PyMem_Malloc(2 * ((size_t)n + 1) * sizeof(int));
     dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
     if (work == NULL || dfs_i == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    disc = work;
-    low = disc + n;
+    low = work;
     dfs_v = low + n;
-    for (v = 0; v < n; v++)
-        disc[v] = -1;
 
     root = g.order[0];
     disc[root] = low[root] = 0;
@@ -444,10 +430,7 @@ biconnected(PyObject *self, PyObject *args, PyObject *kwargs)
         v = dfs_v[fp - 1];
         end = g.indptr[v + 1];
         while (i < end) {
-            int w = g.indices[i++], d;
-            if (!g.active[w])
-                continue;
-            d = disc[w];
+            int w = g.indices[i++], d = disc[w];
             if (d == -1) {
                 disc[w] = low[w] = counter++;
                 dfs_i[fp - 1] = i;

@@ -9,6 +9,11 @@ outside 0..n-1, in a row read, in the subset or in the mask, raises
 IndexError, as in the compiled kernels: a negative id is checked
 explicitly, since list indexing would read it from the end.
 
+Each kernel marks a vertex outside its walk one way, with the discovery
+number n: a vertex not in `sub`, one in `gone` and, in Tarjan's search,
+one whose class has closed.  No search hands out n, so such a vertex is
+neither unvisited (-1) nor able to lower a low point.
+
 Every depth-first search here, and those of `resilience` and
 `_triconnected`, runs on explicit stacks, so deep graphs cannot overflow
 the interpreter stack, and keeps one idiom: the vertex being scanned
@@ -22,52 +27,42 @@ touches neither stack.
 """
 
 
-def _active(n, sub):
-    """The vertices of `sub` as a list, in order, and a bytearray marking
-    them among 0..n-1."""
-    order = list(sub)
-    active = bytearray(n)
-    for v in order:
-        if v < 0:
-            raise IndexError(f"vertex {v} out of range")
-        active[v] = 1
-    return order, active
-
-
 def scc_ids(n, adj, sub):
     """Strongly connected components, Tarjan's algorithm.
 
     adj: per-vertex sequences of out-neighbours.
-    sub: iterable of the active vertices; the DFS roots are tried in its
+    sub: iterable of the vertices to walk; the DFS roots are tried in its
     order.
 
-    Returns (count, ids) where ids[v] is the component id of v, or -1 for
-    inactive vertices.  Ids are assigned in completion order (reverse
-    topological order of the condensation).
+    Returns (count, classes): the classes of the subgraph induced on sub,
+    each a sorted vertex list, ordered by least member.  A class is the
+    slice of Tarjan's stack from its root up, taken off when the root
+    closes.
     """
-    order, active = _active(n, sub)
-    index = [-1] * n
+    order = list(sub)
+    index = [n] * n
+    for v in order:
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
+        index[v] = -1
     low = [0] * n
-    on_stack = bytearray(n)
-    comp = [-1] * n
-    ncomp = 0
+    pos = [0] * n  # index of a vertex on Tarjan's stack
     counter = 0
     stack = []
+    classes = []
     dfs_v, dfs_it = [], []
     for root in order:
         if index[root] != -1:
             continue
         index[root] = lowv = counter
         counter += 1
+        pos[root] = len(stack)
         stack.append(root)
-        on_stack[root] = 1
         v, it = root, iter(adj[root])
         while True:
             for w in it:
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
-                if not active[w]:
-                    continue
                 iw = index[w]
                 if iw == -1:
                     low[v] = lowv
@@ -75,40 +70,41 @@ def scc_ids(n, adj, sub):
                     dfs_it.append(it)
                     index[w] = lowv = counter
                     counter += 1
+                    pos[w] = len(stack)
                     stack.append(w)
-                    on_stack[w] = 1
                     v, it = w, iter(adj[w])
                     break
-                if iw < lowv and on_stack[w]:
+                if iw < lowv:
                     lowv = iw
             else:
                 if lowv == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = 0
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
+                    k = pos[v]
+                    members = stack[k:]
+                    del stack[k:]
+                    for w in members:
+                        index[w] = n
+                    members.sort()
+                    classes.append(members)
                 if not dfs_v:
                     break
                 v, it = dfs_v.pop(), dfs_it.pop()
                 lp = low[v]
                 if lp < lowv:
                     lowv = lp
-    return ncomp, comp
+    classes.sort()
+    return len(classes), classes
 
 
 def bcc(n, adj, sub):
     """Biconnected components of an undirected graph, Hopcroft-Tarjan.
 
     adj: per-vertex sequences of neighbours (each undirected edge listed in
-    both directions).  sub: iterable of the active vertices, as for
+    both directions).  sub: iterable of the vertices to walk, as for
     scc_ids.
 
     Returns the blocks: sorted vertex lists, one per biconnected
-    component.  Isolated active vertices yield singleton blocks, so the
-    blocks cover the active set, and a disconnected set has two or more;
+    component.  Isolated vertices of sub yield singleton blocks, so the
+    blocks cover sub, and a disconnected set has two or more;
     a cut vertex is one that lies in two or more blocks.
 
     The search keeps a stack of vertices, not of edges: every vertex but
@@ -118,8 +114,12 @@ def bcc(n, adj, sub):
     its parent p included: that can lower low[v] only to disc[p], which
     still passes the test at p and cannot lower low[p].
     """
-    order, active = _active(n, sub)
-    disc = [-1] * n
+    order = list(sub)
+    disc = [n] * n
+    for v in order:
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
+        disc[v] = -1
     low = [0] * n
     pos = [0] * n  # index of a vertex on the vertex stack
     counter = 0
@@ -136,8 +136,6 @@ def bcc(n, adj, sub):
             for w in it:
                 if w < 0:
                     raise IndexError(f"vertex {w} out of range")
-                if not active[w]:
-                    continue
                 d = disc[w]
                 if d == -1:
                     low[v] = lowv
@@ -180,8 +178,7 @@ def biconnected(n, adj, gone):
 
     adj: per-vertex sequences of neighbours, as for bcc.  gone: iterable
     of the vertices left out, read as a mask: each gets the discovery
-    number n, which marks it neither unvisited nor able to lower a low
-    point.
+    number n, the mark of a vertex outside the walk.
 
     One Hopcroft-Tarjan search from the least vertex left: a block closes
     at p when a child v of p has low[v] >= disc[p].  The first block to

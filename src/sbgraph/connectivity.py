@@ -37,16 +37,12 @@ def canonical_family(sets):
 
 def scc_classes(n, adj, sub):
     """Strongly connected classes of the subgraph induced on `sub` (pass
-    range(n) for the whole graph), as lists in `sub` order, ordered by
-    first member.  A one-vertex `sub` is its own class, with no kernel
-    call."""
+    range(n) for the whole graph): sorted classes, ordered by least
+    member, as `_kernels.scc_ids` returns them.  A one-vertex `sub` is
+    its own class, with no kernel call."""
     if len(sub) == 1:
         return [list(sub)]
-    ids = _kernels.scc_ids(n, adj, sub)[1]
-    groups = {}
-    for v in sub:
-        groups.setdefault(ids[v], []).append(v)
-    return sorted(groups.values(), key=lambda c: c[0])
+    return _kernels.scc_ids(n, adj, sub)[1]
 
 
 @memoized

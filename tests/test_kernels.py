@@ -265,13 +265,34 @@ def test_subset_restriction_equals_induced_subgraph():
     for g in _random_digraphs(60, seed=35):
         sub = sorted(v for v in range(g.n) if rng.below(2))
         h, old_to_new = sg.induced_subgraph(g, sub)
-        count_sub, ids_sub = _kernels.scc_ids(g.n, g.out_adj, sub)
-        count_ind, ids_ind = _kernels.scc_ids(h.n, h.out_adj, range(h.n))
+        count_sub, classes_sub = _kernels.scc_ids(g.n, g.out_adj, sub)
+        count_ind, classes_ind = _kernels.scc_ids(h.n, h.out_adj, range(h.n))
         assert count_sub == count_ind
-        # partitions agree through the re-index map
-        pairs = {(ids_sub[v], ids_ind[old_to_new[v]]) for v in sub}
-        assert len({a for a, _ in pairs}) == len(pairs)
-        assert len({b for _, b in pairs}) == len(pairs)
+        # The classes agree through the re-index map, which keeps order.
+        assert [[old_to_new[v] for v in c] for c in classes_sub] == (
+            classes_ind
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(deadline=None, max_examples=300)
+@given(g=digraphs(max_n=12), data=st.data())
+def test_scc_ids_returns_sorted_classes_by_least_member(backend, g, data):
+    # Roots in a shuffled order with some vertices listed twice: each
+    # class comes out once, sorted, the classes ordered by least member,
+    # and they are the classes of the induced subgraph.
+    base = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    extra = data.draw(st.lists(st.sampled_from(base))) if base else []
+    sub = data.draw(st.permutations(base + extra))
+    count, classes = _kernels._BACKENDS[backend].scc_ids(g.n, g.out_adj, sub)
+    assert count == len(classes)
+    assert all(c == sorted(c) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    h, _ = sg.induced_subgraph(g, base)
+    members = sorted(base)
+    assert classes == [
+        [members[i] for i in c] for c in brute_scc_partition(h)
+    ]
 
 
 # Run in a child process, so that a crash fails one case instead of
@@ -369,18 +390,12 @@ def _check_pure_kernels_against_networkx(g, sub):
     `scc_ids` classes, `bcc` blocks (networkx lists no isolated vertex),
     and `biconnected` with every vertex outside `sub` gone."""
     active = set(sub)
-    count, ids = pure.scc_ids(g.n, g.out_adj, sub)
-    classes = {}
-    for v in sub:
-        classes.setdefault(ids[v], []).append(v)
+    count, classes = pure.scc_ids(g.n, g.out_adj, sub)
     assert count == len(classes)
-    assert all(ids[v] == -1 for v in range(g.n) if v not in active)
     d = nx.DiGraph(g.edges)
     d.add_nodes_from(range(g.n))
     expected = nx.strongly_connected_components(d.subgraph(active))
-    assert sorted(map(sorted, classes.values())) == sorted(
-        map(sorted, expected)
-    )
+    assert classes == sorted(map(sorted, expected))
 
     u = sg.underlying(g)
     h = nx.Graph(u.edges)
