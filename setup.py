@@ -3,17 +3,14 @@
 The compiled backend is one hand-written C file, `_ckern.c`, built as an
 optional extension: a host without a C compiler or without the Python
 headers skips it with a warning.  The package works without the extension
-(the pure-Python backend is selected at import time).  Set SBGRAPH_PURE=1
-to skip the extension on purpose.
+(the pure-Python backend is selected at import time, and
+SBGRAPH_KERNELS=pure selects it at runtime where the extension is built).
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("SBGRAPH_PURE"):
-    ext_modules = [
+setup(
+    ext_modules=[
         Extension(
             "sbgraph._kernels._ckern",
             ["src/sbgraph/_kernels/_ckern.c"],
@@ -21,5 +18,4 @@ if not os.environ.get("SBGRAPH_PURE"):
             optional=True,
         )
     ]
-
-setup(ext_modules=ext_modules)
+)

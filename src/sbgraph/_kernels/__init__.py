@@ -5,9 +5,10 @@ The three hot traversal kernels exist twice: a compiled extension
 fallback (`pure`), with the same contracts and traversal order.
 `scc_ids` and `bcc` walk the vertex list `sub` they are given, and a
 whole-graph call passes range(n): `scc_ids` returns (count, classes),
-each class a sorted vertex list and the classes ordered by least member,
-and `bcc` the sorted blocks.  `biconnected` walks every vertex not in
-the mask `gone` and stops at the first cut vertex.
+each class a sorted vertex tuple and the classes ordered by least
+member, and `bcc` the blocks as sorted tuples.  `biconnected` walks the
+vertices not in the mask `gone` with the search of `bcc`, stopped at
+the first block it closes.
 The compiled backend is preferred when importable; set SBGRAPH_KERNELS=pure
 or SBGRAPH_KERNELS=c to force a choice (forcing an unavailable backend is
 an error, not a silent downgrade).  That variable is the one process-wide

@@ -21,14 +21,11 @@ from .. import _kernels
 def build_compiled(root, workdir):
     """Build `_ckern.c` of the checkout at `root` into `workdir` and
     register it as the `c` backend.  Returns None, or the finished
-    `setup.py` process when it wrote no module.  SBGRAPH_PURE is dropped
-    from the build's environment: it opts an install out of the
-    extension, not a build asked for by name."""
+    `setup.py` process when it wrote no module."""
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", workdir,
          "--build-temp", os.path.join(workdir, "temp")],
         cwd=root, capture_output=True, text=True, timeout=600,
-        env={k: v for k, v in os.environ.items() if k != "SBGRAPH_PURE"},
     )
     folder = Path(workdir, "sbgraph", "_kernels")
     built = [

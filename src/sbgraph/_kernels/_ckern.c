@@ -4,8 +4,11 @@
  * A direct port of the pure backend (pure.py): the same contracts and the
  * same traversal order, so both backends return identical results; only
  * the inner loops run on C arrays.  scc_ids returns (count, classes), each
- * class a sorted vertex list and the classes ordered by least member; bcc
+ * class a sorted vertex tuple and the classes ordered by least member; bcc
  * returns its sorted blocks; one emitter, append_sorted, builds both.
+ * bcc and biconnected share one Hopcroft-Tarjan search, block_search:
+ * biconnected stops it at the first block it closes and compares that
+ * block's size with the number of vertices left.
  * Every kernel gives a vertex outside its walk the discovery number n,
  * which no search hands out, so no arc scan tests any other flag.  Every
  * value read from Python is checked before it indexes an array: a row
@@ -171,12 +174,12 @@ compare_ints(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Sort members[0 .. size) in place and append them to list as a list of
+/* Sort members[0 .. size) in place and append them to list as a tuple of
  * ints. */
 static int
 append_sorted(PyObject *list, int *members, Py_ssize_t size)
 {
-    PyObject *block = PyList_New(size);
+    PyObject *block = PyTuple_New(size);
     Py_ssize_t i;
     int status;
     if (block == NULL)
@@ -188,7 +191,7 @@ append_sorted(PyObject *list, int *members, Py_ssize_t size)
             Py_DECREF(block);
             return -1;
         }
-        PyList_SET_ITEM(block, i, item);
+        PyTuple_SET_ITEM(block, i, item);
     }
     status = PyList_Append(list, block);
     Py_DECREF(block);
@@ -289,62 +292,50 @@ done:
     return result;
 }
 
-PyDoc_STRVAR(bcc_doc,
-"bcc(n, adj, sub)\n--\n\n"
-"Biconnected components, Hopcroft-Tarjan with a vertex stack; see the\n"
-"pure backend.");
-
-static PyObject *
-bcc(PyObject *self, PyObject *args, PyObject *kwargs)
+/* The Hopcroft-Tarjan block search over g from the roots in g->order,
+ * shared by bcc and biconnected; see the pure backend's _block_search.
+ * With a list blocks, append each sorted block to it and return 0; with
+ * NULL, stop at the first block closed and return its size.  -1 on
+ * error. */
+static Py_ssize_t
+block_search(Graph *g, PyObject *blocks)
 {
-    PyObject *n_obj, *adj, *sub, *blocks = NULL, *result = NULL;
-    int *work = NULL, *disc, *low, *pos, *vstack, *dfs_v;
-    Py_ssize_t *dfs_i = NULL, ri;
-    int n, v, counter = 0, sp = 0;
-    Graph g;
+    int *work, *disc = g->disc, *low, *pos, *vstack, *dfs_v;
+    Py_ssize_t *dfs_i, ri, result = -1;
+    int n = g->n, v, counter = 0, sp = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:bcc", kwlist,
-                                     &n_obj, &adj, &sub))
-        return NULL;
-    if (graph_init(&g, n_obj, adj, sub, 0) < 0)
-        return NULL;
-    n = g.n;
-    disc = g.disc;
     work = PyMem_Malloc(4 * ((size_t)n + 1) * sizeof(int));
     dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    blocks = PyList_New(0);
     if (work == NULL || dfs_i == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (blocks == NULL)
-        goto done;
     low = work;
     pos = low + n;
     vstack = pos + n;
     dfs_v = vstack + n;
 
-    for (ri = 0; ri < g.order_len; ri++) {
-        int root = g.order[ri], fp = 1;
+    for (ri = 0; ri < g->order_len; ri++) {
+        int root = g->order[ri], fp = 1;
         if (disc[root] != -1)
             continue;
         disc[root] = low[root] = counter++;
         dfs_v[0] = root;
-        dfs_i[0] = g.indptr[root];
+        dfs_i[0] = g->indptr[root];
         while (fp) {
             Py_ssize_t i = dfs_i[fp - 1], end;
             int descended = 0;
             v = dfs_v[fp - 1];
-            end = g.indptr[v + 1];
+            end = g->indptr[v + 1];
             while (i < end) {
-                int w = g.indices[i++], d = disc[w];
+                int w = g->indices[i++], d = disc[w];
                 if (d == -1) {
                     disc[w] = low[w] = counter++;
                     pos[w] = sp;
                     vstack[sp++] = w;
                     dfs_i[fp - 1] = i;
                     dfs_v[fp] = w;
-                    dfs_i[fp] = g.indptr[w];
+                    dfs_i[fp] = g->indptr[w];
                     fp++;
                     descended = 1;
                     break;
@@ -364,6 +355,10 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
                      * sorted where it lies; vstack[sp] is in bounds, as the
                      * stack never holds the root. */
                     int k = pos[v];
+                    if (blocks == NULL) {
+                        result = sp + 1 - k;
+                        goto done;
+                    }
                     vstack[sp] = p;
                     if (append_sorted(blocks, vstack + k, sp + 1 - k) < 0)
                         goto done;
@@ -371,17 +366,43 @@ bcc(PyObject *self, PyObject *args, PyObject *kwargs)
                 }
             }
         }
-        if (disc[root] == counter - 1 && append_sorted(blocks, &root, 1) < 0)
-            goto done;
+        if (disc[root] == counter - 1) {
+            if (blocks == NULL) {
+                result = 1;
+                goto done;
+            }
+            if (append_sorted(blocks, &root, 1) < 0)
+                goto done;
+        }
     }
-    result = blocks;
-    blocks = NULL;
+    result = 0;
 done:
-    Py_XDECREF(blocks);
     PyMem_Free(work);
     PyMem_Free(dfs_i);
-    graph_free(&g);
     return result;
+}
+
+PyDoc_STRVAR(bcc_doc,
+"bcc(n, adj, sub)\n--\n\n"
+"Biconnected components, Hopcroft-Tarjan with a vertex stack; see the\n"
+"pure backend.");
+
+static PyObject *
+bcc(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    PyObject *n_obj, *adj, *sub, *blocks;
+    Graph g;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:bcc", kwlist,
+                                     &n_obj, &adj, &sub))
+        return NULL;
+    if (graph_init(&g, n_obj, adj, sub, 0) < 0)
+        return NULL;
+    blocks = PyList_New(0);
+    if (blocks != NULL && block_search(&g, blocks) < 0)
+        Py_CLEAR(blocks);
+    graph_free(&g);
+    return blocks;
 }
 
 static char *mask_kwlist[] = {"n", "adj", "gone", NULL};
@@ -389,15 +410,14 @@ static char *mask_kwlist[] = {"n", "adj", "gone", NULL};
 PyDoc_STRVAR(biconnected_doc,
 "biconnected(n, adj, gone)\n--\n\n"
 "Whether the vertices not in gone induce a connected graph with no cut\n"
-"vertex, stopping at the first cut vertex; see the pure backend.");
+"vertex: the bcc search stopped at the first block it closes; see the\n"
+"pure backend.");
 
 static PyObject *
 biconnected(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *n_obj, *adj, *gone, *result = NULL;
-    int *work = NULL, *disc, *low, *dfs_v;
-    Py_ssize_t *dfs_i = NULL;
-    int n, v, root, counter = 1, root_blocks = 0, fp = 1, answer = 1;
+    PyObject *n_obj, *adj, *gone;
+    Py_ssize_t left, size = 0;
     Graph g;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:biconnected",
@@ -405,68 +425,13 @@ biconnected(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     if (graph_init(&g, n_obj, adj, gone, 1) < 0)
         return NULL;
-    if (g.order_len <= 1) {
-        result = PyBool_FromLong(1);
-        goto done;
-    }
-    n = g.n;
-    disc = g.disc;
-    work = PyMem_Malloc(2 * ((size_t)n + 1) * sizeof(int));
-    dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    if (work == NULL || dfs_i == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    low = work;
-    dfs_v = low + n;
-
-    root = g.order[0];
-    disc[root] = low[root] = 0;
-    dfs_v[0] = root;
-    dfs_i[0] = g.indptr[root];
-    while (fp) {
-        Py_ssize_t i = dfs_i[fp - 1], end;
-        int descended = 0;
-        v = dfs_v[fp - 1];
-        end = g.indptr[v + 1];
-        while (i < end) {
-            int w = g.indices[i++], d = disc[w];
-            if (d == -1) {
-                disc[w] = low[w] = counter++;
-                dfs_i[fp - 1] = i;
-                dfs_v[fp] = w;
-                dfs_i[fp] = g.indptr[w];
-                fp++;
-                descended = 1;
-                break;
-            }
-            if (d < low[v])
-                low[v] = d;
-        }
-        if (descended)
-            continue;
-        fp--;
-        if (fp) {
-            int p = dfs_v[fp - 1], lv = low[v];
-            if (lv < low[p])
-                low[p] = lv;
-            if (lv >= disc[p]) {
-                /* A block closes at p: a cut vertex unless p is the root
-                 * and this is its first block. */
-                if (p != root || root_blocks) {
-                    answer = 0;
-                    break;
-                }
-                root_blocks = 1;
-            }
-        }
-    }
-    result = PyBool_FromLong(answer && counter == g.order_len);
-done:
-    PyMem_Free(work);
-    PyMem_Free(dfs_i);
+    left = g.order_len;
+    if (left > 1)
+        size = block_search(&g, NULL);
     graph_free(&g);
-    return result;
+    if (size < 0)
+        return NULL;
+    return PyBool_FromLong(left <= 1 || size == left);
 }
 
 static PyMethodDef methods[] = {

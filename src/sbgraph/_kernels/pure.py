@@ -4,7 +4,10 @@ Three kernels: `scc_ids` and `bcc` take the vertices to walk, `sub`, and
 behave exactly as if they were run on the subgraph induced on it,
 without materializing it; a whole-graph call passes range(n).
 `biconnected` takes the vertices to leave out, `gone`, as a mask, and
-answers yes or no, stopping at the first cut vertex.  A vertex id
+answers yes or no.  `bcc` and `biconnected` run one Hopcroft-Tarjan
+search, `_block_search`: `bcc` lists every block it closes, and
+`biconnected` stops at the first.  Classes and blocks are sorted
+tuples, which the cyclic garbage collector does not track.  A vertex id
 outside 0..n-1, in a row read, in the subset or in the mask, raises
 IndexError, as in the compiled kernels: a negative id is checked
 explicitly, since list indexing would read it from the end.
@@ -35,7 +38,7 @@ def scc_ids(n, adj, sub):
     order.
 
     Returns (count, classes): the classes of the subgraph induced on sub,
-    each a sorted vertex list, ordered by least member.  A class is the
+    each a sorted vertex tuple, ordered by least member.  A class is the
     slice of Tarjan's stack from its root up, taken off when the root
     closes.
     """
@@ -84,7 +87,7 @@ def scc_ids(n, adj, sub):
                     for w in members:
                         index[w] = n
                     members.sort()
-                    classes.append(members)
+                    classes.append(tuple(members))
                 if not dfs_v:
                     break
                 v, it = dfs_v.pop(), dfs_it.pop()
@@ -95,36 +98,26 @@ def scc_ids(n, adj, sub):
     return len(classes), classes
 
 
-def bcc(n, adj, sub):
-    """Biconnected components of an undirected graph, Hopcroft-Tarjan.
+def _block_search(n, adj, order, disc, blocks):
+    """Hopcroft-Tarjan block search, shared by `bcc` and `biconnected`.
 
-    adj: per-vertex sequences of neighbours (each undirected edge listed in
-    both directions).  sub: iterable of the vertices to walk, as for
-    scc_ids.
-
-    Returns the blocks: sorted vertex lists, one per biconnected
-    component.  Isolated vertices of sub yield singleton blocks, so the
-    blocks cover sub, and a disconnected set has two or more;
-    a cut vertex is one that lies in two or more blocks.
+    order: the DFS roots to try; disc: the discovery numbers, -1 for a
+    vertex to walk and n for any other.  With a list `blocks`, append
+    each block to it as a sorted tuple and return 0.  With None, stop at
+    the first block closed and return its size.
 
     The search keeps a stack of vertices, not of edges: every vertex but
     a tree's root is pushed when discovered, and when a child v of p
     closes a block (low[v] >= disc[p]) the block is p plus the stack from
     v up.  low[v] takes the least discovery number among v's neighbours,
     its parent p included: that can lower low[v] only to disc[p], which
-    still passes the test at p and cannot lower low[p].
+    still passes the test at p and cannot lower low[p].  A tree of one
+    vertex closes the block of that vertex alone.
     """
-    order = list(sub)
-    disc = [n] * n
-    for v in order:
-        if v < 0:
-            raise IndexError(f"vertex {v} out of range")
-        disc[v] = -1
     low = [0] * n
     pos = [0] * n  # index of a vertex on the vertex stack
     counter = 0
     vstack = []
-    blocks = []
     dfs_v, dfs_it = [], []
     for root in order:
         if disc[root] != -1:
@@ -156,17 +149,45 @@ def bcc(n, adj, sub):
                 if lowv >= disc[p]:
                     # Component boundary: v's part of the stack plus p.
                     k = pos[v]
+                    if blocks is None:
+                        return len(vstack) - k + 1
                     members = vstack[k:]
                     del vstack[k:]
                     members.append(p)
                     members.sort()
-                    blocks.append(members)
+                    blocks.append(tuple(members))
                 lp = low[p]
                 if lp < lowv:
                     lowv = lp
                 v = p
         if disc[root] == counter - 1:
-            blocks.append([root])
+            if blocks is None:
+                return 1
+            blocks.append((root,))
+    return 0
+
+
+def bcc(n, adj, sub):
+    """Biconnected components of an undirected graph, Hopcroft-Tarjan
+    (`_block_search`).
+
+    adj: per-vertex sequences of neighbours (each undirected edge listed in
+    both directions).  sub: iterable of the vertices to walk, as for
+    scc_ids.
+
+    Returns the blocks: sorted vertex tuples, one per biconnected
+    component.  Isolated vertices of sub yield singleton blocks, so the
+    blocks cover sub, and a disconnected set has two or more;
+    a cut vertex is one that lies in two or more blocks.
+    """
+    order = list(sub)
+    disc = [n] * n
+    for v in order:
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
+        disc[v] = -1
+    blocks = []
+    _block_search(n, adj, order, disc, blocks)
     return blocks
 
 
@@ -180,11 +201,10 @@ def biconnected(n, adj, gone):
     of the vertices left out, read as a mask: each gets the discovery
     number n, the mark of a vertex outside the walk.
 
-    One Hopcroft-Tarjan search from the least vertex left: a block closes
-    at p when a child v of p has low[v] >= disc[p].  The first block to
-    close at any vertex but the root, or the second at the root, shows a
-    cut vertex, and the search stops there with False.  A search that
-    ends without one is True when it reached every vertex left.
+    The search of `bcc`, from the least vertex left, stopped at the
+    first block it closes.  That block lies in the first root's
+    component, so the graph left is biconnected exactly when the block
+    is its only one, that is, when it holds every vertex left.
     """
     disc = [-1] * n
     left = n
@@ -194,38 +214,4 @@ def biconnected(n, adj, gone):
         if disc[v] == -1:
             disc[v] = n
             left -= 1
-    if left <= 1:
-        return True
-    root = disc.index(-1)
-    low = [0] * n
-    disc[root] = lowv = 0
-    counter = 1
-    root_blocks = 0
-    dfs_v, dfs_it = [], []
-    v, it = root, iter(adj[root])
-    while True:
-        for w in it:
-            if w < 0:
-                raise IndexError(f"vertex {w} out of range")
-            d = disc[w]
-            if d == -1:
-                low[v] = lowv
-                dfs_v.append(v)
-                dfs_it.append(it)
-                disc[w] = lowv = counter
-                counter += 1
-                v, it = w, iter(adj[w])
-                break
-            if d < lowv:
-                lowv = d
-        else:
-            if not dfs_v:
-                return counter == left
-            v, it = dfs_v.pop(), dfs_it.pop()
-            if lowv >= disc[v]:
-                if v != root or root_blocks:
-                    return False
-                root_blocks = 1
-            lp = low[v]
-            if lp < lowv:
-                lowv = lp
+    return left <= 1 or _block_search(n, adj, range(n), disc, None) == left

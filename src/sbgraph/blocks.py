@@ -86,10 +86,10 @@ costs no SCC call.  The class of 0 is refined once per set of vertices
 it leaves out, shared by arc and vertex probes, and not at all when
 that set is one vertex that the triconnected components place in no
 separation pair (`resilience` has the argument); any other set costs
-one walk that stops at the first cut vertex, and a block pass only
-when the class splits.  A b-bridge that is no strong bridge leaves all
-of V, whose blocks are read with the bridge's edge out of H when it has
-no twin, and listed whole.  `_blocks` reads
+one walk that stops at the first block it closes, and a block pass
+only when the class splits.  A b-bridge that is no strong bridge has no
+twin and leaves all of V, whose blocks are read with the bridge's edge
+out of H and listed whole.  `_blocks` reads
 only the parts, not their order.
 """
 

@@ -37,11 +37,11 @@ def canonical_family(sets):
 
 def scc_classes(n, adj, sub):
     """Strongly connected classes of the subgraph induced on `sub` (pass
-    range(n) for the whole graph): sorted classes, ordered by least
+    range(n) for the whole graph): sorted tuples, ordered by least
     member, as `_kernels.scc_ids` returns them.  A one-vertex `sub` is
     its own class, with no kernel call."""
     if len(sub) == 1:
-        return [list(sub)]
+        return [tuple(sub)]
     return _kernels.scc_ids(n, adj, sub)[1]
 
 
@@ -55,7 +55,7 @@ def _scc_pass(g):
 def strongly_connected_components(g):
     """Partition of V into maximal strongly connected classes,
     ordered by smallest member."""
-    return [tuple(c) for c in _scc_pass(g)]
+    return list(_scc_pass(g))
 
 
 def is_strongly_connected(g):
@@ -79,7 +79,7 @@ class BlockDecomposition:
 def _block_pass(u):
     """Blocks of the undirected graph u over all of V, as sorted tuples
     (`_kernels.bcc`), computed once per graph and kept on it."""
-    return tuple(map(tuple, _kernels.bcc(u.n, u.adj, range(u.n))))
+    return tuple(_kernels.bcc(u.n, u.adj, range(u.n)))
 
 
 def undirected_blocks(u):

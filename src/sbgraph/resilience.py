@@ -92,19 +92,24 @@ class reads a masked edge:
   class shares the result.  The class splits exactly when H[V - gone]
   is not biconnected; it lists its blocks then, else none, so the class
   is the implicit part.
-- when gone is one vertex x, G is strongly biconnected and n >= 4, H - x
-  is biconnected exactly when x is in no separation pair (above), so
-  V - x is one strongly biconnected set and no kernel runs; when x is in
-  one, the class splits, and one `bcc` lists its blocks.  No such
-  certificate covers two or more vertices: H - {x, y} can have a cut
-  vertex though neither x nor y is in a separation pair.  So each such
-  set pays one early-exit walk over V - gone (`_kernels.biconnected`,
-  O(n + m) at most, with gone as a mask), and a `bcc` over it only
-  when the walk finds a cut vertex, that is, when the class splits.
+- when gone is one vertex x, H - x is biconnected exactly when x is in
+  no separation pair (above; for n <= 3 H - x is K1 or K2 and no vertex
+  is in one), so V - x is one strongly biconnected set and no kernel
+  runs; when x is in one, the class splits, and one `bcc` lists its
+  blocks.  No such certificate covers two or more vertices:
+  H - {x, y} can have a cut vertex though neither x nor y is in a
+  separation pair.  So each such set pays one early-exit walk over
+  V - gone (`_kernels.biconnected`, O(n + m) at most, with gone as a
+  mask): the `bcc` search stopped at the first block it closes, which
+  lies in the component of the least vertex left, so H[V - gone] is
+  biconnected exactly when that block holds every vertex left.  A
+  `bcc` over V - gone runs only when it does not, that is, when the
+  class splits.
 - an arc that is no strong cut leaves gone empty: its one class, all of
-  V, holds both ends of the arc, so an arc with no antiparallel twin
-  takes its edge out of H, the one masked edge of any probe, and every
-  block is listed, which leaves the implicit part empty.
+  V, holds both ends of the arc.  Such an arc is probed only as a
+  b-bridge, so it has no antiparallel twin (`cut_report`): it takes its
+  edge out of H, the one masked edge of any probe, and every block is
+  listed, which leaves the implicit part empty.
 
 The dominator trees, the split of each deletion, the strong cuts, the
 vertices and edges whose deletion leaves H not biconnected, the
@@ -428,15 +433,17 @@ def _root_split(g, gone):
     the same class.  A probe lists these blocks; () lists none, so the
     whole class is the probe's implicit part.
 
-    When gone is one vertex x of strongly biconnected g with n >= 4, H - x
-    is biconnected exactly when x is in no separation pair of H, so V - x
-    is one set with no kernel call, and splits when x is in one.  Any
-    other set is first tested by `_kernels.biconnected`, which reads gone
-    as a mask and stops at the first cut vertex; only a class that
-    splits pays the `bcc` that lists its blocks.  Computed once per graph
-    and set; only the parts are kept."""
+    g must be strongly biconnected, as every probe's g is.  When gone is
+    one vertex x, H - x is biconnected exactly when x is in no separation
+    pair of H, so V - x is one set with no kernel call, and splits when
+    x is in one; for n <= 3, `_separations` lists no vertex and H - x is
+    K1 or K2, so the answer holds there too.  Any other set is first
+    tested by `_kernels.biconnected`, which reads gone as a mask and
+    stops at the first block it closes; only a class that splits pays
+    the `bcc` that lists its blocks.  Computed once per graph and set;
+    only the parts are kept."""
     adj = underlying(g).adj
-    if len(gone) == 1 and g.n >= 4 and is_strongly_biconnected(g):
+    if len(gone) == 1:
         (x,) = gone
         if x not in _separations(g)[0]:
             return ()
@@ -458,16 +465,20 @@ def _sbc_parts(g, d):
     which `_root_split` lists, shared by every deletion that leaves the
     same class.  If d is an arc that is no strong cut, that class is all
     of V and holds the arc: its blocks are read with the arc's edge out
-    of H, unless the arc has a twin, and every part is listed."""
+    of H, and every part is listed.
+
+    g must be strongly biconnected, and an arc d that is no strong cut
+    must have no antiparallel twin.  Every probe meets this: such an arc
+    is probed only as a b-bridge, and `cut_report` counts it as one only
+    when H has its edge from that one arc."""
     split = _split(g, d)
     und_adj = underlying(g).adj
     if isinstance(d, tuple) and not split:
-        # The one class, all of V, holds both ends of the arc: without a
-        # twin arc, the underlying edge goes too.
+        # The one class, all of V, holds both ends of the arc, which has
+        # no twin: its underlying edge goes too.
         tail, head = d
-        if not g.has_edge(head, tail):
-            und_adj = _without_arc(und_adj, tail, head)
-            und_adj = _without_arc(und_adj, head, tail)
+        und_adj = _without_arc(und_adj, tail, head)
+        und_adj = _without_arc(und_adj, head, tail)
         return masked_sbc(g.n, und_adj, [list(range(g.n))])
     parts = masked_sbc(g.n, und_adj, split)
     gone = frozenset(chain(*split, [] if isinstance(d, tuple) else [d]))

@@ -92,15 +92,15 @@ def masked_sbc(n, und_adj, classes):
 
     und_adj: neighbours per vertex in the underlying graph of the probed
     subgraph; only the edges inside each class are read.  Vertex ids stay
-    those of the full graph.  `classes` are lists of vertices; they are
-    not modified.
+    those of the full graph.  `classes` are sequences of vertices; they
+    are not modified.
     """
     emitted = []
     for c in classes:
         if len(c) == 1:
             emitted.append((c[0],))
         else:
-            emitted.extend(map(tuple, _kernels.bcc(n, und_adj, c)))
+            emitted.extend(_kernels.bcc(n, und_adj, c))
     return emitted
 
 

@@ -169,7 +169,8 @@ def edge_list_texts(draw):
             m += draw(st.sampled_from([-1, 1]))
         elif fault == "field" and rows:
             bad = draw(st.sampled_from(BAD_FIELDS))
-            rows[last][draw(st.integers(0, 1))] = bad
+            # A shifted line may hold one field.
+            rows[last][draw(st.integers(0, len(rows[last]) - 1))] = bad
         elif fault == "extra" and rows:
             rows[last].append(draw(st.integers(0, 9)))
         elif fault == "joined" and len(rows) >= 2:

@@ -190,7 +190,7 @@ def test_bcc_blocks_match_bruteforce(backend):
             u = sg.underlying(g)
             vertices = set(active)
             blocks = _kernels.bcc(u.n, u.adj, active)
-            assert sorted(map(tuple, blocks)) == _brute_bcc(u.adj, vertices)[0]
+            assert sorted(blocks) == _brute_bcc(u.adj, vertices)[0]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -225,6 +225,38 @@ def test_biconnected_matches_the_block_count(backend):
         assert answer == (len(kern.bcc(u.n, u.adj, active)) <= 1)
         answers.add(answer)
     assert answers == {True, False}
+
+
+# (n, edges, gone, answer): `biconnected` stops at the first block its
+# search closes, and V - gone is biconnected exactly when that block
+# holds every vertex left.
+_BOW_TIE = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+_BICONNECTED_CASES = {
+    # The least vertex is the cut vertex: the search closes its first
+    # block at the root.
+    "bow-tie-at-root": (5, _BOW_TIE, (), False),
+    "bow-tie-one-wing-left": (5, _BOW_TIE, (3, 4), True),
+    "bow-tie-a-pendant-left": (5, _BOW_TIE, (3,), False),
+    "isolated-least-vertex": (4, [(1, 2), (2, 3), (3, 1)], (), False),
+    "two-triangles": (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+                      (), False),
+    "K2": (2, [(0, 1)], (), True),
+    "K2-in-a-path": (3, [(0, 1), (1, 2)], (2,), True),
+    "K1": (2, [(0, 1)], (0,), True),
+    "empty": (3, [(0, 1), (1, 2), (2, 0)], (0, 1, 2), True),
+    "cycle": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], (), True),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(_BICONNECTED_CASES))
+def test_biconnected_explicit_cases(backend, case):
+    n, edges, gone, expected = _BICONNECTED_CASES[case]
+    kern = _kernels._BACKENDS[backend]
+    adj = sg.underlying(sg.build_digraph(n, edges)).adj
+    assert kern.biconnected(n, adj, gone) is expected
+    left = [v for v in range(n) if v not in gone]
+    assert (len(kern.bcc(n, adj, left)) <= 1) is expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -269,7 +301,7 @@ def test_subset_restriction_equals_induced_subgraph():
         count_ind, classes_ind = _kernels.scc_ids(h.n, h.out_adj, range(h.n))
         assert count_sub == count_ind
         # The classes agree through the re-index map, which keeps order.
-        assert [[old_to_new[v] for v in c] for c in classes_sub] == (
+        assert [tuple(old_to_new[v] for v in c) for c in classes_sub] == (
             classes_ind
         )
 
@@ -286,12 +318,12 @@ def test_scc_ids_returns_sorted_classes_by_least_member(backend, g, data):
     sub = data.draw(st.permutations(base + extra))
     count, classes = _kernels._BACKENDS[backend].scc_ids(g.n, g.out_adj, sub)
     assert count == len(classes)
-    assert all(c == sorted(c) for c in classes)
+    assert all(c == tuple(sorted(c)) for c in classes)
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
     h, _ = sg.induced_subgraph(g, base)
     members = sorted(base)
     assert classes == [
-        [members[i] for i in c] for c in brute_scc_partition(h)
+        tuple(members[i] for i in c) for c in brute_scc_partition(h)
     ]
 
 
@@ -325,7 +357,7 @@ def _case(call, expected, name):
         _case("kern.bcc(2, [[1], [0]], [0, 1])"
               " == kern.bcc(2, ((1,), (0,)), [0, 1])", "True",
               "kern.bcc(2, [[1], [0]]) == kern.bcc(2, ((1,), (0,)))"),
-        _case("kern.bcc(2, [[1], [0]], [0, 1])", "[[0, 1]]",
+        _case("kern.bcc(2, [[1], [0]], [0, 1])", "[(0, 1)]",
               "kern.bcc(2, [[1], [0]])"),
         ("kern.scc_ids(3, [[1], [2], [0]], [2, 0, 1])"
          " == kern.scc_ids(3, ((1,), (2,), (0,)), [2, 0, 1])", "True"),
@@ -395,14 +427,14 @@ def _check_pure_kernels_against_networkx(g, sub):
     d = nx.DiGraph(g.edges)
     d.add_nodes_from(range(g.n))
     expected = nx.strongly_connected_components(d.subgraph(active))
-    assert classes == sorted(map(sorted, expected))
+    assert classes == sorted(tuple(sorted(c)) for c in expected)
 
     u = sg.underlying(g)
     h = nx.Graph(u.edges)
     h.add_nodes_from(range(u.n))
     h = h.subgraph(active)
-    expected = [sorted(b) for b in nx.biconnected_components(h)]
-    expected += [[v] for v in h if not h[v]]
+    expected = [tuple(sorted(b)) for b in nx.biconnected_components(h)]
+    expected += [(v,) for v in h if not h[v]]
     assert sorted(pure.bcc(u.n, u.adj, sub)) == sorted(expected)
     gone = [v for v in range(g.n) if v not in active]
     assert pure.biconnected(u.n, u.adj, gone) == (len(expected) <= 1)

@@ -272,7 +272,7 @@ def test_a_one_vertex_region_makes_no_scc_call(monkeypatch, fig1):
             region = resilience._cut_region(g, d)
             if len(region) == 1:
                 singles += 1
-                assert resilience._split(g, d) == [region]
+                assert resilience._split(g, d) == [tuple(region)]
         monkeypatch.undo()
         assert calls == []
     assert singles

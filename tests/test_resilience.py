@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbgraph as sg
 from sbgraph import _kernels, resilience
@@ -320,13 +321,51 @@ def test_components_stops_at_a_split_that_keeps_its_set():
         )
 
 
+def test_root_split_certifies_every_vertex_at_n3(monkeypatch):
+    """On a strongly biconnected graph of three vertices H is a triangle,
+    so H - x is K2 for every x, and `_root_split` lists no part, with no
+    kernel call: `_separations` lists no vertex there."""
+    def refuse(*args):
+        raise AssertionError("no kernel call expected")
+
+    arcs = [(u, v) for u in range(3) for v in range(3) if u != v]
+    graphs = [
+        g
+        for mask in range(1, 1 << len(arcs))
+        for g in [sg.build_digraph(3, [a for i, a in enumerate(arcs)
+                                       if mask >> i & 1])]
+        if sg.is_strongly_biconnected(g)
+    ]
+    assert len(graphs) == 15
+    monkeypatch.setattr(_kernels, "biconnected", refuse)
+    monkeypatch.setattr(_kernels, "bcc", refuse)
+    for g in graphs:
+        for x in range(3):
+            assert resilience._root_split(g, frozenset([x])) == ()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(3, 10), st.integers(0, 10**6), st.data())
+def test_b_bridges_that_are_no_strong_bridges_have_no_twin(n, seed, data):
+    """`_sbc_parts` takes an arc that is no strong cut out of H whole,
+    twin or not: it relies on every such b-bridge having no antiparallel
+    twin.  Strongly biconnected ear graphs with short ears, so H has
+    S-nodes, and reverse arcs added at random, so twins are common."""
+    g = ear_graph(seed, n, ears=(1, 3))
+    twins = data.draw(st.lists(st.sampled_from(g.edges), unique=True))
+    g = sg.build_digraph(g.n, set(g.edges) | {(h, t) for t, h in twins})
+    report = sg.cut_report(g)
+    for tail, head in set(report.b_bridges) - set(report.strong_bridges):
+        assert not g.has_edge(head, tail)
+
+
 def test_root_split_refines_two_vertex_sets():
     # Neither vertex of the set lies in a separation pair, so no
     # one-vertex certificate may stand in for the refinement.
     g = root_cut_graph()
     assert sg.is_strongly_biconnected(g)
     assert not {1, 5} & resilience._separations(g)[0]
-    assert resilience._split(g, 5) == [[1]]
+    assert resilience._split(g, 5) == [(1,)]
     parts = resilience._root_split(g, frozenset([1, 5]))
     assert parts != ()
     assert _finish(parts).components == ((0, 2), (2, 4), (3, 4))
