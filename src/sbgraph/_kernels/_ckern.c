@@ -9,6 +9,10 @@
  * bcc and biconnected share one Hopcroft-Tarjan search, block_search:
  * biconnected stops it at the first block it closes and compares that
  * block's size with the number of vertices left.
+ * Each call holds one walk state, Walk, which walk_init allocates whole,
+ * so neither search allocates.  Both searches number and stack a vertex
+ * with one push and scan rows with one advance; they differ only in what
+ * they do when a vertex's row is done.
  * Every kernel gives a vertex outside its walk the discovery number n,
  * which no search hands out, so no arc scan tests any other flag.  Every
  * value read from Python is checked before it indexes an array: a row
@@ -22,27 +26,37 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The rows of the walked vertices, flattened: the neighbours of a walked
- * vertex v are indices[indptr[v] .. indptr[v + 1]); other rows are empty.
- * disc is the kernel's discovery-number array, -1 for a walked vertex and
- * n for any other.  order is sub, the roots in the caller's order, or,
- * when the caller passes a mask of the vertices left out, every walked
- * vertex in ascending order. */
+/* The state of one kernel call's depth-first search.
+ *
+ * The rows of the walked vertices are flattened: the neighbours of a
+ * walked vertex v are indices[indptr[v] .. indptr[v + 1]); other rows are
+ * empty.  disc holds the discovery numbers, -1 for a walked vertex not yet
+ * reached and n for any vertex outside the walk.  order is sub, the roots
+ * in the caller's order, or, when the caller passes a mask of the vertices
+ * left out, every walked vertex in ascending order.
+ *
+ * low holds the low points, stack the vertex stack (sp entries, one spare
+ * slot for the block search's parent) and pos each vertex's place on it.
+ * The frames of the search are dfs_v, the vertex, and dfs_i, the next
+ * place in its row; fp frames are open.  counter is the next discovery
+ * number. */
 typedef struct {
-    int n;
-    Py_ssize_t *indptr;
-    int *indices;
-    int *disc;
-    int *order;
-    Py_ssize_t order_len;
-} Graph;
+    int n, counter, sp, fp;
+    Py_ssize_t *indptr, *dfs_i, order_len;
+    int *indices, *disc, *low, *pos, *stack, *dfs_v, *order;
+} Walk;
 
 static void
-graph_free(Graph *g)
+walk_free(Walk *g)
 {
     PyMem_Free(g->indptr);
+    PyMem_Free(g->dfs_i);
     PyMem_Free(g->indices);
     PyMem_Free(g->disc);
+    PyMem_Free(g->low);
+    PyMem_Free(g->pos);
+    PyMem_Free(g->stack);
+    PyMem_Free(g->dfs_v);
     PyMem_Free(g->order);
 }
 
@@ -67,14 +81,16 @@ read_int(PyObject *obj, long limit, const char *what, PyObject *exc, int *out)
     return 0;
 }
 
-/* Read n, adj and sub into g; with is_mask set, sub lists the vertices
- * left out instead.  On failure g is already freed. */
+/* Read n, adj and sub into g and allocate the rest of its state; with
+ * is_mask set, sub lists the vertices left out instead.  On failure g is
+ * already freed. */
 static int
-graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub,
-           int is_mask)
+walk_init(Walk *g, PyObject *n_obj, PyObject *adj, PyObject *sub,
+          int is_mask)
 {
     PyObject *rows = NULL, *seq = NULL, *row = NULL;
     Py_ssize_t m = 0, cap = 0, i;
+    size_t size;
     int n, v;
 
     memset(g, 0, sizeof *g);
@@ -91,9 +107,16 @@ graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub,
                      PyTuple_GET_SIZE(rows), n);
         goto fail;
     }
-    g->disc = PyMem_Malloc(((size_t)n + 1) * sizeof(int));
-    g->indptr = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    if (g->disc == NULL || g->indptr == NULL)
+    size = (size_t)n + 1;
+    g->indptr = PyMem_Malloc(size * sizeof(Py_ssize_t));
+    g->dfs_i = PyMem_Malloc(size * sizeof(Py_ssize_t));
+    g->disc = PyMem_Malloc(size * sizeof(int));
+    g->low = PyMem_Malloc(size * sizeof(int));
+    g->pos = PyMem_Malloc(size * sizeof(int));
+    g->stack = PyMem_Malloc(size * sizeof(int));
+    g->dfs_v = PyMem_Malloc(size * sizeof(int));
+    if (!g->indptr || !g->dfs_i || !g->disc || !g->low || !g->pos
+        || !g->stack || !g->dfs_v)
         goto nomem;
     for (v = 0; v < n; v++)
         g->disc[v] = is_mask ? -1 : n;
@@ -108,7 +131,7 @@ graph_init(Graph *g, PyObject *n_obj, PyObject *adj, PyObject *sub,
                 goto fail;
             g->disc[v] = n;
         }
-        g->order = PyMem_Malloc(((size_t)n + 1) * sizeof(int));
+        g->order = PyMem_Malloc(size * sizeof(int));
         if (g->order == NULL)
             goto nomem;
         for (v = 0; v < n; v++)
@@ -163,7 +186,7 @@ fail:
     Py_XDECREF(row);
     Py_XDECREF(seq);
     Py_DECREF(rows);
-    graph_free(g);
+    walk_free(g);
     return -1;
 }
 
@@ -198,6 +221,44 @@ append_sorted(PyObject *list, int *members, Py_ssize_t size)
     return status;
 }
 
+/* Number w, put it on the vertex stack and open its frame. */
+static void
+push(Walk *g, int w)
+{
+    g->disc[w] = g->low[w] = g->counter++;
+    g->pos[w] = g->sp;
+    g->stack[g->sp++] = w;
+    g->dfs_v[g->fp] = w;
+    g->dfs_i[g->fp++] = g->indptr[w];
+}
+
+/* Go on along the row of the top frame's vertex v, lowering low[v] at
+ * each numbered neighbour, and push the first unnumbered one; return -1
+ * then.  At the end of the row, close v's frame, lower its parent's low
+ * point by low[v] and return v. */
+static int
+advance(Walk *g)
+{
+    int v = g->dfs_v[g->fp - 1];
+    Py_ssize_t i = g->dfs_i[g->fp - 1], end = g->indptr[v + 1];
+    while (i < end) {
+        int w = g->indices[i++], d = g->disc[w];
+        if (d == -1) {
+            g->dfs_i[g->fp - 1] = i;
+            push(g, w);
+            return -1;
+        }
+        if (d < g->low[v])
+            g->low[v] = d;
+    }
+    if (--g->fp) {
+        int p = g->dfs_v[g->fp - 1];
+        if (g->low[v] < g->low[p])
+            g->low[p] = g->low[v];
+    }
+    return v;
+}
+
 static char *kwlist[] = {"n", "adj", "sub", NULL};
 
 PyDoc_STRVAR(scc_ids_doc,
@@ -207,179 +268,85 @@ PyDoc_STRVAR(scc_ids_doc,
 static PyObject *
 scc_ids(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *n_obj, *adj, *sub, *classes = NULL, *result = NULL;
-    int *work = NULL, *index, *low, *stack, *dfs_v;
-    Py_ssize_t *dfs_i = NULL, ri;
-    int n, v, counter = 0, sp = 0;
-    Graph g;
+    PyObject *n_obj, *adj, *sub, *classes, *result = NULL;
+    Py_ssize_t ri;
+    Walk g;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:scc_ids", kwlist,
                                      &n_obj, &adj, &sub))
         return NULL;
-    if (graph_init(&g, n_obj, adj, sub, 0) < 0)
+    if (walk_init(&g, n_obj, adj, sub, 0) < 0)
         return NULL;
-    n = g.n;
-    index = g.disc;
-    work = PyMem_Malloc(3 * ((size_t)n + 1) * sizeof(int));
-    dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
     classes = PyList_New(0);
-    if (work == NULL || dfs_i == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
     if (classes == NULL)
         goto done;
-    low = work;
-    stack = low + n;
-    dfs_v = stack + n;
-
     for (ri = 0; ri < g.order_len; ri++) {
-        int root = g.order[ri], fp = 1;
-        if (index[root] != -1)
+        if (g.disc[g.order[ri]] != -1)
             continue;
-        index[root] = low[root] = counter++;
-        stack[sp++] = root;
-        dfs_v[0] = root;
-        dfs_i[0] = g.indptr[root];
-        while (fp) {
-            Py_ssize_t i = dfs_i[fp - 1], end;
-            int descended = 0;
-            v = dfs_v[fp - 1];
-            end = g.indptr[v + 1];
-            while (i < end) {
-                int w = g.indices[i++];
-                if (index[w] == -1) {
-                    dfs_i[fp - 1] = i;
-                    index[w] = low[w] = counter++;
-                    stack[sp++] = w;
-                    dfs_v[fp] = w;
-                    dfs_i[fp] = g.indptr[w];
-                    fp++;
-                    descended = 1;
-                    break;
-                }
-                if (index[w] < low[v])
-                    low[v] = index[w];
-            }
-            if (descended)
+        push(&g, g.order[ri]);
+        while (g.fp) {
+            int v = advance(&g), k, top = g.sp;
+            if (v < 0 || g.low[v] != g.disc[v])
                 continue;
-            fp--;
-            if (low[v] == index[v]) {
-                /* v's class is the stack from v up: mark it closed and
-                 * emit it, sorted where it lies. */
-                int top = sp, w;
-                do {
-                    w = stack[--sp];
-                    index[w] = n;
-                } while (w != v);
-                if (append_sorted(classes, stack + sp, top - sp) < 0)
-                    goto done;
-            }
-            if (fp) {
-                int p = dfs_v[fp - 1];
-                if (low[v] < low[p])
-                    low[p] = low[v];
-            }
+            /* v's class is the stack from v up: mark it closed and emit
+             * it, sorted where it lies. */
+            g.sp = g.pos[v];
+            for (k = g.sp; k < top; k++)
+                g.disc[g.stack[k]] = g.n;
+            if (append_sorted(classes, g.stack + g.sp, top - g.sp) < 0)
+                goto done;
         }
     }
     if (PyList_Sort(classes) == 0)
         result = Py_BuildValue("(nO)", PyList_GET_SIZE(classes), classes);
 done:
     Py_XDECREF(classes);
-    PyMem_Free(work);
-    PyMem_Free(dfs_i);
-    graph_free(&g);
+    walk_free(&g);
     return result;
 }
 
 /* The Hopcroft-Tarjan block search over g from the roots in g->order,
  * shared by bcc and biconnected; see the pure backend's _block_search.
- * With a list blocks, append each sorted block to it and return 0; with
- * NULL, stop at the first block closed and return its size.  -1 on
- * error. */
+ * Each root stays on the stack below its tree, which no block pops, and
+ * leaves it when the tree is done.  With a list blocks, append each
+ * sorted block to it and return 0; with NULL, stop at the first block
+ * closed and return its size.  -1 on error. */
 static Py_ssize_t
-block_search(Graph *g, PyObject *blocks)
+block_search(Walk *g, PyObject *blocks)
 {
-    int *work, *disc = g->disc, *low, *pos, *vstack, *dfs_v;
-    Py_ssize_t *dfs_i, ri, result = -1;
-    int n = g->n, v, counter = 0, sp = 0;
-
-    work = PyMem_Malloc(4 * ((size_t)n + 1) * sizeof(int));
-    dfs_i = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    if (work == NULL || dfs_i == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    low = work;
-    pos = low + n;
-    vstack = pos + n;
-    dfs_v = vstack + n;
-
+    Py_ssize_t ri;
     for (ri = 0; ri < g->order_len; ri++) {
-        int root = g->order[ri], fp = 1;
-        if (disc[root] != -1)
+        int root = g->order[ri];
+        if (g->disc[root] != -1)
             continue;
-        disc[root] = low[root] = counter++;
-        dfs_v[0] = root;
-        dfs_i[0] = g->indptr[root];
-        while (fp) {
-            Py_ssize_t i = dfs_i[fp - 1], end;
-            int descended = 0;
-            v = dfs_v[fp - 1];
-            end = g->indptr[v + 1];
-            while (i < end) {
-                int w = g->indices[i++], d = disc[w];
-                if (d == -1) {
-                    disc[w] = low[w] = counter++;
-                    pos[w] = sp;
-                    vstack[sp++] = w;
-                    dfs_i[fp - 1] = i;
-                    dfs_v[fp] = w;
-                    dfs_i[fp] = g->indptr[w];
-                    fp++;
-                    descended = 1;
-                    break;
-                }
-                if (d < low[v])
-                    low[v] = d;
-            }
-            if (descended)
+        push(g, root);
+        while (g->fp) {
+            int v = advance(g), p, k;
+            if (v < 0 || !g->fp)
                 continue;
-            fp--;
-            if (fp) {
-                int p = dfs_v[fp - 1], lv = low[v];
-                if (lv < low[p])
-                    low[p] = lv;
-                if (lv >= disc[p]) {
-                    /* Component boundary: v's part of the stack plus p,
-                     * sorted where it lies; vstack[sp] is in bounds, as the
-                     * stack never holds the root. */
-                    int k = pos[v];
-                    if (blocks == NULL) {
-                        result = sp + 1 - k;
-                        goto done;
-                    }
-                    vstack[sp] = p;
-                    if (append_sorted(blocks, vstack + k, sp + 1 - k) < 0)
-                        goto done;
-                    sp = k;
-                }
-            }
+            p = g->dfs_v[g->fp - 1];
+            if (g->low[v] < g->disc[p])
+                continue;
+            /* Component boundary: v's part of the stack plus p, written
+             * above the top (the spare slot keeps it in bounds) and
+             * sorted where it lies. */
+            k = g->pos[v];
+            if (blocks == NULL)
+                return g->sp + 1 - k;
+            g->stack[g->sp] = p;
+            if (append_sorted(blocks, g->stack + k, g->sp + 1 - k) < 0)
+                return -1;
+            g->sp = k;
         }
-        if (disc[root] == counter - 1) {
-            if (blocks == NULL) {
-                result = 1;
-                goto done;
-            }
+        g->sp--;
+        if (g->disc[root] == g->counter - 1) {
+            if (blocks == NULL)
+                return 1;
             if (append_sorted(blocks, &root, 1) < 0)
-                goto done;
+                return -1;
         }
     }
-    result = 0;
-done:
-    PyMem_Free(work);
-    PyMem_Free(dfs_i);
-    return result;
+    return 0;
 }
 
 PyDoc_STRVAR(bcc_doc,
@@ -391,17 +358,17 @@ static PyObject *
 bcc(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     PyObject *n_obj, *adj, *sub, *blocks;
-    Graph g;
+    Walk g;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:bcc", kwlist,
                                      &n_obj, &adj, &sub))
         return NULL;
-    if (graph_init(&g, n_obj, adj, sub, 0) < 0)
+    if (walk_init(&g, n_obj, adj, sub, 0) < 0)
         return NULL;
     blocks = PyList_New(0);
     if (blocks != NULL && block_search(&g, blocks) < 0)
         Py_CLEAR(blocks);
-    graph_free(&g);
+    walk_free(&g);
     return blocks;
 }
 
@@ -418,17 +385,17 @@ biconnected(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     PyObject *n_obj, *adj, *gone;
     Py_ssize_t left, size = 0;
-    Graph g;
+    Walk g;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:biconnected",
                                      mask_kwlist, &n_obj, &adj, &gone))
         return NULL;
-    if (graph_init(&g, n_obj, adj, gone, 1) < 0)
+    if (walk_init(&g, n_obj, adj, gone, 1) < 0)
         return NULL;
     left = g.order_len;
     if (left > 1)
         size = block_search(&g, NULL);
-    graph_free(&g);
+    walk_free(&g);
     if (size < 0)
         return NULL;
     return PyBool_FromLong(left <= 1 || size == left);

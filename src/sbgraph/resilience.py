@@ -389,12 +389,14 @@ def _split(g, d):
     leave out the class of vertex 0, ordered by first member: the SCCs of
     d's region alone, by one SCC call, or none when the region is empty.
     For d = 0 they are every class of g - 0.  Computed once per graph and
-    deletion."""
+    deletion, and kept as a tuple of int tuples, which the cyclic garbage
+    collector untracks once it has seen them, so later full collections
+    do not walk the kept splits."""
     region = _cut_region(g, d)
     if not region:
-        return []
+        return ()
     adj = _without_arc(g.out_adj, *d) if isinstance(d, tuple) else g.out_adj
-    return scc_classes(g.n, adj, region)
+    return tuple(scc_classes(g.n, adj, region))
 
 
 @memoized

@@ -97,15 +97,24 @@ def test_backends_agree_at_depth(g):
 
 @needs_compiled
 def test_backends_agree_on_subsets():
+    # Raw return values, order included, on subsets walked from shuffled
+    # roots with some roots repeated, and on random masks.
     rng = sg.SplitMix64(77)
+    shuffle = random.Random(77).shuffle
     for g in _random_digraphs(80, seed=32):
         sub = [v for v in range(g.n) if rng.below(2)]
+        sub += [v for v in sub if rng.below(3) == 0]
+        shuffle(sub)
+        gone = [v for v in range(g.n) if rng.below(3) == 0]
         u = sg.underlying(g)
         assert _kernels.pure.scc_ids(g.n, g.out_adj, sub) == (
             _kernels._ckern.scc_ids(g.n, g.out_adj, sub)
         )
         assert _kernels.pure.bcc(u.n, u.adj, sub) == (
             _kernels._ckern.bcc(u.n, u.adj, sub)
+        )
+        assert _kernels.pure.biconnected(u.n, u.adj, gone) is (
+            _kernels._ckern.biconnected(u.n, u.adj, gone)
         )
 
 

@@ -3,6 +3,7 @@ graph, so the families of one graph share one cut pass and one verdict
 of each kind, whichever of them is called and in whatever order."""
 
 import collections
+import gc
 import sys
 import threading
 
@@ -272,10 +273,28 @@ def test_a_one_vertex_region_makes_no_scc_call(monkeypatch, fig1):
             region = resilience._cut_region(g, d)
             if len(region) == 1:
                 singles += 1
-                assert resilience._split(g, d) == [tuple(region)]
+                assert resilience._split(g, d) == (tuple(region),)
         monkeypatch.undo()
         assert calls == []
     assert singles
+
+
+@pytest.mark.parametrize(
+    "backend", ["pure", pytest.param("c", marks=pytest.mark.needs_compiled)]
+)
+def test_kept_splits_leave_the_collector(backend):
+    # A split is kept for the graph's lifetime, one per strong cut, so a
+    # list of them would be walked by every full collection.  A tuple of
+    # untracked items is untracked by the next collection that sees it,
+    # so two collections reach the outer tuple of each split.
+    with _kernels.use_backend(backend):
+        g = directed_cycle(300)
+        sg.two_edge_blocks(g)
+    gc.collect()
+    gc.collect()
+    splits = [v for (name, _), v in g._memo.items() if name == "_split"]
+    assert len(splits) == 301
+    assert not any(gc.is_tracked(split) for split in splits)
 
 
 @pytest.mark.parametrize(

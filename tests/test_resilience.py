@@ -365,7 +365,7 @@ def test_root_split_refines_two_vertex_sets():
     g = root_cut_graph()
     assert sg.is_strongly_biconnected(g)
     assert not {1, 5} & resilience._separations(g)[0]
-    assert resilience._split(g, 5) == [(1,)]
+    assert resilience._split(g, 5) == ((1,),)
     parts = resilience._root_split(g, frozenset([1, 5]))
     assert parts != ()
     assert _finish(parts).components == ((0, 2), (2, 4), (3, 4))
